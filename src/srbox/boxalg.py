@@ -17,7 +17,11 @@ softmax is taken per dimension across the n boxes.
 The entity-to-box distance has an outer part (L1 gap to the nearest box
 face, zero inside the box) and an inner part (L1 gap from the clamped point
 to the center), combined as d_out + alpha * d_in. The norm is configurable
-to L2.
+to L2. One kernel computes it for a single entity (d,) or for every row of
+a batch (m, d) against one box: ``distance`` and ``distance_batch`` keep
+only the distances, ``distance_with_cache`` also keeps the gaps and hinge
+sides, and ``distance_backward`` turns them into gradients for all rows at
+once.
 
 Every operation here has a matching hand-written backward; forward variants
 with ``_with_cache`` record exactly what the backward needs, plus the branch
@@ -32,7 +36,8 @@ yield exactly one box); scoring takes the minimum distance over disjuncts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import partialmethod
 from typing import NamedTuple
 
 import numpy as np
@@ -59,66 +64,70 @@ class Box:
         return self.center.shape[0]
 
 
+def _weight(fan_in: int = 1):
+    return field(metadata={"units": (1, fan_in)})
+
+
+def _bias():
+    return field(metadata={"units": (1,)})
+
+
 @dataclass
 class IntersectionNet:
     """Weights of the attention MLP and the two DeepSets MLPs (inner 2d->d->d,
-    outer d->d->d, attention d->d->d)."""
+    outer d->d->d, attention d->d->d). Each field's ``units`` metadata is its
+    shape in multiples of the embedding dim d."""
 
-    att_w1: np.ndarray
-    att_b1: np.ndarray
-    att_w2: np.ndarray
-    att_b2: np.ndarray
-    inner_w1: np.ndarray
-    inner_b1: np.ndarray
-    inner_w2: np.ndarray
-    inner_b2: np.ndarray
-    outer_w1: np.ndarray
-    outer_b1: np.ndarray
-    outer_w2: np.ndarray
-    outer_b2: np.ndarray
+    att_w1: np.ndarray = _weight()
+    att_b1: np.ndarray = _bias()
+    att_w2: np.ndarray = _weight()
+    att_b2: np.ndarray = _bias()
+    inner_w1: np.ndarray = _weight(2)
+    inner_b1: np.ndarray = _bias()
+    inner_w2: np.ndarray = _weight()
+    inner_b2: np.ndarray = _bias()
+    outer_w1: np.ndarray = _weight()
+    outer_b1: np.ndarray = _bias()
+    outer_w2: np.ndarray = _weight()
+    outer_b2: np.ndarray = _bias()
+
+    @staticmethod
+    def shapes(dim: int) -> dict[str, tuple[int, ...]]:
+        return {
+            f.name: tuple(u * dim for u in f.metadata["units"]) for f in fields(IntersectionNet)
+        }
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in NET_FIELDS}
 
     def copy(self) -> "IntersectionNet":
-        return IntersectionNet(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
+        return IntersectionNet(**{name: arr.copy() for name, arr in self.arrays().items()})
 
     def validate(self, dim: int) -> None:
-        expect = {
-            "att_w1": (dim, dim), "att_b1": (dim,), "att_w2": (dim, dim), "att_b2": (dim,),
-            "inner_w1": (dim, 2 * dim), "inner_b1": (dim,),
-            "inner_w2": (dim, dim), "inner_b2": (dim,),
-            "outer_w1": (dim, dim), "outer_b1": (dim,),
-            "outer_w2": (dim, dim), "outer_b2": (dim,),
-        }
-        for name, shape in expect.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValidationError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} contains non-finite entries")
+        check_arrays(self.arrays(), self.shapes(dim))
+
+
+def check_arrays(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
+    """Every named array has its expected shape and only finite entries."""
+    for name, arr in arrays.items():
+        if arr.shape != shapes[name]:
+            raise ValidationError(f"{name} has shape {arr.shape}, expected {shapes[name]}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} contains non-finite entries")
 
 
 NET_FIELDS = tuple(f.name for f in fields(IntersectionNet))
 
 
 def net_random(dim: int, rng: np.random.Generator) -> IntersectionNet:
-    """Fan-in-scaled uniform init for all three MLPs."""
-
-    def layer(out_d: int, in_d: int) -> tuple[np.ndarray, np.ndarray]:
-        bound = 1.0 / np.sqrt(in_d)
-        w = rng.uniform(-bound, bound, size=(out_d, in_d))
-        b = rng.uniform(-bound, bound, size=out_d)
-        return w, b
-
-    att_w1, att_b1 = layer(dim, dim)
-    att_w2, att_b2 = layer(dim, dim)
-    inner_w1, inner_b1 = layer(dim, 2 * dim)
-    inner_w2, inner_b2 = layer(dim, dim)
-    outer_w1, outer_b1 = layer(dim, dim)
-    outer_w2, outer_b2 = layer(dim, dim)
-    return IntersectionNet(
-        att_w1, att_b1, att_w2, att_b2,
-        inner_w1, inner_b1, inner_w2, inner_b2,
-        outer_w1, outer_b1, outer_w2, outer_b2,
-    )
+    """Fan-in-scaled uniform init for all three MLPs, drawn in field order;
+    a bias takes the bound of the weight declared before it."""
+    arrays = {}
+    for name, shape in IntersectionNet.shapes(dim).items():
+        if len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[1])
+        arrays[name] = rng.uniform(-bound, bound, size=shape)
+    return IntersectionNet(**arrays)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -268,14 +277,8 @@ def intersect_backward(
     doff_in = dpooled[:, d:].copy()
     doff_in[cache.min_idx, np.arange(d)] += dmin_off
 
-    net_grads = {
-        "att_w1": att_grads[0], "att_b1": att_grads[1],
-        "att_w2": att_grads[2], "att_b2": att_grads[3],
-        "inner_w1": inner_grads[0], "inner_b1": inner_grads[1],
-        "inner_w2": inner_grads[2], "inner_b2": inner_grads[3],
-        "outer_w1": outer_grads[0], "outer_b1": outer_grads[1],
-        "outer_w2": outer_grads[2], "outer_b2": outer_grads[3],
-    }
+    # NET_FIELDS runs att, inner, outer, each as w1, b1, w2, b2
+    net_grads = dict(zip(NET_FIELDS, att_grads + inner_grads + outer_grads))
     return dcent_in, doff_in, net_grads
 
 
@@ -284,15 +287,14 @@ def intersect_backward(
 
 
 class Distance(NamedTuple):
-    d: float
-    d_out: float
-    d_in: float
+    d: float | np.ndarray
+    d_out: float | np.ndarray
+    d_in: float | np.ndarray
 
 
 class DistanceCache(NamedTuple):
-    entity: np.ndarray
-    center: np.ndarray
-    offset: np.ndarray
+    """What ``distance_backward`` needs, for one entity (d,) or a batch (m, d)."""
+
     above: np.ndarray  # e strictly above the top face
     below: np.ndarray  # e strictly below the bottom face
     v_out: np.ndarray  # per-dim outer gap
@@ -310,88 +312,112 @@ class DistanceCache(NamedTuple):
         )
 
 
-def _norm_and_grad(v: np.ndarray, norm: str) -> tuple[float, np.ndarray]:
+def _norm(v: np.ndarray, norm: str) -> np.ndarray:
+    """Norm of each row (last axis)."""
     if norm == "l1":
-        return float(np.abs(v).sum()), np.sign(v)
+        return np.abs(v).sum(axis=-1)
     if norm == "l2":
-        mag = float(np.sqrt((v * v).sum()))
-        if mag == 0.0:
-            return 0.0, np.zeros_like(v)
-        return mag, v / mag
+        return np.sqrt((v * v).sum(axis=-1))
     raise ValidationError(f"unknown norm {norm!r}")
 
 
-def distance_with_cache(
-    e: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1"
-) -> tuple[Distance, DistanceCache]:
-    if e.shape != b.center.shape:
+def _norm_grad(v: np.ndarray, norm: str) -> np.ndarray:
+    """Gradient of each row's norm; a zero row takes the zero subgradient."""
+    if norm == "l1":
+        return np.sign(v)
+    mag = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    return np.divide(v, mag, out=np.zeros_like(v), where=mag > 0.0)
+
+
+def _gaps(e: np.ndarray, b: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Outer gap (to the nearest face, zero inside) and inner gap (center
+    minus the clamped point) of an entity (d,) or of each row of (m, d)."""
+    if e.shape[-1:] != b.center.shape:
         raise ValidationError(f"entity shape {e.shape} does not match box dim {b.dim}")
-    bmax = b.center + b.offset
-    bmin = b.center - b.offset
-    above = e > bmax
-    below = e < bmin
+    bmax, bmin = b.bmax, b.bmin
     v_out = np.maximum(e - bmax, 0.0) + np.maximum(bmin - e, 0.0)
-    clamped = np.minimum(bmax, np.maximum(bmin, e))
-    u_in = b.center - clamped
-    d_out, _ = _norm_and_grad(v_out, norm)
-    d_in, _ = _norm_and_grad(u_in, norm)
-    dist = Distance(d_out + alpha * d_in, d_out, d_in)
-    return dist, DistanceCache(e, b.center, b.offset, above, below, v_out, u_in, alpha, norm)
+    u_in = b.center - np.minimum(bmax, np.maximum(bmin, e))
+    return v_out, u_in
+
+
+def _combine(v_out: np.ndarray, u_in: np.ndarray, alpha: float, norm: str) -> Distance:
+    d_out = _norm(v_out, norm)
+    d_in = _norm(u_in, norm)
+    return Distance(d_out + alpha * d_in, d_out, d_in)
 
 
 def distance(e: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1") -> Distance:
-    """Two-part entity-to-box distance d_out + alpha * d_in."""
-    return distance_with_cache(e, b, alpha, norm)[0]
-
-
-def distance_backward(
-    cache: DistanceCache, dd: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_entity, d_center, d_offset) of dd * distance.
-
-    Hinge points (entity exactly on a box face, or exactly at the center)
-    take the zero subgradient.
-    """
-    above = cache.above
-    below = cache.below
-    _, g_out = _norm_and_grad(cache.v_out, cache.norm)
-    _, g_in = _norm_and_grad(cache.u_in, cache.norm)
-
-    # outer part: v = max(e - bmax, 0) + max(bmin - e, 0)
-    w = dd * g_out
-    de = w * (above.astype(np.float64) - below.astype(np.float64))
-    dc = -de.copy()
-    doff = -w * (above.astype(np.float64) + below.astype(np.float64))
-
-    # inner part: u = center - clamp(e); outside the box the clamp lands on a
-    # face, whose center dependence cancels the leading center term
-    w_in = dd * cache.alpha * g_in
-    inside = ~(above | below)
-    de -= w_in * inside
-    dc += w_in * inside
-    doff -= w_in * above.astype(np.float64)
-    doff += w_in * below.astype(np.float64)
-    return de, dc, doff
+    """Two-part entity-to-box distance d_out + alpha * d_in, for one entity
+    (d,) or for every row of (m, d)."""
+    return _combine(*_gaps(e, b), alpha, norm)
 
 
 def distance_batch(
     entities: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1"
 ) -> np.ndarray:
     """Distance from every row of ``entities`` (m, d) to one box; returns (m,)."""
-    bmax = b.center + b.offset
-    bmin = b.center - b.offset
-    v_out = np.maximum(entities - bmax, 0.0) + np.maximum(bmin - entities, 0.0)
-    clamped = np.minimum(bmax, np.maximum(bmin, entities))
-    u_in = b.center - clamped
-    if norm == "l1":
-        d_out = np.abs(v_out).sum(axis=1)
-        d_in = np.abs(u_in).sum(axis=1)
-    elif norm == "l2":
-        d_out = np.sqrt((v_out * v_out).sum(axis=1))
-        d_in = np.sqrt((u_in * u_in).sum(axis=1))
-    else:
-        raise ValidationError(f"unknown norm {norm!r}")
-    return d_out + alpha * d_in
+    return distance(entities, b, alpha, norm).d
+
+
+def distance_with_cache(
+    e: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1"
+) -> tuple[Distance, DistanceCache]:
+    v_out, u_in = _gaps(e, b)
+    cache = DistanceCache(e > b.bmax, e < b.bmin, v_out, u_in, alpha, norm)
+    return _combine(v_out, u_in, alpha, norm), cache
+
+
+def distance_backward(
+    cache: DistanceCache, dd
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (d_entity, d_center, d_offset) of dd * distance, row by row.
+
+    ``dd`` is a scalar for a single-entity cache and an (m,) vector for a
+    batch; every gradient has the entity's shape. Hinge points (entity
+    exactly on a box face, or exactly at the center) take the zero
+    subgradient.
+    """
+    above = cache.above.astype(np.float64)
+    below = cache.below.astype(np.float64)
+    dd = np.asarray(dd, dtype=np.float64)[..., None]
+    g_out = _norm_grad(cache.v_out, cache.norm)
+    g_in = _norm_grad(cache.u_in, cache.norm)
+
+    # outer part: v = max(e - bmax, 0) + max(bmin - e, 0)
+    w = dd * g_out
+    de = w * (above - below)
+    dc = -de
+    doff = -w * (above + below)
+
+    # inner part: u = center - clamp(e); outside the box the clamp lands on a
+    # face, whose center dependence cancels the leading center term
+    w_in = dd * cache.alpha * g_in
+    inside = ~(cache.above | cache.below)
+    de -= w_in * inside
+    dc += w_in * inside
+    doff -= w_in * above
+    doff += w_in * below
+    return de, dc, doff
+
+
+def min_distance_with_cache(
+    entities: np.ndarray, boxes: list[Box], alpha: float, norm: str
+) -> tuple[np.ndarray, np.ndarray, DistanceCache]:
+    """D(e) for every row of ``entities`` (m, d): the minimum distance over the
+    query's disjunct boxes.
+
+    Returns (D (m,), each row's argmin disjunct (m,), the cache of every row
+    against its argmin disjunct). Ties go to the first disjunct.
+    """
+    if not boxes:
+        raise ValidationError("query produced no boxes")
+    per_box = [distance_with_cache(entities, b, alpha, norm) for b in boxes]
+    all_d = np.stack([dist.d for dist, _ in per_box])  # (n_boxes, m)
+    argmins = np.argmin(all_d, axis=0)
+    rows = np.arange(all_d.shape[1])
+    # the per-row cache fields (above, below, v_out, u_in), each from the argmin box
+    picked = [np.stack(part)[argmins, rows] for part in zip(*(c[:4] for _, c in per_box))]
+    return all_d[argmins, rows], argmins, DistanceCache(*picked, alpha, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +454,6 @@ class ExecutionTrace:
         return b"".join(parts)
 
 
-def _relation_params(params, rel: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
-    crow = params.center_row(rel, inverse)
-    orow = params.offset_row(rel, inverse)
-    return params.relation_centers[crow], params.relation_offsets[orow]
-
-
 def execute_with_trace(dag: QueryDag, params) -> ExecutionTrace:
     """Topologically evaluate the DAG; returns the trace holding all node boxes.
 
@@ -466,7 +486,7 @@ def execute_with_trace(dag: QueryDag, params) -> ExecutionTrace:
                 raise ValidationError(f"relation id {e.relation} out of range")
         projected: list[list[Box]] = []
         for e in edges:
-            rel = _relation_params(params, e.relation, e.inverse)
+            rel = params.relation_params(e.relation, e.inverse)
             projected.append([project(b, rel) for b in traces[e.src].boxes])
         kind = kinds[n]
         if kind is NodeKind.PROJECTION:
@@ -523,8 +543,8 @@ def backward_through_dag(trace: ExecutionTrace, seed_grads, grads) -> None:
             ]
 
     def route_edge(edge, src_disjunct: int, dcen: np.ndarray, doff: np.ndarray, params_like) -> None:
-        grads.add_rel_center(params_like.center_row(edge.relation, edge.inverse), dcen)
-        grads.add_rel_offset(params_like.offset_row(edge.relation, edge.inverse), doff)
+        grads.add("rel_center", params_like.center_row(edge.relation, edge.inverse), dcen)
+        grads.add("rel_offset", params_like.offset_row(edge.relation, edge.inverse), doff)
         slot = acc[edge.src][src_disjunct]
         if slot is None:
             acc[edge.src][src_disjunct] = [dcen.copy(), doff.copy()]
@@ -540,7 +560,7 @@ def backward_through_dag(trace: ExecutionTrace, seed_grads, grads) -> None:
                 continue
             dcen, doff = slot
             if tr.kind == "anchor":
-                grads.add_entity(tr.entity, dcen)  # anchor offset is a constant zero
+                grads.add("entity", tr.entity, dcen)  # anchor offset is a constant zero
             elif tr.kind == "projection":
                 route_edge(tr.edges[0], j, dcen, doff, params_like)
             elif tr.kind == "union":
@@ -550,17 +570,21 @@ def backward_through_dag(trace: ExecutionTrace, seed_grads, grads) -> None:
                 cache = tr.inter_caches[j]
                 dcent_in, doff_in, net_grads = intersect_backward(cache, dcen, doff)
                 for name, g in net_grads.items():
-                    grads.add_net(name, g)
+                    grads.add("net", name, g)
                 for k, src_j in enumerate(tr.combos[j]):
                     route_edge(tr.edges[k], src_j, dcent_in[k], doff_in[k], params_like)
+
+
+GRAD_TABLES = ("entity", "rel_center", "rel_offset", "net")
 
 
 class Grads:
     """Sparse gradient accumulator mirroring a parameter store.
 
-    Entity centers and relation rows are dicts keyed by row index; the
-    intersection net is a dense dict keyed by field name. ``params`` is the
-    store the rows refer to (used for row arithmetic, never mutated here).
+    One dict per table in GRAD_TABLES: entity centers and relation rows are
+    keyed by row index, the intersection net by field name. ``params`` is
+    the store the rows refer to (used for row arithmetic, never mutated
+    here).
     """
 
     def __init__(self, params) -> None:
@@ -570,47 +594,30 @@ class Grads:
         self.rel_offset: dict[int, np.ndarray] = {}
         self.net: dict[str, np.ndarray] = {}
 
-    def add_entity(self, ent: int, g: np.ndarray) -> None:
-        slot = self.entity.get(ent)
+    def tables(self) -> dict[str, dict]:
+        return {table: getattr(self, table) for table in GRAD_TABLES}
+
+    def add(self, table: str, key, g: np.ndarray) -> None:
+        slots = getattr(self, table)
+        slot = slots.get(key)
         if slot is None:
-            self.entity[ent] = g.copy()
+            slots[key] = g.copy()
         else:
             slot += g
 
-    def add_rel_center(self, row: int, g: np.ndarray) -> None:
-        slot = self.rel_center.get(row)
-        if slot is None:
-            self.rel_center[row] = g.copy()
-        else:
-            slot += g
-
-    def add_rel_offset(self, row: int, g: np.ndarray) -> None:
-        slot = self.rel_offset.get(row)
-        if slot is None:
-            self.rel_offset[row] = g.copy()
-        else:
-            slot += g
-
-    def add_net(self, name: str, g: np.ndarray) -> None:
-        slot = self.net.get(name)
-        if slot is None:
-            self.net[name] = g.copy()
-        else:
-            slot += g
+    add_entity = partialmethod(add, "entity")
+    add_rel_center = partialmethod(add, "rel_center")
+    add_rel_offset = partialmethod(add, "rel_offset")
+    add_net = partialmethod(add, "net")
 
     def scale(self, s: float) -> "Grads":
-        for d in (self.entity, self.rel_center, self.rel_offset, self.net):
-            for g in d.values():
+        for slots in self.tables().values():
+            for g in slots.values():
                 g *= s
         return self
 
     def iadd(self, other: "Grads") -> "Grads":
-        for ent, g in other.entity.items():
-            self.add_entity(ent, g)
-        for row, g in other.rel_center.items():
-            self.add_rel_center(row, g)
-        for row, g in other.rel_offset.items():
-            self.add_rel_offset(row, g)
-        for name, g in other.net.items():
-            self.add_net(name, g)
+        for table, slots in other.tables().items():
+            for key, g in slots.items():
+                self.add(table, key, g)
         return self

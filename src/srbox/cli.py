@@ -18,7 +18,7 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from srbox import evalgen, params as params_mod, train as train_mod
@@ -31,6 +31,14 @@ from srbox.structures import (
     structure_record,
 )
 
+# every TrainConfig field but the seed, which [run] holds, is a [train] key
+_TRAIN_FIELDS = [f for f in fields(train_mod.TrainConfig) if f.name != "seed"]
+
+
+def _ini_value(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 CONFIG_DEFAULTS: dict[str, dict[str, str]] = {
     "run": {"mode": "text", "seed": "0", "out": "out", "dim": "32", "seq_len": "512"},
     "paths": {
@@ -42,22 +50,7 @@ CONFIG_DEFAULTS: dict[str, dict[str, str]] = {
         "queries": "",
     },
     "train": {
-        "gamma": "24.0",
-        "alpha": "0.02",
-        "lambda1": "1.0",
-        "lambda2": "0.1",
-        "k_negatives": "16",
-        "lr": "0.05",
-        "beta1": "0.9",
-        "beta2": "0.98",
-        "eps": "1e-8",
-        "steps": "1000",
-        "batch_size": "64",
-        "offset_mode": "shared",
-        "negative_pool": "same_sequence",
-        "norm": "l1",
-        "warmup": "true",
-        "trace_every": "100",
+        **{f.name: _ini_value(f.default) for f in _TRAIN_FIELDS},
         "complex_pool": "0",
     },
     "eval": {
@@ -74,23 +67,19 @@ _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
 
-def _typed(section: str, key: str, value: str, kind: str):
+def _typed(section: str, key: str, value: str, kind: type):
     try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        if kind == "bool":
+        if kind is bool:
             low = value.strip().lower()
             if low in _TRUE:
                 return True
             if low in _FALSE:
                 return False
             raise ValueError(value)
-        return value
+        return kind(value)
     except ValueError:
         raise ValidationError(
-            f"config [{section}] {key}: cannot read {value!r} as {kind}"
+            f"config [{section}] {key}: cannot read {value!r} as {kind.__name__}"
         ) from None
 
 
@@ -104,13 +93,13 @@ class RunConfig:
         return self.raw[section][key]
 
     def get_int(self, section: str, key: str) -> int:
-        return _typed(section, key, self.get(section, key), "int")
+        return _typed(section, key, self.get(section, key), int)
 
     def get_float(self, section: str, key: str) -> float:
-        return _typed(section, key, self.get(section, key), "float")
+        return _typed(section, key, self.get(section, key), float)
 
     def get_bool(self, section: str, key: str) -> bool:
-        return _typed(section, key, self.get(section, key), "bool")
+        return _typed(section, key, self.get(section, key), bool)
 
     @property
     def seed(self) -> int:
@@ -121,25 +110,11 @@ class RunConfig:
         return self.get("run", "out")
 
     def train_config(self) -> train_mod.TrainConfig:
-        cfg = train_mod.TrainConfig(
-            gamma=self.get_float("train", "gamma"),
-            alpha=self.get_float("train", "alpha"),
-            lambda1=self.get_float("train", "lambda1"),
-            lambda2=self.get_float("train", "lambda2"),
-            k_negatives=self.get_int("train", "k_negatives"),
-            lr=self.get_float("train", "lr"),
-            beta1=self.get_float("train", "beta1"),
-            beta2=self.get_float("train", "beta2"),
-            eps=self.get_float("train", "eps"),
-            steps=self.get_int("train", "steps"),
-            batch_size=self.get_int("train", "batch_size"),
-            seed=self.seed,
-            offset_mode=self.get("train", "offset_mode"),
-            negative_pool=self.get("train", "negative_pool"),
-            norm=self.get("train", "norm"),
-            warmup=self.get_bool("train", "warmup"),
-            trace_every=self.get_int("train", "trace_every"),
-        )
+        values = {
+            f.name: _typed("train", f.name, self.get("train", f.name), type(f.default))
+            for f in _TRAIN_FIELDS
+        }
+        cfg = train_mod.TrainConfig(seed=self.seed, **values)
         cfg.validate()
         return cfg
 
@@ -161,44 +136,21 @@ def load_config(path: str | None) -> RunConfig:
     return RunConfig(resolved)
 
 
-# flag destination -> (section, key); flags default to None = not given
-OVERRIDES: dict[str, tuple[str, str]] = {
-    "mode": ("run", "mode"),
-    "seed": ("run", "seed"),
-    "out": ("run", "out"),
-    "dim": ("run", "dim"),
-    "seq_len": ("run", "seq_len"),
-    "corpus": ("paths", "corpus"),
-    "vectors": ("paths", "vectors"),
-    "kg": ("paths", "kg"),
-    "checkpoint": ("paths", "checkpoint"),
-    "checkpoint_out": ("paths", "checkpoint_out"),
-    "queries": ("paths", "queries"),
-    "gamma": ("train", "gamma"),
-    "alpha": ("train", "alpha"),
-    "lr": ("train", "lr"),
-    "steps": ("train", "steps"),
-    "batch_size": ("train", "batch_size"),
-    "k_negatives": ("train", "k_negatives"),
-    "offset_mode": ("train", "offset_mode"),
-    "negative_pool": ("train", "negative_pool"),
-    "complex_pool": ("train", "complex_pool"),
-    "types": ("eval", "types"),
-    "count": ("eval", "count"),
-    "split": ("eval", "split"),
-    "scorer": ("eval", "scorer"),
-    "raw": ("eval", "raw"),
-    "trials": ("gradcheck", "trials"),
-    "gc_dim": ("gradcheck", "dim"),
-    "gc_entities": ("gradcheck", "entities"),
-    "gc_relations": ("gradcheck", "relations"),
-}
+def _flag_key(dest: str) -> tuple[str, str] | None:
+    """The (section, key) a flag sets: ``--gc-X`` sets [gradcheck] X, any
+    other flag the first section with a key of its name."""
+    if dest.startswith("gc_"):
+        return "gradcheck", dest[len("gc_"):]
+    sections = (section for section, keys in CONFIG_DEFAULTS.items() if dest in keys)
+    return next(((section, dest) for section in sections), None)
 
 
 def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for dest, (section, key) in OVERRIDES.items():
-        value = getattr(args, dest, None)
-        if value is not None:
+    """Flags default to None, which means not given."""
+    for dest, value in vars(args).items():
+        target = _flag_key(dest)
+        if value is not None and target is not None:
+            section, key = target
             cfg.raw[section][key] = str(value)
     return cfg
 

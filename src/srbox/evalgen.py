@@ -282,13 +282,14 @@ def _walk_dag(
             extra = [others[i] for i in picks]
         branches = [(h, r, False)] + [(h2, r2, False) for h2, r2 in extra]
         return intersection_dag(branches)
-    if qtype == "ip":
+    if qtype in ("ip", "up"):
         others = [p for p in index.in_adj.get(t, ()) if p != (h, r)]
         hops = index.out_adj.get(t)
         if not others or not hops:
             return None
         h2, r2 = _pick(others, rng)
         r3, _ = _pick(hops, rng)
+        merge = NodeKind.INTERSECTION if qtype == "ip" else NodeKind.UNION
         return QueryDag(
             anchors=((0, h), (1, h2)),
             edges=(
@@ -296,7 +297,7 @@ def _walk_dag(
                 Edge(1, 2, r2, False),
                 Edge(2, 3, r3, False),
             ),
-            nodes=((2, NodeKind.INTERSECTION), (3, NodeKind.PROJECTION)),
+            nodes=((2, merge), (3, NodeKind.PROJECTION)),
             answer_node=3,
         )
     if qtype == "pi":
@@ -329,23 +330,6 @@ def _walk_dag(
             nodes=((2, NodeKind.UNION),),
             answer_node=2,
         )
-    if qtype == "up":
-        others = [p for p in index.in_adj.get(t, ()) if p != (h, r)]
-        hops = index.out_adj.get(t)
-        if not others or not hops:
-            return None
-        h2, r2 = _pick(others, rng)
-        r3, _ = _pick(hops, rng)
-        return QueryDag(
-            anchors=((0, h), (1, h2)),
-            edges=(
-                Edge(0, 2, r, False),
-                Edge(1, 2, r2, False),
-                Edge(2, 3, r3, False),
-            ),
-            nodes=((2, NodeKind.UNION), (3, NodeKind.PROJECTION)),
-            answer_node=3,
-        )
     raise ValidationError(f"unknown query type {qtype!r}")
 
 
@@ -375,6 +359,8 @@ def generate_queries(
     seeds = kg.edges(split)
     if not seeds:
         raise ValidationError(f"{split} split has no edges to seed from")
+    if count == 0:
+        return []
     train_index = EdgeIndex(kg.train)
     walk_index = train_index if split == "train" else EdgeIndex(kg.all_edges())
     full_index = walk_index if split != "train" else EdgeIndex(kg.all_edges())
@@ -431,6 +417,17 @@ def dag_to_path(dag: QueryDag) -> tuple[int, list[tuple[int, bool]]]:
     return anchor, path
 
 
+def ptranse_distances(anchor: int, path: list[tuple[int, bool]], params) -> np.ndarray:
+    """PTransE path-sum distance of every entity to a chain query:
+    |Cen(anchor) + sum of signed relation centers - Cen(e)|_1, inverse hops
+    contributing their negated forward center."""
+    vec = params.entity_centers[anchor].copy()
+    for rel, inverse in path:
+        row = params.relation_centers[params.center_row(rel, False)]
+        vec = vec - row if inverse else vec + row
+    return np.abs(params.entity_centers - vec).sum(axis=1)
+
+
 def query_distances(
     query: GeneratedQuery,
     params,
@@ -446,12 +443,7 @@ def query_distances(
         )
         return per_box.min(axis=0)
     if scorer == "ptranse":
-        anchor, path = dag_to_path(query.dag)
-        vec = params.entity_centers[anchor].copy()
-        for rel, inverse in path:
-            row = params.relation_centers[params.center_row(rel, False)]
-            vec = vec - row if inverse else vec + row
-        return np.abs(params.entity_centers - vec).sum(axis=1)
+        return ptranse_distances(*dag_to_path(query.dag), params)
     raise ValidationError(f"unknown scorer {scorer!r}")
 
 

@@ -24,12 +24,13 @@ Files:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from srbox.boxalg import NET_FIELDS, IntersectionNet, net_random
+from srbox.boxalg import NET_FIELDS, IntersectionNet, check_arrays, net_random
 from srbox.corpus import Corpus, Mention
 from srbox.errors import ParseError, ValidationError
 from srbox.rng import STREAM_INIT, substream
@@ -37,6 +38,9 @@ from srbox.rng import STREAM_INIT, substream
 CHECKPOINT_MAGIC = b"SRBXCKPT"
 CHECKPOINT_VERSION = 1
 OFFSET_MODES = ("shared", "per_relation")
+# the store's own arrays, ahead of the net's in the checkpoint manifest
+ROW_TABLES = ("entity_centers", "relation_centers", "relation_offsets")
+HEADER_KEYS = ("dim", "offset_mode", "entity_ids", "relation_ids", "arrays")
 
 
 @dataclass
@@ -80,45 +84,56 @@ class ParamStore:
             self.relation_offsets[self.offset_row(rel, inverse)],
         )
 
+    @classmethod
+    def from_arrays(
+        cls,
+        dim: int,
+        entity_ids: list[str],
+        relation_ids: list[str],
+        offset_mode: str,
+        arrays: dict[str, np.ndarray],
+    ) -> "ParamStore":
+        """A store over parameter arrays keyed by name, as ``arrays()`` gives them."""
+        return cls(
+            dim,
+            list(entity_ids),
+            list(relation_ids),
+            offset_mode=offset_mode,
+            net=IntersectionNet(**{name: arrays[name] for name in NET_FIELDS}),
+            **{name: arrays[name] for name in ROW_TABLES},
+        )
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter array by name, in checkpoint-manifest order."""
+        return {**{name: getattr(self, name) for name in ROW_TABLES}, **self.net.arrays()}
+
+    def grad_targets(self) -> dict[str, np.ndarray | dict[str, np.ndarray]]:
+        """What each ``Grads`` table's keys index: a row table's row numbers
+        index its array, the net table's field names its dict of arrays."""
+        return {
+            "entity": self.entity_centers,
+            "rel_center": self.relation_centers,
+            "rel_offset": self.relation_offsets,
+            "net": self.net.arrays(),
+        }
+
     def validate(self) -> None:
-        d = self.dim
-        e, r = self.n_entities, self.n_relations
-        if self.entity_centers.shape != (e, d):
-            raise ValidationError(
-                f"entity_centers shape {self.entity_centers.shape}, expected {(e, d)}"
-            )
-        if self.relation_centers.shape != (2 * r, d):
-            raise ValidationError(
-                f"relation_centers shape {self.relation_centers.shape}, expected {(2 * r, d)}"
-            )
         if self.offset_mode not in OFFSET_MODES:
             raise ValidationError(f"unknown offset mode {self.offset_mode!r}")
-        rows = 1 if self.offset_mode == "shared" else 2 * r
-        if self.relation_offsets.shape != (rows, d):
-            raise ValidationError(
-                f"relation_offsets shape {self.relation_offsets.shape}, expected {(rows, d)}"
-            )
+        d, r = self.dim, self.n_relations
+        check_arrays(self.arrays(), {
+            "entity_centers": (self.n_entities, d),
+            "relation_centers": (2 * r, d),
+            "relation_offsets": (1 if self.offset_mode == "shared" else 2 * r, d),
+            **IntersectionNet.shapes(d),
+        })
         if np.any(self.relation_offsets < 0):
             raise ValidationError("relation_offsets must be nonnegative")
-        for name, arr in (
-            ("entity_centers", self.entity_centers),
-            ("relation_centers", self.relation_centers),
-            ("relation_offsets", self.relation_offsets),
-        ):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} contains non-finite entries")
-        self.net.validate(d)
 
     def copy(self) -> "ParamStore":
-        return ParamStore(
-            self.dim,
-            list(self.entity_ids),
-            list(self.relation_ids),
-            self.entity_centers.copy(),
-            self.relation_centers.copy(),
-            self.relation_offsets.copy(),
-            self.offset_mode,
-            self.net.copy(),
+        arrays = {name: arr.copy() for name, arr in self.arrays().items()}
+        return ParamStore.from_arrays(
+            self.dim, self.entity_ids, self.relation_ids, self.offset_mode, arrays
         )
 
     def equals(self, other: "ParamStore") -> bool:
@@ -130,15 +145,8 @@ class ParamStore:
             or self.offset_mode != other.offset_mode
         ):
             return False
-        if not (
-            np.array_equal(self.entity_centers, other.entity_centers)
-            and np.array_equal(self.relation_centers, other.relation_centers)
-            and np.array_equal(self.relation_offsets, other.relation_offsets)
-        ):
-            return False
-        return all(
-            np.array_equal(getattr(self.net, f), getattr(other.net, f)) for f in NET_FIELDS
-        )
+        theirs = other.arrays()
+        return all(np.array_equal(arr, theirs[name]) for name, arr in self.arrays().items())
 
 
 def init_random(
@@ -359,12 +367,7 @@ def load_vectors(path: str) -> ContextualVectors:
 
 def save(store: ParamStore, path: str) -> None:
     """Binary checkpoint; the round trip through load() is bit-exact."""
-    arrays: list[tuple[str, np.ndarray]] = [
-        ("entity_centers", store.entity_centers),
-        ("relation_centers", store.relation_centers),
-        ("relation_offsets", store.relation_offsets),
-    ]
-    arrays += [(f, getattr(store.net, f)) for f in NET_FIELDS]
+    arrays = store.arrays()
     header = {
         "dim": store.dim,
         "n_entities": store.n_entities,
@@ -372,15 +375,40 @@ def save(store: ParamStore, path: str) -> None:
         "offset_mode": store.offset_mode,
         "entity_ids": store.entity_ids,
         "relation_ids": store.relation_ids,
-        "arrays": [[name, list(arr.shape)] for name, arr in arrays],
+        "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()],
     }
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for _, arr in arrays:
+        for arr in arrays.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def _manifest(entries) -> list[tuple[str, tuple[int, ...]]]:
+    """The header's array manifest as (name, shape) pairs, after checking
+    that it names every parameter table once and every shape is a list of
+    non-negative ints."""
+    if not isinstance(entries, list) or not all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) for e in entries
+    ):
+        raise ParseError("checkpoint array manifest is not a list of [name, shape] pairs")
+    names = [name for name, _ in entries]
+    expected = ROW_TABLES + NET_FIELDS
+    if sorted(names) != sorted(expected):
+        missing = [n for n in expected if n not in names]
+        extra = [n for n in names if n not in expected or names.count(n) > 1]
+        raise ParseError(
+            f"checkpoint arrays do not match the parameter tables: missing {missing}, "
+            f"unexpected or repeated {extra}"
+        )
+    for name, shape in entries:
+        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+            raise ParseError(
+                f"checkpoint array {name!r} has shape {shape!r}, not a list of non-negative ints"
+            )
+    return [(name, tuple(shape)) for name, shape in entries]
 
 
 def load(path: str, expected_dim: int | None = None) -> ParamStore:
@@ -403,29 +431,28 @@ def load(path: str, expected_dim: int | None = None) -> ParamStore:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"bad checkpoint header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ParseError("checkpoint header is not a JSON object")
+        missing = [key for key in HEADER_KEYS if key not in header]
+        if missing:
+            raise ParseError(f"checkpoint header misses {', '.join(map(repr, missing))}")
         dim = int(header["dim"])
         if expected_dim is not None and dim != expected_dim:
             raise ValidationError(
                 f"checkpoint has dim {dim} but the configuration expects dim {expected_dim}"
             )
         loaded: dict[str, np.ndarray] = {}
-        for name, shape in header["arrays"]:
-            shape = tuple(int(s) for s in shape)
-            count = int(np.prod(shape)) if shape else 1
+        for name, shape in _manifest(header["arrays"]):
+            count = math.prod(shape)
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise ParseError(f"checkpoint truncated inside array {name!r}")
             loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    net_kwargs = {f: loaded[f] for f in NET_FIELDS}
-    store = ParamStore(
-        dim,
-        list(header["entity_ids"]),
-        list(header["relation_ids"]),
-        loaded["entity_centers"],
-        loaded["relation_centers"],
-        loaded["relation_offsets"],
-        header["offset_mode"],
-        IntersectionNet(**net_kwargs),
+        trailing = len(fh.read())
+        if trailing:
+            raise ParseError(f"checkpoint has {trailing} trailing byte(s) after its last array")
+    store = ParamStore.from_arrays(
+        dim, header["entity_ids"], header["relation_ids"], header["offset_mode"], loaded
     )
     store.validate()
     return store

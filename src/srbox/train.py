@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from srbox import boxalg
+from srbox import boxalg, evalgen
 from srbox.boxalg import Box, Grads, execute_with_trace
 from srbox.corpus import Corpus, Sequence, chunk_sequences
 from srbox.errors import ValidationError
@@ -161,13 +161,14 @@ def _softplus(x: float) -> float:
     return float(np.logaddexp(0.0, x))
 
 
-def min_distance(e: np.ndarray, query_boxes: list[Box], cfg: TrainConfig) -> float:
-    """D(e): minimum distance over the query's disjunct boxes."""
-    if not query_boxes:
-        raise ValidationError("query produced no boxes")
-    return min(
-        boxalg.distance(e, b, cfg.alpha, cfg.norm).d for b in query_boxes
-    )
+def _margin_loss(d: np.ndarray, gamma: float) -> float:
+    """-log sigmoid(gamma - D(a)) - (1/K) sum_k log sigmoid(D(a'_k) - gamma),
+    from D of the answer (row 0) and of its K negatives (the rest)."""
+    k = len(d) - 1
+    loss = _softplus(float(d[0]) - gamma)
+    for d_neg in d[1:]:
+        loss += _softplus(gamma - float(d_neg)) / k
+    return loss
 
 
 def qa_loss(
@@ -179,18 +180,9 @@ def qa_loss(
     """Margin loss of one query against its answer vector and negatives."""
     if not negatives:
         raise ValidationError("qa_loss needs at least one negative")
-    d_ans = min_distance(answer, query_boxes, cfg)
-    loss = _softplus(d_ans - cfg.gamma)
-    for vec in negatives:
-        loss += _softplus(cfg.gamma - min_distance(vec, query_boxes, cfg)) / len(negatives)
-    return loss
-
-
-def example_loss(example: TrainExample, params: ParamStore, cfg: TrainConfig) -> float:
-    boxes = boxalg.execute_query(example.query, params)
-    answer = params.entity_centers[example.answer]
-    negatives = [params.entity_centers[k] for k in example.negatives]
-    return qa_loss(boxes, answer, negatives, cfg)
+    vecs = np.vstack([answer, *negatives])
+    d_min, _, _ = boxalg.min_distance_with_cache(vecs, query_boxes, cfg.alpha, cfg.norm)
+    return _margin_loss(d_min, cfg.gamma)
 
 
 def sr_loss(
@@ -202,9 +194,9 @@ def sr_loss(
 ) -> float:
     """Weighted objective: lambda1 * simple + lambda2 * complex (+ optional
     additive auxiliary term supplied by the caller)."""
-    total = cfg.lambda1 * example_loss(simple, params, cfg)
+    total = _loss_and_grads(simple, params, cfg, cfg.lambda1, None)[0]
     if complex_example is not None:
-        total += cfg.lambda2 * example_loss(complex_example, params, cfg)
+        total += _loss_and_grads(complex_example, params, cfg, cfg.lambda2, None)[0]
     return total + aux_loss
 
 
@@ -219,79 +211,39 @@ def _loss_and_grads(
     """One example's weighted loss; gradients accumulate into ``grads``.
 
     The signature concatenates every branch indicator met along the way
-    (intersection masks/argmins, distance hinge sides, disjunct argmins) so
+    (intersection masks/argmins, disjunct argmins, distance hinge sides) so
     a caller can tell whether two nearby parameter points share all branches.
     """
     trace = execute_with_trace(example.query, params)
     boxes = trace.answer_boxes()
     k = len(example.negatives)
     ents = (example.answer, *example.negatives)
-    vecs = params.entity_centers[list(ents)]  # (k+1, d)
-
-    # distances of every entity to every disjunct box, vectorized per box;
-    # per-entity rows of the mask matrices are exactly the DistanceCache
-    # fields, so backward can slice instead of recomputing
-    per_box = []
-    for b in boxes:
-        bmax = b.center + b.offset
-        bmin = b.center - b.offset
-        above = vecs > bmax
-        below = vecs < bmin
-        v_out = np.maximum(vecs - bmax, 0.0) + np.maximum(bmin - vecs, 0.0)
-        clamped = np.minimum(bmax, np.maximum(bmin, vecs))
-        u_in = b.center - clamped
-        if cfg.norm == "l1":
-            dist = np.abs(v_out).sum(axis=1) + cfg.alpha * np.abs(u_in).sum(axis=1)
-        else:
-            dist = np.sqrt((v_out * v_out).sum(axis=1)) + cfg.alpha * np.sqrt(
-                (u_in * u_in).sum(axis=1)
-            )
-        per_box.append((dist, above, below, v_out, u_in))
-
-    all_d = np.stack([pb[0] for pb in per_box])  # (n_boxes, k+1)
-    argmins = np.argmin(all_d, axis=0)
-    d_min = all_d[argmins, np.arange(len(ents))]
-
-    def cache_for(i: int) -> boxalg.DistanceCache:
-        j = int(argmins[i])
-        b = boxes[j]
-        _, above, below, v_out, u_in = per_box[j]
-        return boxalg.DistanceCache(
-            vecs[i], b.center, b.offset, above[i], below[i], v_out[i], u_in[i],
-            cfg.alpha, cfg.norm,
-        )
-
-    sig_parts = None
-    if want_signature:
-        sig_parts = [trace.signature()]
-        for i in range(len(ents)):
-            sig_parts.append(int(argmins[i]).to_bytes(4, "little"))
-            sig_parts.append(cache_for(i).signature())
-
-    loss = _softplus(float(d_min[0]) - cfg.gamma)
-    for d_neg in d_min[1:]:
-        loss += _softplus(cfg.gamma - float(d_neg)) / k
-    loss *= weight
+    d_min, argmins, cache = boxalg.min_distance_with_cache(
+        params.entity_centers[list(ents)], boxes, cfg.alpha, cfg.norm
+    )
+    loss = _margin_loss(d_min, cfg.gamma) * weight
 
     if grads is not None:
+        coef = [weight * _sigmoid(float(d_min[0]) - cfg.gamma)]
+        coef += [-weight * _sigmoid(cfg.gamma - float(d)) / k for d in d_min[1:]]
+        de, dc, doff = boxalg.distance_backward(cache, coef)
+        for ent, g in zip(ents, de):
+            grads.add("entity", ent, g)
+        # each disjunct's seed sums, in row order, the rows it is the argmin of
         seeds: list[list[np.ndarray] | None] = [None] * len(boxes)
-        for i, ent in enumerate(ents):
-            d_val = float(d_min[i])
-            if i == 0:
-                coef = weight * _sigmoid(d_val - cfg.gamma)
-            else:
-                coef = -weight * _sigmoid(cfg.gamma - d_val) / k
-            de, dc, doff = boxalg.distance_backward(cache_for(i), coef)
-            grads.add_entity(ent, de)
-            j = int(argmins[i])
+        for i, j in enumerate(argmins):
             if seeds[j] is None:
-                seeds[j] = [dc, doff]
+                seeds[j] = [dc[i], doff[i]]
             else:
-                seeds[j][0] += dc
-                seeds[j][1] += doff
+                seeds[j][0] += dc[i]
+                seeds[j][1] += doff[i]
         boxalg.backward_through_dag(trace, seeds, grads)
 
-    return loss, b"".join(sig_parts) if want_signature else b""
+    if not want_signature:
+        return loss, b""
+    return loss, b"".join(
+        (trace.signature(), argmins.astype("<u4").tobytes(), cache.signature())
+    )
 
 
 def backward(
@@ -310,28 +262,24 @@ def backward(
 
 @dataclass
 class AdamState:
+    """Sparse first/second moments keyed by (Grads table, row or net field)."""
+
     step: int = 0
-    ent_m: dict[int, np.ndarray] = field(default_factory=dict)
-    ent_v: dict[int, np.ndarray] = field(default_factory=dict)
-    relc_m: dict[int, np.ndarray] = field(default_factory=dict)
-    relc_v: dict[int, np.ndarray] = field(default_factory=dict)
-    relo_m: dict[int, np.ndarray] = field(default_factory=dict)
-    relo_v: dict[int, np.ndarray] = field(default_factory=dict)
-    net_m: dict[str, np.ndarray] = field(default_factory=dict)
-    net_v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: dict[tuple[str, int | str], np.ndarray] = field(default_factory=dict)
+    v: dict[tuple[str, int | str], np.ndarray] = field(default_factory=dict)
 
 
-def _adam_row(m_d, v_d, key, grad, lr, cfg, bc1, bc2) -> np.ndarray:
-    m = m_d.get(key)
+def _adam_row(state: AdamState, key, grad, lr, cfg, bc1, bc2) -> np.ndarray:
+    m = state.m.get(key)
     if m is None:
         m = np.zeros_like(grad)
         v = np.zeros_like(grad)
     else:
-        v = v_d[key]
+        v = state.v[key]
     m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
     v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-    m_d[key] = m
-    v_d[key] = v
+    state.m[key] = m
+    state.v[key] = v
     return lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
@@ -346,22 +294,11 @@ def adam_step(
     state.step += 1
     bc1 = 1.0 - cfg.beta1 ** state.step
     bc2 = 1.0 - cfg.beta2 ** state.step
-    for ent in sorted(grads.entity):
-        params.entity_centers[ent] -= _adam_row(
-            state.ent_m, state.ent_v, ent, grads.entity[ent], lr, cfg, bc1, bc2
-        )
-    for row in sorted(grads.rel_center):
-        params.relation_centers[row] -= _adam_row(
-            state.relc_m, state.relc_v, row, grads.rel_center[row], lr, cfg, bc1, bc2
-        )
-    for row in sorted(grads.rel_offset):
-        params.relation_offsets[row] -= _adam_row(
-            state.relo_m, state.relo_v, row, grads.rel_offset[row], lr, cfg, bc1, bc2
-        )
-    for name in sorted(grads.net):
-        update = _adam_row(state.net_m, state.net_v, name, grads.net[name], lr, cfg, bc1, bc2)
-        arr = getattr(params.net, name)
-        arr -= update
+    targets = params.grad_targets()
+    for table, slots in grads.tables().items():
+        for key in sorted(slots):
+            row = targets[table][key]
+            row -= _adam_row(state, (table, key), slots[key], lr, cfg, bc1, bc2)
     np.maximum(params.relation_offsets, 0.0, out=params.relation_offsets)
 
 
@@ -463,6 +400,15 @@ def train(
         simple_pools: dict[tuple[int, int], list[int]] = {}
         complex_pools: dict[int, list[int]] = {}
 
+    def fit(dag: QueryDag, answer: int, pool, weight: float) -> float | None:
+        """Weighted loss of one example with negatives drawn from ``pool``,
+        its gradients added to the step's; None when the pool is empty."""
+        neg = sample_negatives(pool, answer, cfg.k_negatives, rng_neg)
+        if neg is None:
+            return None
+        example = TrainExample(dag, answer, neg.ids, neg.with_replacement)
+        return _loss_and_grads(example, params, cfg, weight, grads)[0]
+
     state = AdamState()
     trace: list[dict] = []
     for step in range(cfg.steps):
@@ -472,26 +418,16 @@ def train(
         n_simple = 0
         n_complex = 0
         for _ in range(cfg.batch_size):
+            val_complex = None
             if isinstance(source, TextSource):
                 seq, pair = _text_draw(text_state, rng_train)
                 if pair is None:
                     continue
                 (simple_dag, simple_ans), complex_pick = pair
                 pool = seq if cfg.negative_pool == "same_sequence" else global_pool
-                neg = sample_negatives(pool, simple_ans, cfg.k_negatives, rng_neg)
-                if neg is not None:
-                    ex = TrainExample(simple_dag, simple_ans, neg.ids, neg.with_replacement)
-                    val, _ = _loss_and_grads(ex, params, cfg, cfg.lambda1, grads)
-                    loss_simple += val
-                    n_simple += 1
+                val_simple = fit(simple_dag, simple_ans, pool, cfg.lambda1)
                 if complex_pick is not None:
-                    c_dag, c_ans = complex_pick
-                    neg = sample_negatives(pool, c_ans, cfg.k_negatives, rng_neg)
-                    if neg is not None:
-                        ex = TrainExample(c_dag, c_ans, neg.ids, neg.with_replacement)
-                        val, _ = _loss_and_grads(ex, params, cfg, cfg.lambda2, grads)
-                        loss_complex += val
-                        n_complex += 1
+                    val_complex = fit(*complex_pick, pool, cfg.lambda2)
             else:
                 h, r, t = source.triplets[int(rng_train.integers(len(source.triplets)))]
                 if source.answer_sets is None:
@@ -502,12 +438,7 @@ def train(
                         known = source.answer_sets.get((h, r), (t,))
                         pool = sorted(all_ids.difference(known))
                         simple_pools[(h, r)] = pool
-                neg = sample_negatives(pool, t, cfg.k_negatives, rng_neg)
-                if neg is not None:
-                    ex = TrainExample(chain_dag(h, [(r, False)]), t, neg.ids, neg.with_replacement)
-                    val, _ = _loss_and_grads(ex, params, cfg, cfg.lambda1, grads)
-                    loss_simple += val
-                    n_simple += 1
+                val_simple = fit(chain_dag(h, [(r, False)]), t, pool, cfg.lambda1)
                 if source.complex_queries:
                     qi = int(rng_train.integers(len(source.complex_queries)))
                     dag, answers = source.complex_queries[qi]
@@ -519,12 +450,13 @@ def train(
                         if pool is None:
                             pool = sorted(all_ids.difference(answers))
                             complex_pools[qi] = pool
-                    neg = sample_negatives(pool, ans, cfg.k_negatives, rng_neg)
-                    if neg is not None:
-                        ex = TrainExample(dag, ans, neg.ids, neg.with_replacement)
-                        val, _ = _loss_and_grads(ex, params, cfg, cfg.lambda2, grads)
-                        loss_complex += val
-                        n_complex += 1
+                    val_complex = fit(dag, ans, pool, cfg.lambda2)
+            if val_simple is not None:
+                loss_simple += val_simple
+                n_simple += 1
+            if val_complex is not None:
+                loss_complex += val_complex
+                n_complex += 1
         n_formed = n_simple + n_complex
         if n_formed == 0:
             continue
@@ -553,21 +485,18 @@ def train(
 
 
 def _touched_coordinates(example: TrainExample, params: ParamStore):
-    """Every parameter coordinate the example can reach, as (array, row) pairs."""
+    """Every (Grads table, key) whose parameters the example can reach."""
     dag = example.query
     ents = sorted(
         {e for _, e in dag.anchors} | {example.answer} | set(example.negatives)
     )
-    coords: list[tuple[np.ndarray, int]] = [(params.entity_centers, e) for e in ents]
+    keys: list[tuple[str, int | str]] = [("entity", e) for e in ents]
     crows = sorted({params.center_row(e.relation, e.inverse) for e in dag.edges})
     orows = sorted({params.offset_row(e.relation, e.inverse) for e in dag.edges})
-    coords += [(params.relation_centers, r) for r in crows]
-    coords += [(params.relation_offsets, r) for r in orows]
-    has_intersection = any(kind is NodeKind.INTERSECTION for _, kind in dag.nodes)
-    net_arrays = (
-        [getattr(params.net, f) for f in boxalg.NET_FIELDS] if has_intersection else []
-    )
-    return coords, net_arrays
+    keys += [("rel_center", r) for r in crows] + [("rel_offset", r) for r in orows]
+    if any(kind is NodeKind.INTERSECTION for _, kind in dag.nodes):
+        keys += [("net", name) for name in boxalg.NET_FIELDS]
+    return keys
 
 
 def _random_example(
@@ -653,21 +582,12 @@ def grad_check(
             err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
             worst = max(worst, err)
 
-        coords, net_arrays = _touched_coordinates(example, params)
-        for arr, row in coords:
-            if arr is params.entity_centers:
-                g_row = grads.entity.get(row)
-            elif arr is params.relation_centers:
-                g_row = grads.rel_center.get(row)
-            else:
-                g_row = grads.rel_offset.get(row)
-            for j in range(params.dim):
-                analytic = 0.0 if g_row is None else float(g_row[j])
-                check(arr, (row, j), analytic)
-        for name, arr in zip(boxalg.NET_FIELDS, net_arrays):
-            g = grads.net.get(name)
-            it = np.ndindex(arr.shape)
-            for idx in it:
+        targets = params.grad_targets()
+        tables = grads.tables()
+        for table, key in _touched_coordinates(example, params):
+            arr = targets[table][key]
+            g = tables[table].get(key)
+            for idx in np.ndindex(arr.shape):
                 analytic = 0.0 if g is None else float(g[idx])
                 check(arr, idx, analytic)
     return worst
@@ -680,13 +600,8 @@ def grad_check(
 def ptranse_score(
     anchor: int, path: list[tuple[int, bool]], answer: int, params: ParamStore
 ) -> float:
-    """Translation-composition score for chain queries:
-    -|Cen(anchor) + sum of signed relation centers - Cen(answer)|_1,
-    inverse hops contributing their negated forward center."""
+    """Translation-composition score for chain queries: the answer's negated
+    ``evalgen.ptranse_distances`` distance."""
     if not path:
         raise ValidationError("path must contain at least one relation")
-    vec = params.entity_centers[anchor].astype(np.float64).copy()
-    for rel, inverse in path:
-        row = params.relation_centers[params.center_row(rel, False)]
-        vec += -row if inverse else row
-    return -float(np.abs(vec - params.entity_centers[answer]).sum())
+    return -float(evalgen.ptranse_distances(anchor, path, params)[answer])

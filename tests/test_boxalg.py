@@ -7,6 +7,9 @@ against hand-computed values and structural properties.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from srbox import boxalg
 from srbox.boxalg import (
@@ -170,6 +173,93 @@ class TestDistance:
                         assert grad[i] == pytest.approx(num, abs=5e-9)
                         checked += 1
         assert checked > 500
+
+
+# Scalar reference: the per-entity distance forward and backward the batched
+# kernel replaced, kept verbatim so the kernel can be checked bit for bit.
+
+
+def _ref_norm_and_grad(v, norm):
+    if norm == "l1":
+        return float(np.abs(v).sum()), np.sign(v)
+    mag = float(np.sqrt((v * v).sum()))
+    if mag == 0.0:
+        return 0.0, np.zeros_like(v)
+    return mag, v / mag
+
+
+def _ref_distance(e, b, alpha, norm):
+    bmax = b.center + b.offset
+    bmin = b.center - b.offset
+    above = e > bmax
+    below = e < bmin
+    v_out = np.maximum(e - bmax, 0.0) + np.maximum(bmin - e, 0.0)
+    clamped = np.minimum(bmax, np.maximum(bmin, e))
+    u_in = b.center - clamped
+    d_out, _ = _ref_norm_and_grad(v_out, norm)
+    d_in, _ = _ref_norm_and_grad(u_in, norm)
+    return (d_out + alpha * d_in, d_out, d_in), (above, below, v_out, u_in)
+
+
+def _ref_backward(above, below, v_out, u_in, alpha, norm, dd):
+    _, g_out = _ref_norm_and_grad(v_out, norm)
+    _, g_in = _ref_norm_and_grad(u_in, norm)
+    w = dd * g_out
+    de = w * (above.astype(np.float64) - below.astype(np.float64))
+    dc = -de.copy()
+    doff = -w * (above.astype(np.float64) + below.astype(np.float64))
+    w_in = dd * alpha * g_in
+    inside = ~(above | below)
+    de -= w_in * inside
+    dc += w_in * inside
+    doff -= w_in * above.astype(np.float64)
+    doff += w_in * below.astype(np.float64)
+    return de, dc, doff
+
+
+@st.composite
+def kernel_cases(draw):
+    """A box, m entities with some coordinates exactly on a face or at the
+    center and some rows exactly at the center, and per-row upstream grads."""
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 40))
+    coord = st.floats(-4.0, 4.0, width=64)
+    center = draw(hnp.arrays(np.float64, d, elements=coord))
+    offset = draw(hnp.arrays(np.float64, d, elements=st.floats(0.0, 3.0, width=64)))
+    ents = draw(hnp.arrays(np.float64, (m, d), elements=coord))
+    snap = draw(hnp.arrays(np.int8, (m, d), elements=st.integers(0, 3)))
+    ents = np.select(
+        [snap == 1, snap == 2, snap == 3], [center + offset, center - offset, center], ents
+    )
+    at_center = draw(hnp.arrays(np.bool_, m))
+    ents[at_center] = center
+    dd = draw(hnp.arrays(np.float64, m, elements=st.floats(-3.0, 3.0, width=64)))
+    alpha = draw(st.floats(0.0, 1.0, width=64))
+    norm = draw(st.sampled_from(("l1", "l2")))
+    return Box(center, offset), ents, dd, alpha, norm
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+class TestKernelMatchesScalarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_rows_match_bit_for_bit(self, case):
+        box, ents, dd, alpha, norm = case
+        dist, cache = distance_with_cache(ents, box, alpha, norm)
+        grads = distance_backward(cache, dd)
+        assert _same_bits(distance_batch(ents, box, alpha, norm), dist.d)
+        for i in range(ents.shape[0]):
+            ref_dist, ref_cache = _ref_distance(ents[i], box, alpha, norm)
+            ref_grads = _ref_backward(*ref_cache, alpha, norm, float(dd[i]))
+            one_dist, one_cache = distance_with_cache(ents[i], box, alpha, norm)
+            one_grads = distance_backward(one_cache, float(dd[i]))
+            for got, one, ref in zip(dist, one_dist, ref_dist):
+                assert _same_bits(got[i], ref) and _same_bits(one, ref)
+            for got, one, ref in zip(grads, one_grads, ref_grads):
+                assert _same_bits(got[i], ref) and _same_bits(one, ref)
 
 
 class TestIntersection:

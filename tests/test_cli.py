@@ -6,6 +6,7 @@ module entry point.
 """
 
 import configparser
+import dataclasses
 import json
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 
 from srbox import cli, evalgen
 from srbox import params as params_mod
+from srbox.train import TrainConfig
 
 
 def doc(doc_id, tokens, mentions=(), triplets=()):
@@ -85,6 +87,31 @@ class TestConfigResolution:
         ini = tmp_path / "c.ini"
         ini.write_text("[train]\nmomentum = 0.9\n")
         assert cli.main(["mine", "--config", str(ini)]) == 2
+
+    def test_every_train_field_is_an_ini_key(self, tmp_path):
+        other_choice = {"offset_mode": "per_relation", "negative_pool": "global", "norm": "l2"}
+        want = {}
+        for f in dataclasses.fields(TrainConfig):
+            if f.name == "seed":
+                continue
+            if isinstance(f.default, bool):
+                want[f.name] = not f.default
+            elif isinstance(f.default, int):
+                want[f.name] = f.default + 1
+            elif isinstance(f.default, float):
+                want[f.name] = f.default / 2
+            else:
+                want[f.name] = other_choice[f.name]
+        ini = tmp_path / "c.ini"
+        ini.write_text("[train]\n" + "".join(f"{k} = {v}\n" for k, v in want.items()))
+        got = cli.load_config(str(ini)).train_config()
+        assert {k: getattr(got, k) for k in want} == want
+
+    def test_default_echo_parses_back_to_defaults(self, tmp_path, corpus_path):
+        out = tmp_path / "o"
+        assert cli.main(["mine", "--corpus", corpus_path, "--out", str(out)]) == 0
+        echoed = cli.load_config(str(out / "effective_config.ini"))
+        assert echoed.train_config() == TrainConfig()
 
     def test_bad_typed_value(self, tmp_path, corpus_path):
         ini = tmp_path / "c.ini"

@@ -281,6 +281,19 @@ class TestGenerateQueries:
         with pytest.raises(ValidationError):
             generate_queries(self.kg, "1p", -1, "test", rng)
 
+    def test_zero_count_builds_no_index(self, monkeypatch):
+        def no_index(edges):
+            raise AssertionError("EdgeIndex built for an empty request")
+
+        monkeypatch.setattr(evalgen, "EdgeIndex", no_index)
+        rng = substream(0, STREAM_QUERY_GEN)
+        before = rng.bit_generator.state
+        for split in ("train", "test"):
+            assert generate_queries(self.kg, "2p", 0, split, rng) == []
+        assert rng.bit_generator.state == before
+        with pytest.raises(ValidationError):
+            generate_queries(self.kg, "ip", 0, "train", rng)
+
     def test_deterministic_under_seed(self):
         a = generate_queries(self.kg, "2i", 8, "test", substream(5, STREAM_QUERY_GEN))
         b = generate_queries(self.kg, "2i", 8, "test", substream(5, STREAM_QUERY_GEN))

@@ -1,6 +1,7 @@
 """Tests for the parameter store, contextual initialization, and file formats."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -344,6 +345,57 @@ class TestCheckpoint:
         data[len(CHECKPOINT_MAGIC)] = 99
         open(path, "wb").write(bytes(data))
         with pytest.raises(ParseError):
+            load(path)
+
+    @staticmethod
+    def rewrite_header(path, edit):
+        """Apply ``edit`` to a saved checkpoint's JSON header in place."""
+        data = open(path, "rb").read()
+        start = len(CHECKPOINT_MAGIC)
+        version, header_len = struct.unpack("<IQ", data[start : start + 12])
+        header = json.loads(data[start + 12 : start + 12 + header_len])
+        edit(header)
+        blob = json.dumps(header).encode()
+        with open(path, "wb") as fh:
+            fh.write(data[:start] + struct.pack("<IQ", version, len(blob)) + blob)
+            fh.write(data[start + 12 + header_len :])
+
+    def saved(self, tmp_path):
+        path = str(tmp_path / "p.ckpt")
+        save(init_random(3, 4, 2, seed=0), path)
+        return path
+
+    def test_missing_header_key(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite_header(path, lambda h: h.pop("offset_mode"))
+        with pytest.raises(ParseError, match="offset_mode"):
+            load(path)
+
+    def test_manifest_missing_a_table(self, tmp_path):
+        path = self.saved(tmp_path)
+
+        def drop_last(header):
+            header["arrays"] = [e for e in header["arrays"] if e[0] != "outer_b2"]
+
+        self.rewrite_header(path, drop_last)
+        with pytest.raises(ParseError, match="outer_b2"):
+            load(path)
+
+    def test_negative_shape(self, tmp_path):
+        path = self.saved(tmp_path)
+
+        def corrupt(header):
+            header["arrays"][0][1] = [-1, 3]
+
+        self.rewrite_header(path, corrupt)
+        with pytest.raises(ParseError, match="entity_centers"):
+            load(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = self.saved(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"junk")
+        with pytest.raises(ParseError, match="trailing"):
             load(path)
 
     def test_truncated(self, tmp_path):
