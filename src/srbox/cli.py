@@ -281,7 +281,7 @@ def cmd_train(cfg: RunConfig, out: str) -> int:
                 complex_queries.append((q.dag, tuple(sorted(q.answers_train))))
         source = train_mod.KgSource(
             kg.train, complex_queries, kg.n_entities,
-            answer_sets=train_mod.KgSource.build_answer_sets(kg.train),
+            answer_sets=kg.train_index.fwd,
         )
     else:
         raise ValidationError(f"unknown mode {mode!r}")

@@ -274,16 +274,26 @@ def sample_training_pair(
     complex one is uniform over the union of paths and both intersected
     patterns. Returns None when the sequence has no triplets at all.
     """
-    structures = mine_structures(seq.triplets)
-    return sample_pair_from_structures(structures, rng)
+    simples, complexes = split_structures(mine_structures(seq.triplets))
+    return sample_pair_from_structures(simples, complexes, rng)
+
+
+def split_structures(
+    structures: list[KnowledgeStructure],
+) -> tuple[list[KnowledgeStructure], list[KnowledgeStructure]]:
+    """The simple and the complex structures, each in their given order."""
+    simples = [s for s in structures if s.kind is StructureKind.SIMPLE]
+    complexes = [s for s in structures if s.kind is not StructureKind.SIMPLE]
+    return simples, complexes
 
 
 def sample_pair_from_structures(
-    structures: list[KnowledgeStructure], rng: np.random.Generator
+    simples: list[KnowledgeStructure],
+    complexes: list[KnowledgeStructure],
+    rng: np.random.Generator,
 ) -> tuple[tuple[QueryDag, int], tuple[QueryDag, int] | None] | None:
-    """sample_training_pair over pre-mined structures (lets callers cache mining)."""
-    simples = [s for s in structures if s.kind is StructureKind.SIMPLE]
-    complexes = [s for s in structures if s.kind is not StructureKind.SIMPLE]
+    """sample_training_pair over pre-mined structures, split once by
+    ``split_structures`` (lets callers cache mining and the split)."""
     if not simples:
         return None
     simple = simples[int(rng.integers(len(simples)))]

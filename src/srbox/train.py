@@ -18,16 +18,18 @@ dimensions, skipping coordinates whose probe points straddle a hinge
 (different max/min/ReLU branches on the two sides).
 
 Two training sources are supported: text sequences (structures mined per
-sequence, negatives drawn from the same sequence) and a knowledge graph
+sequence, negatives drawn from the same sequence or the global entity set,
+never an answer of the query within the sequence) and a knowledge graph
 (simple examples are train triplets, complex examples come from a
-pre-generated query pool, negatives drawn from the global entity set).
+pre-generated query pool, negatives drawn by rejection from the global
+entity set, never a known train answer of the query).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from srbox.structures import (
     intersection_dag,
     mine_structures,
     sample_pair_from_structures,
+    split_structures,
 )
 
 NEGATIVE_POOLS = ("same_sequence", "global")
@@ -119,21 +122,35 @@ class NegativeSample(NamedTuple):
 
 
 def sample_negatives(
-    pool: Sequence | list[int] | range, answer: int, k: int, rng: np.random.Generator
+    pool: Sequence | list[int] | range,
+    answer: int,
+    k: int,
+    rng: np.random.Generator,
+    known: Iterable[int] = (),
 ) -> NegativeSample | None:
     """K negatives, uniform without replacement when the pool allows it.
 
-    ``pool`` is either a text sequence (its entity set is used) or an
-    explicit id collection. The answer is excluded. A pool smaller than K
-    falls back to with-replacement draws and flags it; an empty pool returns
-    None as the skip signal.
+    ``pool`` is a text sequence (its entity set is used), a ``range`` of ids
+    or an explicit id collection. ``answer`` and every id in ``known`` are
+    excluded. A ``range`` pool with many free ids (at least 2K, and at least
+    half the pool) is sampled by rejection: uniform ids, skipping excluded
+    ones and ones already picked, until K are distinct, which costs
+    O(K + |known|) memory and expected time whatever the pool's size.
+    Otherwise the free ids are listed: fewer than K fall back to
+    with-replacement draws and set the flag, and none at all returns None as
+    the skip signal.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    excluded = {int(answer), *map(int, known)}
     if isinstance(pool, Sequence):
-        ids = [e for e in pool.entities if e != answer]
+        ids = [e for e in pool.entities if e not in excluded]  # sorted and distinct
     else:
-        ids = sorted(set(int(e) for e in pool) - {int(answer)})
+        if isinstance(pool, range):
+            free = len(pool) - sum(1 for e in excluded if e in pool)
+            if free >= 2 * k and 2 * free >= len(pool):
+                return NegativeSample(_reject(pool, excluded, k, rng), False)
+        ids = sorted(set(map(int, pool)) - excluded)
     if not ids:
         return None
     if len(ids) >= k:
@@ -142,7 +159,23 @@ def sample_negatives(
     else:
         picks = rng.choice(len(ids), size=k, replace=True)
         flag = True
-    return NegativeSample(tuple(int(ids[i]) for i in picks), flag)
+    return NegativeSample(tuple(ids[i] for i in picks), flag)
+
+
+def _reject(
+    pool: range, excluded: set[int], k: int, rng: np.random.Generator
+) -> tuple[int, ...]:
+    """K distinct ids of ``pool`` outside ``excluded``, by uniform draws that
+    skip excluded and repeated ids; each round draws only the ids missing."""
+    taken = set(excluded)
+    picked: list[int] = []
+    while len(picked) < k:
+        for i in rng.integers(len(pool), size=k - len(picked)).tolist():
+            e = pool[i]
+            if e not in taken:
+                taken.add(e)
+                picked.append(e)
+    return tuple(picked)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +364,12 @@ class KgSource:
 
     ``triplets`` are dense-id train edges used as simple (1p) examples;
     ``complex_queries`` are pre-generated (dag, train-answer tuple) pairs of
-    any mix of shapes; negatives come from the global entity range. When
-    ``answer_sets`` maps (head, relation) to every known tail, all of a
-    query's known answers are excluded from its negative pool, not just the
-    sampled one; otherwise co-answers of multi-tail queries get pushed away
-    as false negatives.
+    any mix of shapes; negatives are drawn by rejection from the global
+    entity range, at O(K) cost per draw. When ``answer_sets`` maps (head,
+    relation) to every known tail (an ``EdgeIndex``'s ``fwd`` map), all of a
+    query's known answers, its tails or a complex query's train answers, are
+    excluded from its negatives, not just the sampled one; otherwise
+    co-answers of multi-answer queries get pushed away as false negatives.
     """
 
     triplets: list[tuple[int, int, int]]
@@ -347,23 +381,25 @@ class KgSource:
     def build_answer_sets(
         triplets: list[tuple[int, int, int]],
     ) -> dict[tuple[int, int], tuple[int, ...]]:
-        sets: dict[tuple[int, int], set[int]] = {}
-        for h, r, t in triplets:
-            sets.setdefault((h, r), set()).add(t)
-        return {k: tuple(sorted(v)) for k, v in sets.items()}
+        """(head, relation) -> sorted tails, the forward map of an ``EdgeIndex``."""
+        return evalgen.EdgeIndex(triplets).fwd
 
 
 def _text_draw(state, rng: np.random.Generator):
-    """One (simple, complex) query pair from a random eligible sequence."""
+    """One (simple, complex) query pair from a random eligible sequence, with
+    the sequence and the ``EdgeIndex`` of its triplets, which gives each
+    query's answers within the window."""
     seqs, cache = state
     idx = int(rng.integers(len(seqs)))
     seq = seqs[idx]
-    structures = cache.get(idx)
-    if structures is None:
-        structures = mine_structures(seq.triplets)
-        cache[idx] = structures
-    pair = sample_pair_from_structures(structures, rng)
-    return seq, pair
+    mined = cache.get(idx)
+    if mined is None:
+        edges = ((t.head, t.relation, t.tail) for t in seq.triplets)
+        mined = (*split_structures(mine_structures(seq.triplets)), evalgen.EdgeIndex(edges))
+        cache[idx] = mined
+    simples, complexes, window = mined
+    pair = sample_pair_from_structures(simples, complexes, rng)
+    return seq, pair, window
 
 
 def train(
@@ -378,8 +414,17 @@ def train(
     gradients (simple examples weighted by lambda1, complex by lambda2),
     averages them over the batch, applies one Adam update, and clamps
     relation offsets. The trace records {step, loss, loss_simple,
-    loss_complex, lr} every ``trace_every`` steps and at the final step.
+    loss_complex, lr} every ``trace_every`` steps and at the final step,
+    with two sampling counters over the steps since the previous record:
+    ``skipped_draws`` (draws that formed no example: a window with no
+    query, or no free negative) and ``with_replacement_frac`` (the share of
+    formed examples whose negatives were drawn with replacement).
     Deterministic for a fixed seed; aborts on a non-finite loss.
+
+    Negatives never include a known answer of their query: in kg mode the
+    (head, relation) answer set or the complex query's train answers (when
+    ``answer_sets`` is given), in text mode the query's answers over the
+    sampled window's own triplets.
     """
     cfg.validate()
     params.validate()
@@ -396,16 +441,22 @@ def train(
         if not source.triplets and cfg.steps > 0:
             raise ValidationError("KG source has no train triplets")
         global_pool = range(source.n_entities)
-        all_ids = frozenset(global_pool)
-        simple_pools: dict[tuple[int, int], list[int]] = {}
-        complex_pools: dict[int, list[int]] = {}
+        filtered = source.answer_sets is not None
+    n_skipped = 0  # sampling counters since the last trace record
+    n_replaced = 0
+    n_examples = 0
 
-    def fit(dag: QueryDag, answer: int, pool, weight: float) -> float | None:
-        """Weighted loss of one example with negatives drawn from ``pool``,
-        its gradients added to the step's; None when the pool is empty."""
-        neg = sample_negatives(pool, answer, cfg.k_negatives, rng_neg)
+    def fit(dag: QueryDag, answer: int, pool, known, weight: float) -> float | None:
+        """Weighted loss of one example with negatives drawn from ``pool``
+        outside ``known``, its gradients added to the step's; None when no
+        negative is free."""
+        nonlocal n_skipped, n_replaced, n_examples
+        neg = sample_negatives(pool, answer, cfg.k_negatives, rng_neg, known)
         if neg is None:
+            n_skipped += 1
             return None
+        n_examples += 1
+        n_replaced += neg.with_replacement
         example = TrainExample(dag, answer, neg.ids, neg.with_replacement)
         return _loss_and_grads(example, params, cfg, weight, grads)[0]
 
@@ -420,37 +471,27 @@ def train(
         for _ in range(cfg.batch_size):
             val_complex = None
             if isinstance(source, TextSource):
-                seq, pair = _text_draw(text_state, rng_train)
+                seq, pair, window = _text_draw(text_state, rng_train)
                 if pair is None:
+                    n_skipped += 1
                     continue
                 (simple_dag, simple_ans), complex_pick = pair
                 pool = seq if cfg.negative_pool == "same_sequence" else global_pool
-                val_simple = fit(simple_dag, simple_ans, pool, cfg.lambda1)
+                known = window.answers(simple_dag)
+                val_simple = fit(simple_dag, simple_ans, pool, known, cfg.lambda1)
                 if complex_pick is not None:
-                    val_complex = fit(*complex_pick, pool, cfg.lambda2)
+                    dag, ans = complex_pick
+                    val_complex = fit(dag, ans, pool, window.answers(dag), cfg.lambda2)
             else:
                 h, r, t = source.triplets[int(rng_train.integers(len(source.triplets)))]
-                if source.answer_sets is None:
-                    pool = global_pool
-                else:
-                    pool = simple_pools.get((h, r))
-                    if pool is None:
-                        known = source.answer_sets.get((h, r), (t,))
-                        pool = sorted(all_ids.difference(known))
-                        simple_pools[(h, r)] = pool
-                val_simple = fit(chain_dag(h, [(r, False)]), t, pool, cfg.lambda1)
+                known = source.answer_sets.get((h, r), (t,)) if filtered else ()
+                val_simple = fit(chain_dag(h, [(r, False)]), t, global_pool, known, cfg.lambda1)
                 if source.complex_queries:
                     qi = int(rng_train.integers(len(source.complex_queries)))
                     dag, answers = source.complex_queries[qi]
                     ans = int(answers[int(rng_train.integers(len(answers)))])
-                    if source.answer_sets is None:
-                        pool = global_pool
-                    else:
-                        pool = complex_pools.get(qi)
-                        if pool is None:
-                            pool = sorted(all_ids.difference(answers))
-                            complex_pools[qi] = pool
-                    val_complex = fit(dag, ans, pool, cfg.lambda2)
+                    known = answers if filtered else ()
+                    val_complex = fit(dag, ans, global_pool, known, cfg.lambda2)
             if val_simple is not None:
                 loss_simple += val_simple
                 n_simple += 1
@@ -473,7 +514,10 @@ def train(
                 "loss_simple": loss_simple / n_simple if n_simple else None,
                 "loss_complex": loss_complex / n_complex if n_complex else None,
                 "lr": lr,
+                "skipped_draws": n_skipped,
+                "with_replacement_frac": n_replaced / n_examples,
             }
+            n_skipped = n_replaced = n_examples = 0
             trace.append(record)
             if callback is not None:
                 callback(record)

@@ -266,6 +266,22 @@ class TestTrainCommand:
         assert code == 0
         assert (out / "params.ckpt").exists()
 
+    def test_kg_mode_builds_each_index_once(self, tmp_path, kg_dir, monkeypatch):
+        built = []
+
+        class Counted(evalgen.EdgeIndex):
+            def __init__(self, edges):
+                built.append(1)
+                super().__init__(edges)
+
+        monkeypatch.setattr(evalgen, "EdgeIndex", Counted)
+        code = cli.main([
+            "train", "--mode", "kg", "--kg", kg_dir, "--dim", "8", "--steps", "2",
+            "--batch-size", "4", "--complex-pool", "3", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 0
+        assert len(built) == 2  # train and full index, shared by four shapes and the answer sets
+
     def test_unknown_mode_from_config(self, tmp_path, corpus_path):
         ini = tmp_path / "c.ini"
         ini.write_text("[run]\nmode = dreams\n")

@@ -12,6 +12,7 @@ from srbox import evalgen
 from srbox.errors import ParseError, ValidationError
 from srbox.evalgen import (
     EVAL_QUERY_TYPES,
+    TRAIN_QUERY_TYPES,
     EdgeIndex,
     GeneratedQuery,
     KnowledgeGraph,
@@ -293,6 +294,32 @@ class TestGenerateQueries:
         assert rng.bit_generator.state == before
         with pytest.raises(ValidationError):
             generate_queries(self.kg, "ip", 0, "train", rng)
+
+    def test_one_index_per_split_per_graph(self, monkeypatch):
+        built = []
+
+        class Counted(EdgeIndex):
+            def __init__(self, edges):
+                built.append(1)
+                super().__init__(edges)
+
+        monkeypatch.setattr(evalgen, "EdgeIndex", Counted)
+        rng = substream(3, STREAM_QUERY_GEN)
+        for qtype in EVAL_QUERY_TYPES:
+            assert generate_queries(self.kg, qtype, 3, "test", rng)
+        for qtype in TRAIN_QUERY_TYPES:
+            assert generate_queries(self.kg, qtype, 3, "train", rng)
+        assert len(built) == 2
+        assert self.kg.train_index.fwd == EdgeIndex(self.kg.train).fwd
+        assert self.kg.full_index.fwd == EdgeIndex(self.kg.all_edges()).fwd
+
+    def test_warm_indexes_give_the_same_queries(self):
+        generate_queries(self.kg, "2p", 5, "train", substream(1, STREAM_QUERY_GEN))
+        fresh = build_grid_kg(width=8, height=6, seed=4)
+        for split, qtype in (("test", "pi"), ("train", "3i"), ("valid", "up")):
+            a = generate_queries(self.kg, qtype, 6, split, substream(9, STREAM_QUERY_GEN))
+            b = generate_queries(fresh, qtype, 6, split, substream(9, STREAM_QUERY_GEN))
+            assert a == b
 
     def test_deterministic_under_seed(self):
         a = generate_queries(self.kg, "2i", 8, "test", substream(5, STREAM_QUERY_GEN))

@@ -2,16 +2,20 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from srbox import boxalg, train
+from srbox import boxalg, evalgen, train
 from srbox.boxalg import Box, entity_box
 from srbox.corpus import load_corpus
+from srbox.evalgen import build_grid_kg, generate_queries
 from srbox.errors import ValidationError
 from srbox.params import init_random
-from srbox.rng import STREAM_NEGATIVES, substream
+from srbox.rng import STREAM_NEGATIVES, STREAM_QUERY_GEN, substream
 from srbox.structures import chain_dag, intersection_dag
 from srbox.train import (
     AdamState,
@@ -126,6 +130,63 @@ class TestSampleNegatives:
         expected = 4000 * 2 / 5
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 13.28  # df=4 critical value at 0.01
+
+
+@st.composite
+def range_draws(draw):
+    """A range pool, an answer, known ids in and around it, k and a seed."""
+    start = draw(st.integers(0, 50))
+    pool = range(start, start + draw(st.integers(1, 300)))
+    near = st.integers(start - 5, pool.stop + 5)
+    answer = draw(near)
+    known = draw(st.lists(near, max_size=draw(st.sampled_from([3, 40, 400]))))
+    return pool, answer, tuple(known), draw(st.integers(1, 40)), draw(st.integers(0, 2**32))
+
+
+class TestRejectionSampler:
+    @settings(max_examples=300, deadline=None)
+    @given(range_draws())
+    def test_range_pool_properties(self, case):
+        pool, answer, known, k, seed = case
+        free = set(pool) - {answer} - set(known)
+        got = sample_negatives(pool, answer, k, np.random.default_rng(seed), known)
+        again = sample_negatives(pool, answer, k, np.random.default_rng(seed), known)
+        assert got == again
+        if not free:
+            assert got is None
+            return
+        assert len(got.ids) == k
+        assert set(got.ids) <= free
+        assert got.with_replacement == (len(free) < k)
+        if not got.with_replacement:
+            assert len(set(got.ids)) == k
+
+    def test_known_filling_the_pool_skips(self):
+        rng = np.random.default_rng(0)
+        assert sample_negatives(range(4), 0, 2, rng, known=(1, 2, 3)) is None
+        got = sample_negatives(range(4), 0, 2, rng, known=(1, 2))
+        assert got == ((3, 3), True)
+
+    def test_draw_memory_is_o_k(self):
+        rng = np.random.default_rng(0)
+        sample_negatives(range(10**7), 0, 16, rng)  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            sample_negatives(range(10**7), 0, 16, rng, known=range(100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # listing 10**7 ids would take hundreds of MB
+
+    def test_uniform_over_free_ids(self):
+        rng = np.random.default_rng(5)
+        counts = dict.fromkeys(range(2, 40), 0)
+        for _ in range(2000):
+            for e in sample_negatives(range(40), 0, 4, rng, known=(1,)).ids:
+                counts[e] += 1
+        expected = 2000 * 4 / 38
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < 66.6  # df=37 critical value at 0.01
 
 
 class TestQaLoss:
@@ -427,6 +488,135 @@ class TestTrainLoop:
         store = init_random(4, 5, 2, seed=0)
         with pytest.raises(ValidationError):
             train.train(KgSource([], [], 5), store, TrainConfig(steps=1))
+
+
+def record_examples(monkeypatch):
+    """Every example train() forms, with the text window it was drawn from
+    (None in kg mode)."""
+    seen = []
+    window = [None]
+    draw, loss_and_grads = train._text_draw, train._loss_and_grads
+
+    def drawn(*args):
+        out = draw(*args)
+        window[0] = out[0]
+        return out
+
+    def recorded(example, *args, **kwargs):
+        seen.append((example, window[0]))
+        return loss_and_grads(example, *args, **kwargs)
+
+    monkeypatch.setattr(train, "_text_draw", drawn)
+    monkeypatch.setattr(train, "_loss_and_grads", recorded)
+    return seen
+
+
+def multi_answer_corpus(tmp_path):
+    """Windows where heads have several tails per relation and tails several
+    heads, so most queries have co-answers besides the sampled one."""
+    names = [f"E{i}" for i in range(10)]
+    recs = []
+    for d in range(6):
+        ents = [names[(d + j) % 10] for j in range(5)]
+        trips = [(ents[0], "r1", ents[1]), (ents[0], "r1", ents[2]), (ents[0], "r1", ents[3]),
+                 (ents[4], "r1", ents[2]), (ents[1], "r2", ents[4]), (ents[2], "r2", ents[4]),
+                 (ents[3], "r2", ents[0])]
+        recs.append({
+            "id": f"d{d}",
+            "tokens": [f"t{i}" for i in range(10)],
+            "mentions": [{"entity": e, "start": 2 * j, "end": 2 * j} for j, e in enumerate(ents)],
+            "triplets": [{"head": h, "relation": r, "tail": t} for h, r, t in trips],
+        })
+    path = tmp_path / "multi.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    return load_corpus(path)
+
+
+class TestNoKnownAnswerAmongNegatives:
+    def test_kg_mode(self, monkeypatch):
+        kg = build_grid_kg(width=6, height=5, seed=1)
+        rng = substream(0, STREAM_QUERY_GEN)
+        pool = [
+            (q.dag, tuple(sorted(q.answers_train)))
+            for qtype in ("2p", "2i", "3i")
+            for q in generate_queries(kg, qtype, 10, "train", rng)
+        ]
+        answer_sets = kg.train_index.fwd
+        complex_answers = {dag: answers for dag, answers in pool}
+        seen = record_examples(monkeypatch)
+        src = KgSource(kg.train, pool, kg.n_entities, answer_sets=answer_sets)
+        store = init_random(4, kg.n_entities, kg.n_relations, seed=0)
+        train.train(src, store, TrainConfig(steps=20, batch_size=8, k_negatives=12, seed=2))
+        co_answers = 0
+        for ex, _ in seen:
+            if ex.query in complex_answers:
+                known = complex_answers[ex.query]
+            else:
+                (_, h), = ex.query.anchors
+                known = answer_sets[(h, ex.query.edges[0].relation)]
+            assert ex.answer in known
+            assert not set(ex.negatives) & set(known)
+            co_answers += len(known) > 1
+        assert len(seen) == 320 and co_answers > 50
+
+    @pytest.mark.parametrize("negative_pool", ["same_sequence", "global"])
+    def test_text_mode_window_answers(self, tmp_path, monkeypatch, negative_pool):
+        corpus = multi_answer_corpus(tmp_path)
+        seen = record_examples(monkeypatch)
+        store = init_random(4, corpus.n_entities, corpus.n_relations, seed=0)
+        cfg = TrainConfig(steps=20, batch_size=8, k_negatives=3, seed=4,
+                          negative_pool=negative_pool)
+        train.train(TextSource(corpus, 20), store, cfg)
+        co_answers = 0
+        for ex, seq in seen:
+            edges = [(t.head, t.relation, t.tail) for t in seq.triplets]
+            known = evalgen.brute_force_answers(ex.query, edges)
+            assert ex.answer in known
+            assert not set(ex.negatives) & known
+            co_answers += len(known) > 1
+        assert len(seen) > 100 and co_answers > 30
+
+
+class TestTraceSamplingCounters:
+    """Each record counts the negative draws made since the previous one."""
+
+    def run_counted(self, monkeypatch, source, store, cfg):
+        draws = []  # per negative draw: its with-replacement flag, None when skipped
+        sample = train.sample_negatives
+
+        def counted(*args, **kwargs):
+            got = sample(*args, **kwargs)
+            draws.append(None if got is None else got.with_replacement)
+            return got
+
+        monkeypatch.setattr(train, "sample_negatives", counted)
+        marks = []
+        train.train(source, store, cfg, callback=lambda rec: marks.append((rec, len(draws))))
+        start = 0
+        for rec, end in marks:
+            covered = draws[start:end]
+            formed = [flag for flag in covered if flag is not None]
+            assert rec["skipped_draws"] == len(covered) - len(formed)
+            assert rec["with_replacement_frac"] == sum(formed) / len(formed)
+            start = end
+        return [rec["step"] for rec, _ in marks], draws
+
+    def test_text_mode(self, tmp_path, monkeypatch):
+        corpus = multi_answer_corpus(tmp_path)
+        store = init_random(4, corpus.n_entities, corpus.n_relations, seed=0)
+        cfg = TrainConfig(steps=7, k_negatives=3, batch_size=4, seed=0, trace_every=3)
+        steps, draws = self.run_counted(monkeypatch, TextSource(corpus, 10), store, cfg)
+        assert steps == [0, 3, 6]
+        assert 0 < sum(flag is True for flag in draws) < len(draws)
+
+    def test_kg_mode_skips_queries_without_free_negatives(self, monkeypatch):
+        # (0, 0) has every entity as an answer; (1, 1) leaves two free ids
+        triplets = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 1, 2)]
+        src = KgSource(triplets, [], 3, answer_sets=KgSource.build_answer_sets(triplets))
+        cfg = TrainConfig(steps=9, k_negatives=3, batch_size=4, seed=0, trace_every=4)
+        steps, draws = self.run_counted(monkeypatch, src, init_random(4, 3, 2, seed=0), cfg)
+        assert steps[-1] == 8
+        assert None in draws and True in draws
 
 
 class TestPtranse:
