@@ -28,9 +28,15 @@ with ``_with_cache`` record exactly what the backward needs, plus the branch
 indicators (ReLU masks, hinge sides, argmins) that let a gradient checker
 recognize when a finite-difference probe crosses a non-smooth point.
 
-Query DAGs are executed by topological evaluation. Union nodes branch the
-evaluation into disjuncts (one output box per disjunct; union-free DAGs
-yield exactly one box); scoring takes the minimum distance over disjuncts.
+Query DAGs are executed by topological evaluation into disjuncts: each node
+holds one or more boxes, and scoring takes the minimum distance over the
+answer node's. An anchor has one disjunct. A projection or union node has
+one disjunct per disjunct of its inputs, each projected along its edge; an
+intersection node has one per combination of its inputs' disjuncts (the
+cartesian product), so union-free DAGs yield exactly one box. Every
+disjunct records the (incoming edge, source disjunct) pairs it was computed
+from and, at an intersection, its cache; the backward pass walks those
+records in reverse and needs no other knowledge of the node's kind.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from srbox.errors import ValidationError
-from srbox.structures import NodeKind, QueryDag, topological_order
+from srbox.structures import Edge, NodeKind, QueryDag, topological_order
 
 
 @dataclass(frozen=True)
@@ -424,43 +430,44 @@ def min_distance_with_cache(
 # query execution
 
 
-@dataclass
-class _NodeTrace:
-    node: int
-    kind: str  # anchor | projection | intersection | union
-    entity: int | None = None
-    edges: tuple = ()
-    combos: list[tuple[int, ...]] | None = None
-    union_sources: list[tuple[int, int]] | None = None
-    inter_caches: list[IntersectCache] | None = None
-    boxes: list[Box] | None = None
+class _Disjunct(NamedTuple):
+    """One executed disjunct of a query node: its box, the (incoming edge,
+    source disjunct) pairs it was computed from, and its intersection cache
+    (None unless the node intersects). An anchor's one disjunct has no
+    inputs and carries its entity."""
+
+    box: Box
+    inputs: tuple[tuple[Edge, int], ...]
+    cache: IntersectCache | None
+    entity: int | None
 
 
 @dataclass
 class ExecutionTrace:
     dag: QueryDag
     order: list[int]
-    nodes: dict[int, _NodeTrace]
+    nodes: dict[int, list[_Disjunct]]
 
     def answer_boxes(self) -> list[Box]:
-        return list(self.nodes[self.dag.answer_node].boxes)
+        return [d.box for d in self.nodes[self.dag.answer_node]]
 
     def signature(self) -> bytes:
-        parts = []
-        for n in self.order:
-            tr = self.nodes[n]
-            if tr.inter_caches:
-                parts.extend(c.signature() for c in tr.inter_caches)
-        return b"".join(parts)
+        return b"".join(
+            d.cache.signature()
+            for n in self.order
+            for d in self.nodes[n]
+            if d.cache is not None
+        )
 
 
 def execute_with_trace(dag: QueryDag, params) -> ExecutionTrace:
     """Topologically evaluate the DAG; returns the trace holding all node boxes.
 
     Anchors become zero-offset boxes; each edge applies its relation's
-    projection (inverse edges use the inverse parameter rows); intersection
-    nodes intersect, union nodes branch into disjuncts (one output box per
-    disjunct, cartesian across intersected unions).
+    projection to one disjunct of its source (inverse edges use the inverse
+    parameter rows). An intersection node has one disjunct per combination
+    of its inputs' disjuncts and intersects that combination; a projection
+    or union node has one disjunct per input disjunct and passes it on.
     """
     order = topological_order(dag)
     anchor_ent = dag.anchor_entities()
@@ -469,53 +476,38 @@ def execute_with_trace(dag: QueryDag, params) -> ExecutionTrace:
     n_entities = params.entity_centers.shape[0]
     n_relations = len(params.relation_ids)
 
-    traces: dict[int, _NodeTrace] = {}
+    nodes: dict[int, list[_Disjunct]] = {}
     for n in order:
         if n in anchor_ent:
             ent = anchor_ent[n]
             if not 0 <= ent < n_entities:
                 raise ValidationError(f"anchor entity id {ent} out of range")
-            box = entity_box(params.entity_centers[ent])
-            traces[n] = _NodeTrace(n, "anchor", entity=ent, boxes=[box])
+            nodes[n] = [_Disjunct(entity_box(params.entity_centers[ent]), (), None, ent)]
             continue
-        edges = tuple(incoming.get(n, ()))
+        edges = incoming.get(n, ())
         if not edges:
             raise ValidationError(f"non-anchor node {n} has no incoming edges")
+        kind = kinds[n]
+        if kind is NodeKind.PROJECTION and len(edges) != 1:
+            raise ValidationError(f"projection node {n} has {len(edges)} incoming edges")
+        projected = []  # per edge, every disjunct of its source projected along it
         for e in edges:
             if not 0 <= e.relation < n_relations:
                 raise ValidationError(f"relation id {e.relation} out of range")
-        projected: list[list[Box]] = []
-        for e in edges:
             rel = params.relation_params(e.relation, e.inverse)
-            projected.append([project(b, rel) for b in traces[e.src].boxes])
-        kind = kinds[n]
-        if kind is NodeKind.PROJECTION:
-            if len(edges) != 1:
-                raise ValidationError(f"projection node {n} has {len(edges)} incoming edges")
-            traces[n] = _NodeTrace(n, "projection", edges=edges, boxes=projected[0])
-        elif kind is NodeKind.UNION:
-            sources = []
-            boxes = []
-            for k, branch in enumerate(projected):
-                for j, box in enumerate(branch):
-                    sources.append((k, j))
-                    boxes.append(box)
-            traces[n] = _NodeTrace(n, "union", edges=edges, union_sources=sources, boxes=boxes)
-        elif kind is NodeKind.INTERSECTION:
-            combos = list(itertools.product(*(range(len(br)) for br in projected)))
-            boxes = []
-            caches = []
-            for combo in combos:
-                inputs = [projected[k][j] for k, j in enumerate(combo)]
-                box, cache = intersect_with_cache(inputs, params.net)
-                boxes.append(box)
-                caches.append(cache)
-            traces[n] = _NodeTrace(
-                n, "intersection", edges=edges, combos=combos, inter_caches=caches, boxes=boxes
-            )
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValidationError(f"unknown node kind {kind!r}")
-    return ExecutionTrace(dag, order, traces)
+            projected.append([project(d.box, rel) for d in nodes[e.src]])
+        nodes[n] = disjuncts = []
+        if kind is NodeKind.INTERSECTION:
+            for combo in itertools.product(*(range(len(p)) for p in projected)):
+                box, cache = intersect_with_cache(
+                    [p[j] for p, j in zip(projected, combo)], params.net
+                )
+                disjuncts.append(_Disjunct(box, tuple(zip(edges, combo)), cache, None))
+        else:
+            for e, p in zip(edges, projected):
+                for j, box in enumerate(p):
+                    disjuncts.append(_Disjunct(box, ((e, j),), None, None))
+    return ExecutionTrace(dag, order, nodes)
 
 
 def execute_query(dag: QueryDag, params) -> list[Box]:
@@ -530,10 +522,14 @@ def backward_through_dag(trace: ExecutionTrace, seed_grads, grads) -> None:
     ``seed_grads`` is a list aligned with the answer node's disjuncts; entries
     may be None for disjuncts that received no gradient (e.g. non-minimal
     union branches). ``grads`` is a Grads accumulator.
+
+    Each disjunct, latest first, takes the gradient summed into it: an anchor
+    adds it to its entity row (its offset is a constant zero); an
+    intersection passes it through ``intersect_backward``, any other node
+    passes it on unchanged; each input's share then goes to its edge's
+    relation rows and to the source disjunct it was projected from.
     """
-    acc: dict[int, list] = {
-        n: [None] * len(tr.boxes) for n, tr in trace.nodes.items()
-    }
+    acc: dict[int, list] = {n: [None] * len(ds) for n, ds in trace.nodes.items()}
     answer = trace.dag.answer_node
     for j, seed in enumerate(seed_grads):
         if seed is not None:
@@ -542,37 +538,29 @@ def backward_through_dag(trace: ExecutionTrace, seed_grads, grads) -> None:
                 np.array(seed[1], dtype=np.float64),
             ]
 
-    def route_edge(edge, src_disjunct: int, dcen: np.ndarray, doff: np.ndarray, params_like) -> None:
-        grads.add("rel_center", params_like.center_row(edge.relation, edge.inverse), dcen)
-        grads.add("rel_offset", params_like.offset_row(edge.relation, edge.inverse), doff)
-        slot = acc[edge.src][src_disjunct]
-        if slot is None:
-            acc[edge.src][src_disjunct] = [dcen.copy(), doff.copy()]
-        else:
-            slot[0] += dcen
-            slot[1] += doff
-
-    params_like = grads.params
+    params = grads.params
     for n in reversed(trace.order):
-        tr = trace.nodes[n]
-        for j, slot in enumerate(acc[n]):
+        for disjunct, slot in zip(trace.nodes[n], acc[n]):
             if slot is None:
                 continue
-            dcen, doff = slot
-            if tr.kind == "anchor":
-                grads.add("entity", tr.entity, dcen)  # anchor offset is a constant zero
-            elif tr.kind == "projection":
-                route_edge(tr.edges[0], j, dcen, doff, params_like)
-            elif tr.kind == "union":
-                k, src_j = tr.union_sources[j]
-                route_edge(tr.edges[k], src_j, dcen, doff, params_like)
-            elif tr.kind == "intersection":
-                cache = tr.inter_caches[j]
-                dcent_in, doff_in, net_grads = intersect_backward(cache, dcen, doff)
+            if disjunct.entity is not None:
+                grads.add("entity", disjunct.entity, slot[0])
+                continue
+            shares = (slot,)
+            if disjunct.cache is not None:
+                dcens, doffs, net_grads = intersect_backward(disjunct.cache, *slot)
                 for name, g in net_grads.items():
                     grads.add("net", name, g)
-                for k, src_j in enumerate(tr.combos[j]):
-                    route_edge(tr.edges[k], src_j, dcent_in[k], doff_in[k], params_like)
+                shares = zip(dcens, doffs)
+            for (e, j), (dc, do) in zip(disjunct.inputs, shares):
+                grads.add("rel_center", params.center_row(e.relation, e.inverse), dc)
+                grads.add("rel_offset", params.offset_row(e.relation, e.inverse), do)
+                src = acc[e.src]
+                if src[j] is None:
+                    src[j] = [dc.copy(), do.copy()]
+                else:
+                    src[j][0] += dc
+                    src[j][1] += do
 
 
 GRAD_TABLES = ("entity", "rel_center", "rel_offset", "net")

@@ -190,18 +190,44 @@ def _load_kg_dir(cfg: RunConfig) -> evalgen.KnowledgeGraph:
     )
 
 
+def _id_at(ids: list[str], i: int) -> str:
+    return repr(ids[i]) if i < len(ids) else "none"
+
+
+def _load_checkpoint(
+    path: str, entity_ids: list[str], relation_ids: list[str], data: str,
+    expected_dim: int | None = None,
+) -> params_mod.ParamStore:
+    """A checkpoint whose entity and relation rows carry the data's ids in the
+    data's order; a mismatch names the first row where the two differ."""
+    store = params_mod.load(path, expected_dim=expected_dim)
+    for kind, theirs, ours in (
+        ("entity", store.entity_ids, entity_ids),
+        ("relation", store.relation_ids, relation_ids),
+    ):
+        if theirs != ours:
+            i = next(
+                (i for i, (a, b) in enumerate(zip(theirs, ours)) if a != b),
+                min(len(theirs), len(ours)),
+            )
+            raise ValidationError(
+                f"checkpoint {kind} row {i} holds {_id_at(theirs, i)} "
+                f"where the {data} has {_id_at(ours, i)}"
+            )
+    return store
+
+
 def _load_or_init_params(
-    cfg: RunConfig, n_entities: int, n_relations: int,
-    entity_ids: list[str] | None = None, relation_ids: list[str] | None = None,
+    cfg: RunConfig, entity_ids: list[str], relation_ids: list[str], data: str
 ) -> params_mod.ParamStore:
     ckpt = cfg.get("paths", "checkpoint")
     dim = cfg.get_int("run", "dim")
     if ckpt:
-        return params_mod.load(ckpt, expected_dim=dim)
+        return _load_checkpoint(ckpt, entity_ids, relation_ids, data, expected_dim=dim)
     return params_mod.init_random(
         dim,
-        n_entities,
-        n_relations,
+        len(entity_ids),
+        len(relation_ids),
         cfg.seed,
         offset_mode=cfg.get("train", "offset_mode"),
         entity_ids=entity_ids,
@@ -263,16 +289,11 @@ def cmd_train(cfg: RunConfig, out: str) -> int:
     tc = cfg.train_config()
     if mode == "text":
         corpus = load_corpus(_require(cfg, "paths", "corpus", "for text-mode training"))
-        store = _load_or_init_params(
-            cfg, corpus.n_entities, corpus.n_relations,
-            corpus.entity_ids, corpus.relation_ids,
-        )
+        store = _load_or_init_params(cfg, corpus.entity_ids, corpus.relation_ids, "corpus")
         source = train_mod.TextSource(corpus, cfg.get_int("run", "seq_len"))
     elif mode == "kg":
         kg = _load_kg_dir(cfg)
-        store = _load_or_init_params(
-            cfg, kg.n_entities, kg.n_relations, kg.entity_ids, kg.relation_ids
-        )
+        store = _load_or_init_params(cfg, kg.entity_ids, kg.relation_ids, "KG")
         rng = substream(cfg.seed, STREAM_QUERY_GEN)
         pool_count = cfg.get_int("train", "complex_pool")
         complex_queries = []
@@ -356,7 +377,7 @@ def cmd_gen_queries(cfg: RunConfig, out: str) -> int:
 def cmd_eval(cfg: RunConfig, out: str) -> int:
     kg = _load_kg_dir(cfg)
     ckpt = _require(cfg, "paths", "checkpoint", "to score queries")
-    store = params_mod.load(ckpt)
+    store = _load_checkpoint(ckpt, kg.entity_ids, kg.relation_ids, "KG")
     scorer = cfg.get("eval", "scorer")
     raw = cfg.get_bool("eval", "raw")
     alpha = cfg.get_float("train", "alpha")

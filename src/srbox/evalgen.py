@@ -42,6 +42,7 @@ from srbox.structures import (
     QueryDag,
     chain_dag,
     intersection_dag,
+    merge_dag,
     validate_dag,
 )
 
@@ -316,16 +317,7 @@ def _walk_dag(
         h2, r2 = _pick(others, rng)
         r3, _ = _pick(hops, rng)
         merge = NodeKind.INTERSECTION if qtype == "ip" else NodeKind.UNION
-        return QueryDag(
-            anchors=((0, h), (1, h2)),
-            edges=(
-                Edge(0, 2, r, False),
-                Edge(1, 2, r2, False),
-                Edge(2, 3, r3, False),
-            ),
-            nodes=((2, merge), (3, NodeKind.PROJECTION)),
-            answer_node=3,
-        )
+        return merge_dag([(h, r, False), (h2, r2, False)], merge, [(r3, False)])
     if qtype == "pi":
         hops = index.out_adj.get(t)
         if not hops:
@@ -350,12 +342,7 @@ def _walk_dag(
         if not others:
             return None
         h2, r2 = _pick(others, rng)
-        return QueryDag(
-            anchors=((0, h), (1, h2)),
-            edges=(Edge(0, 2, r, False), Edge(1, 2, r2, False)),
-            nodes=((2, NodeKind.UNION),),
-            answer_node=2,
-        )
+        return merge_dag([(h, r, False), (h2, r2, False)], NodeKind.UNION)
     raise ValidationError(f"unknown query type {qtype!r}")
 
 
@@ -588,8 +575,9 @@ def record_to_query(rec: dict, kg: KnowledgeGraph) -> GeneratedQuery:
             frozenset(kg.entity_index[e] for e in rec["answers_train"]),
             frozenset(kg.entity_index[e] for e in rec["answers_full"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad query record: {exc}") from exc
+    validate_dag(q.dag)
     q.validate()
     return q
 
@@ -607,10 +595,9 @@ def load_queries(path: str, kg: KnowledgeGraph) -> list[GeneratedQuery]:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+                out.append(record_to_query(json.loads(line), kg))
+            except (json.JSONDecodeError, ValidationError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            out.append(record_to_query(rec, kg))
     return out
 
 

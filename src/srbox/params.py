@@ -3,7 +3,7 @@
 The store keeps entity centers (E x d), relation centers (2R x d, forward
 rows first and inverse rows after them), relation offsets (one shared row or
 2R per-relation rows), and the intersection-network weights, together with
-the string-id maps for entities and relations.
+the string ids of its entity and relation rows, in row order.
 
 Contextual initialization averages precomputed token vectors: an entity's
 center is the mean over its mentions of (h_start + h_end) / 2, a forward
@@ -53,14 +53,6 @@ class ParamStore:
     relation_offsets: np.ndarray  # (1, d) shared or (2R, d) per-relation
     offset_mode: str
     net: IntersectionNet
-    entity_index: dict[str, int] = field(default_factory=dict)
-    relation_index: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.entity_index:
-            self.entity_index = {eid: i for i, eid in enumerate(self.entity_ids)}
-        if not self.relation_index:
-            self.relation_index = {rid: i for i, rid in enumerate(self.relation_ids)}
 
     @property
     def n_entities(self) -> int:

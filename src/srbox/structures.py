@@ -87,9 +87,6 @@ class QueryDag:
             by_dst[e.dst].append(e)
         return dict(by_dst)
 
-    def relations(self) -> set[int]:
-        return {e.relation for e in self.edges}
-
 
 def topological_order(dag: QueryDag) -> list[int]:
     """Node ids in dependency order; raises ValidationError on a cycle."""
@@ -162,22 +159,28 @@ def chain_dag(anchor: int, relations: list[tuple[int, bool]]) -> QueryDag:
     )
 
 
-def intersection_dag(branches: list[tuple[int, int, bool]]) -> QueryDag:
-    """Anchored branches (entity, relation, inverse) meeting at one intersection."""
+def merge_dag(
+    branches: list[tuple[int, int, bool]],
+    kind: NodeKind = NodeKind.INTERSECTION,
+    hops: list[tuple[int, bool]] = (),
+) -> QueryDag:
+    """Anchored branches (entity, relation, inverse) meeting at one
+    intersection or union node, then a chain of projections (relation,
+    inverse) from it: 2i/3i, 2u, and ip/up with one hop."""
     if len(branches) < 2:
-        raise ValidationError("intersection query needs at least two branches")
+        raise ValidationError(f"{kind.value} query needs at least two branches")
     n = len(branches)
-    anchors = tuple((i, ent) for i, (ent, _, _) in enumerate(branches))
-    edges = tuple(
-        Edge(src=i, dst=n, relation=rel, inverse=inv)
-        for i, (_, rel, inv) in enumerate(branches)
-    )
-    return QueryDag(
-        anchors=anchors,
-        edges=edges,
-        nodes=((n, NodeKind.INTERSECTION),),
-        answer_node=n,
-    )
+    anchors = [(i, ent) for i, (ent, _, _) in enumerate(branches)]
+    edges = [Edge(i, n, rel, inv) for i, (_, rel, inv) in enumerate(branches)]
+    nodes = [(n, kind)]
+    for i, (rel, inv) in enumerate(hops, start=n):
+        edges.append(Edge(i, i + 1, rel, inv))
+        nodes.append((i + 1, NodeKind.PROJECTION))
+    return QueryDag(tuple(anchors), tuple(edges), tuple(nodes), answer_node=n + len(hops))
+
+
+# the default merge, under the name that 2i/3i and the intersected structures use
+intersection_dag = merge_dag
 
 
 def mine_structures(triplets: list[Triplet] | tuple[Triplet, ...]) -> list[KnowledgeStructure]:

@@ -40,11 +40,11 @@ from srbox.errors import ValidationError
 from srbox.params import OFFSET_MODES, ParamStore
 from srbox.rng import STREAM_NEGATIVES, STREAM_QUERY_GEN, STREAM_TRAIN, substream
 from srbox.structures import (
-    Edge,
     NodeKind,
     QueryDag,
     chain_dag,
     intersection_dag,
+    merge_dag,
     mine_structures,
     sample_pair_from_structures,
     split_structures,
@@ -365,17 +365,22 @@ class KgSource:
     ``triplets`` are dense-id train edges used as simple (1p) examples;
     ``complex_queries`` are pre-generated (dag, train-answer tuple) pairs of
     any mix of shapes; negatives are drawn by rejection from the global
-    entity range, at O(K) cost per draw. When ``answer_sets`` maps (head,
-    relation) to every known tail (an ``EdgeIndex``'s ``fwd`` map), all of a
-    query's known answers, its tails or a complex query's train answers, are
-    excluded from its negatives, not just the sampled one; otherwise
-    co-answers of multi-answer queries get pushed away as false negatives.
+    entity range, at O(K) cost per draw. ``answer_sets`` maps (head,
+    relation) to every known tail (an ``EdgeIndex``'s ``fwd`` map) and is
+    built from ``triplets`` when not given. All of a query's known answers,
+    its tails or a complex query's train answers, are excluded from its
+    negatives, not just the sampled one; otherwise co-answers of
+    multi-answer queries get pushed away as false negatives.
     """
 
     triplets: list[tuple[int, int, int]]
     complex_queries: list[tuple[QueryDag, tuple[int, ...]]]
     n_entities: int
     answer_sets: dict[tuple[int, int], tuple[int, ...]] | None = None
+
+    def __post_init__(self) -> None:
+        if self.answer_sets is None:
+            self.answer_sets = self.build_answer_sets(self.triplets)
 
     @staticmethod
     def build_answer_sets(
@@ -422,9 +427,8 @@ def train(
     Deterministic for a fixed seed; aborts on a non-finite loss.
 
     Negatives never include a known answer of their query: in kg mode the
-    (head, relation) answer set or the complex query's train answers (when
-    ``answer_sets`` is given), in text mode the query's answers over the
-    sampled window's own triplets.
+    (head, relation) answer set or the complex query's train answers, in
+    text mode the query's answers over the sampled window's own triplets.
     """
     cfg.validate()
     params.validate()
@@ -441,7 +445,6 @@ def train(
         if not source.triplets and cfg.steps > 0:
             raise ValidationError("KG source has no train triplets")
         global_pool = range(source.n_entities)
-        filtered = source.answer_sets is not None
     n_skipped = 0  # sampling counters since the last trace record
     n_replaced = 0
     n_examples = 0
@@ -484,14 +487,13 @@ def train(
                     val_complex = fit(dag, ans, pool, window.answers(dag), cfg.lambda2)
             else:
                 h, r, t = source.triplets[int(rng_train.integers(len(source.triplets)))]
-                known = source.answer_sets.get((h, r), (t,)) if filtered else ()
+                known = source.answer_sets.get((h, r), (t,))
                 val_simple = fit(chain_dag(h, [(r, False)]), t, global_pool, known, cfg.lambda1)
                 if source.complex_queries:
                     qi = int(rng_train.integers(len(source.complex_queries)))
                     dag, answers = source.complex_queries[qi]
                     ans = int(answers[int(rng_train.integers(len(answers)))])
-                    known = answers if filtered else ()
-                    val_complex = fit(dag, ans, global_pool, known, cfg.lambda2)
+                    val_complex = fit(dag, ans, global_pool, answers, cfg.lambda2)
             if val_simple is not None:
                 loss_simple += val_simple
                 n_simple += 1
@@ -559,12 +561,9 @@ def _random_example(
     elif shape == "2i_inverse":
         dag = intersection_dag([(ent(), rel(), True), (ent(), rel(), True)])
     elif shape == "2u":
-        dag = QueryDag(
-            anchors=((0, ent()), (1, ent())),
-            edges=(Edge(0, 2, rel(), False), Edge(1, 2, rel(), False)),
-            nodes=((2, NodeKind.UNION),),
-            answer_node=2,
-        )
+        # both entities before both relations: the draw order fixes every later trial
+        (e0, e1), (r0, r1) = (ent(), ent()), (rel(), rel())
+        dag = merge_dag([(e0, r0, False), (e1, r1, False)], NodeKind.UNION)
     else:
         raise ValidationError(f"unknown query shape {shape!r}")
     answer = ent()

@@ -5,6 +5,9 @@ finite-difference checker in test_train; here the kernels are checked
 against hand-computed values and structural properties.
 """
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,8 +30,17 @@ from srbox.boxalg import (
     sigmoid,
 )
 from srbox.errors import ValidationError
-from srbox.params import init_random
-from srbox.structures import chain_dag, intersection_dag
+from srbox.params import OFFSET_MODES, init_random
+from srbox.structures import (
+    Edge,
+    NodeKind,
+    QueryDag,
+    chain_dag,
+    intersection_dag,
+    merge_dag,
+    topological_order,
+    validate_dag,
+)
 
 
 def random_box(rng, dim, scale=2.0):
@@ -406,6 +418,227 @@ class TestExecution:
         direct = execute_query(dag, self.store)
         np.testing.assert_array_equal(trace.answer_boxes()[0].center, direct[0].center)
         assert isinstance(trace.signature(), bytes)
+
+
+# ---------------------------------------------------------------------------
+# reference DAG executor: the per-kind records and four-way backward that the
+# per-disjunct walk replaced, kept verbatim as the oracle it must match
+
+
+@dataclasses.dataclass
+class _RefNodeTrace:
+    node: int
+    kind: str  # anchor | projection | intersection | union
+    entity: int | None = None
+    edges: tuple = ()
+    combos: list | None = None
+    union_sources: list | None = None
+    inter_caches: list | None = None
+    boxes: list | None = None
+
+
+@dataclasses.dataclass
+class _RefTrace:
+    dag: QueryDag
+    order: list
+    nodes: dict
+
+    def answer_boxes(self):
+        return list(self.nodes[self.dag.answer_node].boxes)
+
+    def signature(self):
+        parts = []
+        for n in self.order:
+            tr = self.nodes[n]
+            if tr.inter_caches:
+                parts.extend(c.signature() for c in tr.inter_caches)
+        return b"".join(parts)
+
+
+def _ref_execute_with_trace(dag, params):
+    order = topological_order(dag)
+    anchor_ent = dag.anchor_entities()
+    kinds = dag.node_kinds()
+    incoming = dag.incoming()
+    traces = {}
+    for n in order:
+        if n in anchor_ent:
+            ent = anchor_ent[n]
+            box = entity_box(params.entity_centers[ent])
+            traces[n] = _RefNodeTrace(n, "anchor", entity=ent, boxes=[box])
+            continue
+        edges = tuple(incoming.get(n, ()))
+        projected = []
+        for e in edges:
+            rel = params.relation_params(e.relation, e.inverse)
+            projected.append([project(b, rel) for b in traces[e.src].boxes])
+        kind = kinds[n]
+        if kind is NodeKind.PROJECTION:
+            traces[n] = _RefNodeTrace(n, "projection", edges=edges, boxes=projected[0])
+        elif kind is NodeKind.UNION:
+            sources = []
+            boxes = []
+            for k, branch in enumerate(projected):
+                for j, box in enumerate(branch):
+                    sources.append((k, j))
+                    boxes.append(box)
+            traces[n] = _RefNodeTrace(n, "union", edges=edges, union_sources=sources, boxes=boxes)
+        else:
+            combos = list(itertools.product(*(range(len(br)) for br in projected)))
+            boxes = []
+            caches = []
+            for combo in combos:
+                inputs = [projected[k][j] for k, j in enumerate(combo)]
+                box, cache = boxalg.intersect_with_cache(inputs, params.net)
+                boxes.append(box)
+                caches.append(cache)
+            traces[n] = _RefNodeTrace(
+                n, "intersection", edges=edges, combos=combos, inter_caches=caches, boxes=boxes
+            )
+    return _RefTrace(dag, order, traces)
+
+
+def _ref_backward_through_dag(trace, seed_grads, grads):
+    acc = {n: [None] * len(tr.boxes) for n, tr in trace.nodes.items()}
+    answer = trace.dag.answer_node
+    for j, seed in enumerate(seed_grads):
+        if seed is not None:
+            acc[answer][j] = [
+                np.array(seed[0], dtype=np.float64),
+                np.array(seed[1], dtype=np.float64),
+            ]
+
+    def route_edge(edge, src_disjunct, dcen, doff, params_like):
+        grads.add("rel_center", params_like.center_row(edge.relation, edge.inverse), dcen)
+        grads.add("rel_offset", params_like.offset_row(edge.relation, edge.inverse), doff)
+        slot = acc[edge.src][src_disjunct]
+        if slot is None:
+            acc[edge.src][src_disjunct] = [dcen.copy(), doff.copy()]
+        else:
+            slot[0] += dcen
+            slot[1] += doff
+
+    params_like = grads.params
+    for n in reversed(trace.order):
+        tr = trace.nodes[n]
+        for j, slot in enumerate(acc[n]):
+            if slot is None:
+                continue
+            dcen, doff = slot
+            if tr.kind == "anchor":
+                grads.add("entity", tr.entity, dcen)
+            elif tr.kind == "projection":
+                route_edge(tr.edges[0], j, dcen, doff, params_like)
+            elif tr.kind == "union":
+                k, src_j = tr.union_sources[j]
+                route_edge(tr.edges[k], src_j, dcen, doff, params_like)
+            elif tr.kind == "intersection":
+                cache = tr.inter_caches[j]
+                dcent_in, doff_in, net_grads = boxalg.intersect_backward(cache, dcen, doff)
+                for name, g in net_grads.items():
+                    grads.add("net", name, g)
+                for k, src_j in enumerate(tr.combos[j]):
+                    route_edge(tr.edges[k], src_j, dcent_in[k], doff_in[k], params_like)
+
+
+def _two_unions_then_intersect(ents, rels, hop):
+    """Two 2u unions feeding one intersection, then one projection."""
+    edges = tuple(Edge(i, 4 + i // 2, r, inv) for i, (r, inv) in enumerate(rels))
+    return QueryDag(
+        anchors=tuple(enumerate(ents)),
+        edges=edges + (Edge(4, 6, 0, False), Edge(5, 6, 1, True), Edge(6, 7, *hop)),
+        nodes=(
+            (4, NodeKind.UNION),
+            (5, NodeKind.UNION),
+            (6, NodeKind.INTERSECTION),
+            (7, NodeKind.PROJECTION),
+        ),
+        answer_node=7,
+    )
+
+
+@st.composite
+def dag_cases(draw):
+    """A random store and a DAG of one of the nine query shapes, of two
+    unions feeding an intersection or of a union over a union, with
+    per-disjunct answer seeds (some missing)."""
+    dim = draw(st.integers(1, 5))
+    n_ent = draw(st.integers(1, 6))
+    n_rel = draw(st.integers(2, 4))
+    mode = draw(st.sampled_from(OFFSET_MODES))
+    store = init_random(dim, n_ent, n_rel, draw(st.integers(0, 2**16)), offset_mode=mode)
+    ent = st.integers(0, n_ent - 1)
+    hop = st.tuples(st.integers(0, n_rel - 1), st.booleans())
+    branch = st.tuples(ent, st.integers(0, n_rel - 1), st.booleans())
+    shape = draw(st.sampled_from(
+        ("1p", "2p", "3p", "2i", "3i", "ip", "pi", "2u", "up", "uip", "uu")
+    ))
+    if shape.endswith("p") and shape[0].isdigit():
+        n = int(shape[0])
+        dag = chain_dag(draw(ent), draw(st.lists(hop, min_size=n, max_size=n)))
+    elif shape in ("2i", "3i", "2u"):
+        kind = NodeKind.UNION if shape == "2u" else NodeKind.INTERSECTION
+        n = int(shape[0])
+        dag = merge_dag(draw(st.lists(branch, min_size=n, max_size=n)), kind)
+    elif shape in ("ip", "up"):
+        kind = NodeKind.UNION if shape == "up" else NodeKind.INTERSECTION
+        dag = merge_dag(draw(st.lists(branch, min_size=2, max_size=2)), kind, [draw(hop)])
+    elif shape == "pi":
+        (r0, i0), (r1, i1), (r2, i2) = draw(st.lists(hop, min_size=3, max_size=3))
+        dag = QueryDag(
+            anchors=((0, draw(ent)), (1, draw(ent))),
+            edges=(Edge(0, 2, r0, i0), Edge(2, 3, r1, i1), Edge(1, 3, r2, i2)),
+            nodes=((2, NodeKind.PROJECTION), (3, NodeKind.INTERSECTION)),
+            answer_node=3,
+        )
+    elif shape == "uu":  # a union over a union: disjuncts keep their input order
+        (r0, i0), (r1, i1), (r2, i2), (r3, i3) = draw(st.lists(hop, min_size=4, max_size=4))
+        dag = QueryDag(
+            anchors=((0, draw(ent)), (1, draw(ent)), (2, draw(ent))),
+            edges=(Edge(0, 3, r0, i0), Edge(1, 3, r1, i1), Edge(3, 4, r2, i2), Edge(2, 4, r3, i3)),
+            nodes=((3, NodeKind.UNION), (4, NodeKind.UNION)),
+            answer_node=4,
+        )
+    else:
+        dag = _two_unions_then_intersect(
+            draw(st.lists(ent, min_size=4, max_size=4)),
+            draw(st.lists(hop, min_size=4, max_size=4)),
+            draw(hop),
+        )
+    vec = hnp.arrays(np.float64, dim, elements=st.floats(-3.0, 3.0, width=64))
+    seeds = draw(st.lists(st.none() | st.tuples(vec, vec), min_size=4, max_size=4))
+    return store, dag, seeds
+
+
+class TestExecutionMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(dag_cases())
+    def test_boxes_signature_and_grads_match_bit_for_bit(self, case):
+        store, dag, seeds = case
+        trace = execute_with_trace(dag, store)
+        ref = _ref_execute_with_trace(dag, store)
+        boxes, ref_boxes = trace.answer_boxes(), ref.answer_boxes()
+        assert len(boxes) == len(ref_boxes)
+        for b, rb in zip(boxes, ref_boxes):
+            assert _same_bits(b.center, rb.center) and _same_bits(b.offset, rb.offset)
+        assert trace.signature() == ref.signature()
+        grads, ref_grads = boxalg.Grads(store), boxalg.Grads(store)
+        boxalg.backward_through_dag(trace, seeds[: len(boxes)], grads)
+        _ref_backward_through_dag(ref, seeds[: len(boxes)], ref_grads)
+        for table, slots in ref_grads.tables().items():
+            got = grads.tables()[table]
+            assert list(got) == list(slots)
+            assert all(_same_bits(got[key], g) for key, g in slots.items())
+
+    def test_two_unions_feeding_an_intersection_give_four_disjuncts(self):
+        store = init_random(dim=4, n_entities=6, n_relations=3, seed=7)
+        hops = [(0, False), (1, False), (2, True), (0, True)]
+        dag = _two_unions_then_intersect([0, 1, 2, 3], hops, (2, False))
+        validate_dag(dag)
+        boxes = execute_query(dag, store)
+        assert len(boxes) == 4
+        assert len({b.center.tobytes() for b in boxes}) == 4
+        assert len(execute_with_trace(dag, store).signature()) > 0
 
 
 class TestGrads:

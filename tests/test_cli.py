@@ -282,6 +282,19 @@ class TestTrainCommand:
         assert code == 0
         assert len(built) == 2  # train and full index, shared by four shapes and the answer sets
 
+    def test_checkpoint_ids_must_be_the_corpus(self, tmp_path, corpus_path, capsys):
+        store = params_mod.init_random(
+            8, 4, 3, 0, entity_ids=["A", "B", "C", "D"], relation_ids=["r1", "r3", "r2"]
+        )
+        path = tmp_path / "other.ckpt"
+        params_mod.save(store, str(path))
+        code = cli.main([
+            "train", "--corpus", corpus_path, "--checkpoint", str(path), "--dim", "8",
+            "--steps", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "relation row 1 holds 'r3' where the corpus has 'r2'" in capsys.readouterr().err
+
     def test_unknown_mode_from_config(self, tmp_path, corpus_path):
         ini = tmp_path / "c.ini"
         ini.write_text("[run]\nmode = dreams\n")
@@ -426,6 +439,55 @@ class TestEvalCommand:
     def test_checkpoint_required(self, tmp_path, kg_dir):
         code = cli.main(["eval", "--kg", kg_dir, "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def edited_queries(self, tmp_path, kg_dir, edit):
+        """A pre-generated 2i query file whose first record went through ``edit``."""
+        qdir = tmp_path / "q"
+        assert cli.main([
+            "gen-queries", "--kg", kg_dir, "--types", "2i", "--count", "3",
+            "--split", "test", "--out", str(qdir),
+        ]) == 0
+        recs = [json.loads(l) for l in (qdir / "queries_2i.jsonl").read_text().splitlines()]
+        edit(recs[0]["dag"])
+        path = tmp_path / "edited.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        return str(path)
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda dag: dag.update(answer_node=99), "answer node is not a node of the DAG"),
+        (lambda dag: dag["edges"].pop(), "intersection node 2 has in-degree 1"),
+    ], ids=["answer-node-99", "2i-missing-edge"])
+    def test_malformed_query_dag_rejected(self, tmp_path, kg_dir, ckpt, capsys, edit, problem):
+        queries = self.edited_queries(tmp_path, kg_dir, edit)
+        code = cli.main([
+            "eval", "--kg", kg_dir, "--checkpoint", ckpt, "--queries", queries,
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "edited.jsonl:1:" in err and problem in err
+
+    @pytest.mark.parametrize("change, problem", [
+        (lambda ids: ids[::-1], "entity row 0 holds 'c05_04' where the KG has 'c00_00'"),
+        (lambda ids: ids + [f"x{i}" for i in range(50)], "row 30 holds 'x0' where the KG has none"),
+    ], ids=["reversed", "50-extra"])
+    def test_checkpoint_ids_must_be_the_kgs(self, tmp_path, kg_dir, capsys, change, problem):
+        kg = evalgen.load_kg(
+            f"{kg_dir}/train.tsv", f"{kg_dir}/valid.tsv", f"{kg_dir}/test.tsv"
+        )
+        entity_ids = change(kg.entity_ids)
+        store = params_mod.init_random(
+            8, len(entity_ids), kg.n_relations, 0,
+            entity_ids=entity_ids, relation_ids=kg.relation_ids,
+        )
+        path = tmp_path / "other.ckpt"
+        params_mod.save(store, str(path))
+        code = cli.main([
+            "eval", "--kg", kg_dir, "--checkpoint", str(path), "--types", "1p",
+            "--count", "2", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert problem in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path, corpus_path):

@@ -559,6 +559,20 @@ class TestNoKnownAnswerAmongNegatives:
             co_answers += len(known) > 1
         assert len(seen) == 320 and co_answers > 50
 
+    def test_kg_source_builds_answer_sets_when_not_given(self, monkeypatch):
+        kg = build_grid_kg(width=6, height=5, seed=1)
+        seen = record_examples(monkeypatch)
+        src = KgSource(kg.train, [], kg.n_entities)
+        store = init_random(4, kg.n_entities, kg.n_relations, seed=0)
+        train.train(src, store, TrainConfig(steps=20, batch_size=8, k_negatives=12, seed=2))
+        co_answers = 0
+        for ex, _ in seen:
+            (_, h), = ex.query.anchors
+            known = kg.train_index.fwd[(h, ex.query.edges[0].relation)]
+            assert not set(ex.negatives) & set(known)
+            co_answers += len(known) > 1
+        assert len(seen) == 160 and co_answers > 20
+
     @pytest.mark.parametrize("negative_pool", ["same_sequence", "global"])
     def test_text_mode_window_answers(self, tmp_path, monkeypatch, negative_pool):
         corpus = multi_answer_corpus(tmp_path)
