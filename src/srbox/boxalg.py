@@ -42,6 +42,7 @@ records in reverse and needs no other knowledge of the node's kind.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 from functools import partialmethod
 from typing import NamedTuple
@@ -49,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from srbox.errors import ValidationError
-from srbox.structures import Edge, NodeKind, QueryDag, topological_order
+from srbox.structures import Edge, NodeKind, Plan, QueryDag, plan_of, topological_order
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class Box:
 
     @property
     def dim(self) -> int:
-        return self.center.shape[0]
+        return self.center.shape[-1]
 
 
 def _weight(fan_in: int = 1):
@@ -158,9 +159,10 @@ def entity_box(center: np.ndarray) -> Box:
 
 
 def project(b: Box, rel: tuple[np.ndarray, np.ndarray]) -> Box:
-    """Translate the center and dilate the offset by the relation's parameters."""
+    """Translate the center and dilate the offset by the relation's parameters
+    (rows that broadcast against a box of stacked (B, d) arrays)."""
     r_center, r_offset = rel
-    if r_center.shape != b.center.shape or r_offset.shape != b.offset.shape:
+    if r_center.shape[-1:] != b.center.shape[-1:] or r_offset.shape[-1:] != b.offset.shape[-1:]:
         raise ValidationError(
             f"relation shape {r_center.shape}/{r_offset.shape} does not match box dim {b.dim}"
         )
@@ -195,6 +197,9 @@ def _mlp2_backward(cache: _MlpCache, dy: np.ndarray):
 
 
 class IntersectCache(NamedTuple):
+    """Shapes are those of one intersection; a stacked forward over B queries
+    adds a leading (B,) axis to every field."""
+
     centers: np.ndarray  # (n, d) input centers
     offsets: np.ndarray  # (n, d) input offsets
     att: np.ndarray  # (n, d) softmax weights
@@ -217,29 +222,32 @@ class IntersectCache(NamedTuple):
 
 
 def intersect_with_cache(boxes: list[Box], net: IntersectionNet) -> tuple[Box, IntersectCache]:
+    """Intersect n boxes of (d,) arrays, or n boxes of stacked (B, d) arrays
+    as B intersections at once: the inputs stack on axis -2, every reduction
+    runs over it, and each MLP is one ``np.matmul`` over the stack, which
+    computes every query's products as the unstacked call does."""
     if not boxes:
         raise ValidationError("intersect requires at least one box")
     d = boxes[0].dim
     if any(b.dim != d for b in boxes):
         raise ValidationError("intersect requires boxes of equal dimension")
-    n = len(boxes)
-    centers = np.stack([b.center for b in boxes])  # (n, d)
-    offsets = np.stack([b.offset for b in boxes])
+    centers = np.stack([b.center for b in boxes], axis=-2)  # (n, d) or (B, n, d)
+    offsets = np.stack([b.offset for b in boxes], axis=-2)
 
     logits, att_cache = _mlp2(centers, net.att_w1, net.att_b1, net.att_w2, net.att_b2)
-    logits = logits - logits.max(axis=0, keepdims=True)
+    logits = logits - logits.max(axis=-2, keepdims=True)
     expz = np.exp(logits)
-    att = expz / expz.sum(axis=0, keepdims=True)  # softmax across boxes, per dim
-    center = (att * centers).sum(axis=0)
+    att = expz / expz.sum(axis=-2, keepdims=True)  # softmax across boxes, per dim
+    center = (att * centers).sum(axis=-2)
 
-    pooled_in = np.concatenate([centers, offsets], axis=1)  # (n, 2d)
+    pooled_in = np.concatenate([centers, offsets], axis=-1)  # (n, 2d)
     inner, inner_cache = _mlp2(pooled_in, net.inner_w1, net.inner_b1, net.inner_w2, net.inner_b2)
-    mean_inner = inner.mean(axis=0, keepdims=True)  # (1, d)
+    mean_inner = inner.mean(axis=-2, keepdims=True)  # (1, d)
     outer, outer_cache = _mlp2(mean_inner, net.outer_w1, net.outer_b1, net.outer_w2, net.outer_b2)
-    gate = sigmoid(outer[0])
+    gate = sigmoid(outer[..., 0, :])
 
-    min_idx = offsets.argmin(axis=0)  # first argmin on ties
-    min_off = offsets[min_idx, np.arange(d)]
+    min_idx = offsets.argmin(axis=-2)  # first argmin on ties
+    min_off = np.take_along_axis(offsets, min_idx[..., None, :], axis=-2)[..., 0, :]
     offset = min_off * gate
 
     cache = IntersectCache(
@@ -318,12 +326,14 @@ class DistanceCache(NamedTuple):
         )
 
 
-def _norm(v: np.ndarray, norm: str) -> np.ndarray:
-    """Norm of each row (last axis)."""
+def _norm(v: np.ndarray, norm: str, in_place: bool = False) -> np.ndarray:
+    """Norm of each row (last axis); ``in_place`` overwrites ``v`` with the
+    elementwise terms instead of allocating them."""
+    terms = v if in_place else None
     if norm == "l1":
-        return np.abs(v).sum(axis=-1)
+        return np.abs(v, out=terms).sum(axis=-1)
     if norm == "l2":
-        return np.sqrt((v * v).sum(axis=-1))
+        return np.sqrt(np.multiply(v, v, out=terms).sum(axis=-1))
     raise ValidationError(f"unknown norm {norm!r}")
 
 
@@ -335,20 +345,35 @@ def _norm_grad(v: np.ndarray, norm: str) -> np.ndarray:
     return np.divide(v, mag, out=np.zeros_like(v), where=mag > 0.0)
 
 
-def _gaps(e: np.ndarray, b: Box) -> tuple[np.ndarray, np.ndarray]:
+def _gaps(e: np.ndarray, b: Box, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Outer gap (to the nearest face, zero inside) and inner gap (center
-    minus the clamped point) of an entity (d,) or of each row of (m, d)."""
-    if e.shape[-1:] != b.center.shape:
+    minus the clamped point) of an entity (d,) or of each row of (m, d); a
+    box of stacked (q, 1, d) arrays gives every row's gaps to each of the q
+    boxes, (q, m, d). ``out`` is an optional pair of buffers of the result
+    shape to write the two gaps into."""
+    if e.shape[-1:] != b.center.shape[-1:]:
         raise ValidationError(f"entity shape {e.shape} does not match box dim {b.dim}")
     bmax, bmin = b.bmax, b.bmin
-    v_out = np.maximum(e - bmax, 0.0) + np.maximum(bmin - e, 0.0)
-    u_in = b.center - np.minimum(bmax, np.maximum(bmin, e))
+    v_out, u_in = (None, None) if out is None else out
+    # v_out = max(e - bmax, 0) + max(bmin - e, 0)
+    v_out = np.subtract(e, bmax, out=v_out)
+    np.maximum(v_out, 0.0, out=v_out)
+    u_in = np.subtract(bmin, e, out=u_in)
+    np.maximum(u_in, 0.0, out=u_in)
+    v_out += u_in
+    # u_in = center - min(bmax, max(bmin, e))
+    np.maximum(bmin, e, out=u_in)
+    np.minimum(bmax, u_in, out=u_in)
+    np.subtract(b.center, u_in, out=u_in)
     return v_out, u_in
 
 
-def _combine(v_out: np.ndarray, u_in: np.ndarray, alpha: float, norm: str) -> Distance:
-    d_out = _norm(v_out, norm)
-    d_in = _norm(u_in, norm)
+def _combine(
+    v_out: np.ndarray, u_in: np.ndarray, alpha: float, norm: str, in_place: bool = False
+) -> Distance:
+    """d_out + alpha * d_in from the gaps; ``in_place`` overwrites them."""
+    d_out = _norm(v_out, norm, in_place)
+    d_in = _norm(u_in, norm, in_place)
     return Distance(d_out + alpha * d_in, d_out, d_in)
 
 
@@ -359,10 +384,53 @@ def distance(e: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1") -> Di
 
 
 def distance_batch(
-    entities: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1"
+    entities: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1", out=None
 ) -> np.ndarray:
-    """Distance from every row of ``entities`` (m, d) to one box; returns (m,)."""
-    return distance(entities, b, alpha, norm).d
+    """Distance from every row of ``entities`` (m, d) to one box, (m,), or to
+    each box of a stacked (q, 1, d) box, (q, m). ``out`` is an optional pair
+    of work buffers of the gap shape, which the call overwrites."""
+    return _combine(*_gaps(entities, b, out), alpha, norm, in_place=out is not None).d
+
+
+# elements of one gap buffer in the tiled distance pass: both buffers of a
+# tile, 512 KB at this size, stay in a core's L2 cache
+DIST_TILE = 1 << 15
+
+
+def min_distance_tiles(
+    entities: np.ndarray, boxes: list[Box], alpha: float, norm: str
+):
+    """Distances from every row of ``entities`` (m, d) to a batch of B
+    queries, each the minimum over its disjuncts: ``boxes`` holds one Box of
+    stacked (B, d) arrays per disjunct.
+
+    Yields (start, D) for consecutive chunks of q queries, D (q, m) for
+    queries start .. start + q - 1, so only one chunk's distances are alive
+    at a time. Each chunk is computed in tiles of q queries by as many
+    entity rows as keep a tile's gaps within ``DIST_TILE`` elements; every
+    distance is the one ``distance_batch`` gives for one query's box.
+    """
+    m, d = entities.shape
+    n_queries = boxes[0].center.shape[0]
+    q = min(n_queries, max(1, DIST_TILE // (m * d)))
+    rows = max(1, DIST_TILE // (q * d))
+    buffers = np.empty((2, q * min(rows, m) * d))
+    for start in range(0, n_queries, q):
+        stop = min(start + q, n_queries)
+        stacked = [Box(b.center[start:stop, None], b.offset[start:stop, None]) for b in boxes]
+        dist = np.empty((stop - start, m))
+        for r0 in range(0, m, rows):
+            tile = entities[r0:r0 + rows]
+            shape = (stop - start, len(tile), d)
+            out = [buf[: math.prod(shape)].reshape(shape) for buf in buffers]
+            target = dist[:, r0:r0 + len(tile)]
+            for k, box in enumerate(stacked):
+                part = distance_batch(tile, box, alpha, norm, out)
+                if k == 0:
+                    target[...] = part
+                else:
+                    np.minimum(target, part, out=target)
+        yield start, dist
 
 
 def distance_with_cache(
@@ -510,9 +578,52 @@ def execute_with_trace(dag: QueryDag, params) -> ExecutionTrace:
     return ExecutionTrace(dag, order, nodes)
 
 
+def execute_batch(plan: Plan, dags: list[QueryDag], params) -> list[Box]:
+    """Evaluate B query DAGs of one plan at once, as stacked (B, d) arrays.
+
+    Returns the answer node's disjuncts, each a Box of (B, d) arrays; row i
+    is bit for bit what ``execute_with_trace`` gives for ``dags[i]``, since
+    projection is elementwise and ``intersect_with_cache`` computes a stack
+    as it computes one intersection.
+    """
+    anchor_ids = np.array([[e for _, e in dag.anchors] for dag in dags], dtype=np.intp)
+    relation_ids = np.array([[e.relation for e in dag.edges] for dag in dags], dtype=np.intp)
+    n_entities = params.entity_centers.shape[0]
+    n_relations = len(params.relation_ids)
+    for ids, bound, what in (
+        (anchor_ids, n_entities, "anchor entity"), (relation_ids, n_relations, "relation"),
+    ):
+        bad = ids[(ids < 0) | (ids >= bound)]
+        if bad.size:
+            raise ValidationError(f"{what} id {bad[0]} out of range")
+    nodes: dict[int, list[Box]] = {}
+    for slot, n in enumerate(plan.anchors):
+        centers = params.entity_centers[anchor_ids[:, slot]]
+        nodes[n] = [Box(centers, np.zeros_like(centers))]
+    for n, intersects, layout in plan.steps:
+        projected: dict[tuple[int, int], Box] = {}  # (edge slot, source disjunct)
+        for inputs in layout:
+            for slot, j in inputs:
+                if (slot, j) not in projected:
+                    src, _, inverse = plan.edges[slot]
+                    rel = relation_ids[:, slot]
+                    rows = (
+                        params.relation_centers[params.center_row(rel, inverse)],
+                        params.relation_offsets[params.offset_row(rel, inverse)],
+                    )
+                    projected[slot, j] = project(nodes[src][j], rows)
+        nodes[n] = [
+            intersect_with_cache([projected[i] for i in inputs], params.net)[0] if intersects
+            else projected[inputs[0]]
+            for inputs in layout
+        ]
+    return nodes[plan.answer_node]
+
+
 def execute_query(dag: QueryDag, params) -> list[Box]:
-    """Evaluate the DAG to its disjunct boxes (singleton for union-free queries)."""
-    return execute_with_trace(dag, params).answer_boxes()
+    """Evaluate the DAG to its disjunct boxes (singleton for union-free
+    queries): ``execute_batch`` on a batch of one."""
+    return [Box(b.center[0], b.offset[0]) for b in execute_batch(plan_of(dag), [dag], params)]
 
 
 def backward_through_dag(trace: ExecutionTrace, seed_grads, grads) -> None:

@@ -343,7 +343,9 @@ def cmd_gradcheck(cfg: RunConfig, out: str) -> int:
             offset_mode=cfg.get("train", "offset_mode"),
         )
     trials = cfg.get_int("gradcheck", "trials")
-    err = train_mod.grad_check(store, trials, cfg.seed)
+    tc = cfg.train_config()
+    check_cfg = train_mod.grad_check_config(tc.alpha, tc.norm)
+    err = train_mod.grad_check(store, trials, cfg.seed, check_cfg)
     print(f"max relative error {err:.3e} over {trials} trials")
     with open(os.path.join(out, "gradcheck.json"), "w", encoding="utf-8") as fh:
         json.dump({"trials": trials, "max_relative_error": err}, fh)

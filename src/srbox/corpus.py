@@ -220,22 +220,27 @@ def chunk_sequences(corpus: Corpus, seq_len: int) -> list[Sequence]:
 
     offsets = corpus.doc_offsets()
     total = corpus.n_tokens
+    docs = corpus.documents
     sequences: list[Sequence] = []
+    first = 0  # the first document that ends after the current window starts
     for seq_id, w_start in enumerate(range(0, total, seq_len)):
         w_stop = min(w_start + seq_len, total)
-        doc_ids = []
+        # documents lie in order, so the ones a window overlaps are a run
+        # from ``first`` to the first document starting at or after w_stop
+        while first < len(docs) and offsets[first] + len(docs[first].tokens) <= w_start:
+            first += 1
+        last = first
+        while last < len(docs) and offsets[last] < w_stop:
+            last += 1
+        doc_ids = range(first, last)
         window_entities: set[int] = set()
-        for d, doc in enumerate(corpus.documents):
-            d_start, d_stop = offsets[d], offsets[d] + len(doc.tokens)
-            if d_start >= w_stop or d_stop <= w_start:
-                continue
-            doc_ids.append(d)
-            for m in doc.mentions:
-                if d_start + m.start >= w_start and d_start + m.end < w_stop:
+        for d in doc_ids:
+            for m in docs[d].mentions:
+                if offsets[d] + m.start >= w_start and offsets[d] + m.end < w_stop:
                     window_entities.add(m.entity)
         by_key: dict[tuple[int, int, int], Triplet] = {}
         for d in doc_ids:
-            for t in corpus.documents[d].triplets:
+            for t in docs[d].triplets:
                 if t.head in window_entities and t.tail in window_entities:
                     by_key.setdefault(t.key(), t)
         triplets = tuple(by_key[k] for k in sorted(by_key))

@@ -41,8 +41,11 @@ from srbox.structures import (
     NodeKind,
     QueryDag,
     chain_dag,
+    compile_plan,
+    dag_shape,
     intersection_dag,
     merge_dag,
+    plan_of,
     validate_dag,
 )
 
@@ -277,6 +280,41 @@ def _pick(options, rng: np.random.Generator):
     return options[int(rng.integers(len(options)))]
 
 
+def _pi_dag(h: int, r: int, r2: int, h2: int, r3: int) -> QueryDag:
+    """A two-hop chain from h (r then r2) intersected with one hop r3 from h2."""
+    return QueryDag(
+        anchors=((0, h), (1, h2)),
+        edges=(
+            Edge(0, 2, r, False),
+            Edge(2, 3, r2, False),
+            Edge(1, 3, r3, False),
+        ),
+        nodes=((2, NodeKind.PROJECTION), (3, NodeKind.INTERSECTION)),
+        answer_node=3,
+    )
+
+
+def _type_shapes() -> dict[str, tuple]:
+    """The ``dag_shape`` that ``_walk_dag`` gives each query type."""
+    hop = (0, False)
+    branch = (0, 0, False)
+    dags = {
+        "1p": chain_dag(0, [hop]),
+        "2p": chain_dag(0, [hop] * 2),
+        "3p": chain_dag(0, [hop] * 3),
+        "2i": intersection_dag([branch] * 2),
+        "3i": intersection_dag([branch] * 3),
+        "ip": merge_dag([branch] * 2, NodeKind.INTERSECTION, [hop]),
+        "pi": _pi_dag(0, 0, 0, 0, 0),
+        "2u": merge_dag([branch] * 2, NodeKind.UNION),
+        "up": merge_dag([branch] * 2, NodeKind.UNION, [hop]),
+    }
+    return {qtype: dag_shape(dag) for qtype, dag in dags.items()}
+
+
+TYPE_SHAPES = _type_shapes()
+
+
 def _walk_dag(
     qtype: str,
     seed_edge: tuple[int, int, int],
@@ -327,16 +365,7 @@ def _walk_dag(
         if not others:
             return None
         h2, r3 = _pick(others, rng)
-        return QueryDag(
-            anchors=((0, h), (1, h2)),
-            edges=(
-                Edge(0, 2, r, False),
-                Edge(2, 3, r2, False),
-                Edge(1, 3, r3, False),
-            ),
-            nodes=((2, NodeKind.PROJECTION), (3, NodeKind.INTERSECTION)),
-            answer_node=3,
-        )
+        return _pi_dag(h, r, r2, h2, r3)
     if qtype == "2u":
         others = [p for p in index.in_adj.get(t, ()) if p != (h, r)]
         if not others:
@@ -441,6 +470,36 @@ def ptranse_distances(anchor: int, path: list[tuple[int, bool]], params) -> np.n
     return np.abs(params.entity_centers - vec).sum(axis=1)
 
 
+# elements of one stacked (B, d) array in the forward pass: 128 queries at
+# d = 32, where a 3i block's intersection holds about 2 MB of intermediate
+# arrays; a larger shape group runs in blocks of that size, so memory does
+# not grow with it (512-query blocks raised eval's peak RSS by about 7 MB)
+FORWARD_TILE = 1 << 12
+
+
+def box_distances(queries: list[GeneratedQuery], params, alpha: float = 0.02, norm: str = "l1"):
+    """Box-scorer distances of a list of queries, scored by shape.
+
+    Queries of one DAG shape run as one stacked ``boxalg.execute_batch``
+    call per block of ``FORWARD_TILE // d`` of them; their distances come
+    from ``boxalg.min_distance_tiles``. Yields
+    (indices into ``queries``, distances (len(indices), n_entities)) one
+    chunk at a time, shape by shape in order of first appearance, so memory
+    holds one chunk's distances, not the whole list's.
+    """
+    groups: dict = {}
+    for i, q in enumerate(queries):
+        groups.setdefault(plan_of(q.dag), []).append(i)
+    size = max(1, FORWARD_TILE // params.entity_centers.shape[1])
+    blocks = (
+        (plan, idxs[i:i + size]) for plan, idxs in groups.items() for i in range(0, len(idxs), size)
+    )
+    for plan, block in blocks:
+        boxes = boxalg.execute_batch(plan, [queries[i].dag for i in block], params)
+        for start, dist in boxalg.min_distance_tiles(params.entity_centers, boxes, alpha, norm):
+            yield block[start:start + len(dist)], dist
+
+
 def query_distances(
     query: GeneratedQuery,
     params,
@@ -450,11 +509,8 @@ def query_distances(
 ) -> np.ndarray:
     """Per-entity distance vector under the chosen scorer (lower is better)."""
     if scorer == "box":
-        boxes = boxalg.execute_query(query.dag, params)
-        per_box = np.stack(
-            [boxalg.distance_batch(params.entity_centers, b, alpha, norm) for b in boxes]
-        )
-        return per_box.min(axis=0)
+        [(_, dist)] = box_distances([query], params, alpha, norm)
+        return dist[0]
     if scorer == "ptranse":
         return ptranse_distances(*dag_to_path(query.dag), params)
     raise ValidationError(f"unknown scorer {scorer!r}")
@@ -465,21 +521,41 @@ def ranks_from_distances(
 ) -> dict[int, float]:
     """Rank of each hard answer: 1 + competitors strictly closer + half the
     competitors at the same distance. Filtered mode drops every known answer
-    from the competitor pool; raw mode drops only the ranked entity."""
-    ranks: dict[int, float] = {}
-    n = dist.shape[0]
-    if raw:
-        mask = np.ones(n, dtype=bool)
-    else:
-        mask = np.ones(n, dtype=bool)
-        mask[sorted(answers_full)] = False
-    for a in sorted(hard):
-        da = dist[a]
-        m = mask.copy()
-        m[a] = False
-        better = int(np.count_nonzero(dist[m] < da))
-        tied = int(np.count_nonzero(dist[m] == da))
-        ranks[a] = 1.0 + better + 0.5 * tied
+    from the competitor pool; raw mode drops only the ranked entity.
+
+    One sort of the pool and two binary searches per answer count the closer
+    and the tied competitors; a ranked entity that is itself in the pool is
+    taken out of its own tie count. Distances must not be NaN.
+    """
+    pool = np.ones(dist.shape[0], dtype=bool)
+    if not raw:
+        pool[list(answers_full)] = False
+    competitors = dist[pool]
+    competitors.sort()
+    answers = np.array(sorted(hard), dtype=np.intp)
+    da = dist[answers]
+    better = competitors.searchsorted(da, "left")
+    tied = competitors.searchsorted(da, "right") - better - pool[answers]
+    return dict(zip(answers.tolist(), (1.0 + better + 0.5 * tied).tolist()))
+
+
+def query_ranks(
+    queries: list[GeneratedQuery],
+    params,
+    scorer: str = "box",
+    alpha: float = 0.02,
+    norm: str = "l1",
+    raw: bool = False,
+) -> list[dict[int, float]]:
+    """``rank_answers`` of every query, in the list's order; the box scorer
+    scores the list by shape through ``box_distances``."""
+    if scorer != "box":
+        return [rank_answers(q, params, scorer, alpha, norm, raw) for q in queries]
+    ranks: list = [None] * len(queries)
+    for idxs, dists in box_distances(queries, params, alpha, norm):
+        for i, dist in zip(idxs, dists):
+            q = queries[i]
+            ranks[i] = ranks_from_distances(dist, q.hard_answers, q.answers_full, raw)
     return ranks
 
 
@@ -524,9 +600,10 @@ def metrics_report(
     if not queries:
         raise ValidationError("no queries to evaluate")
     qtypes = {q.qtype for q in queries}
-    all_ranks: list[float] = []
-    for q in queries:
-        all_ranks.extend(rank_answers(q, params, scorer, alpha, norm, raw).values())
+    all_ranks = [
+        r for ranks in query_ranks(queries, params, scorer, alpha, norm, raw)
+        for r in ranks.values()
+    ]
     return {
         "scorer": scorer,
         "query_type": qtypes.pop() if len(qtypes) == 1 else "mixed",
@@ -559,6 +636,9 @@ def query_record(q: GeneratedQuery, kg: KnowledgeGraph) -> dict:
 
 
 def record_to_query(rec: dict, kg: KnowledgeGraph) -> GeneratedQuery:
+    """A query from its ``query_record``: the DAG must be valid (checked once
+    per shape) and be the shape that ``generate_queries`` gives the
+    record's type."""
     try:
         dag = QueryDag(
             anchors=tuple((int(n), kg.entity_index[e]) for n, e in rec["dag"]["anchors"]),
@@ -575,9 +655,14 @@ def record_to_query(rec: dict, kg: KnowledgeGraph) -> GeneratedQuery:
             frozenset(kg.entity_index[e] for e in rec["answers_train"]),
             frozenset(kg.entity_index[e] for e in rec["answers_full"]),
         )
+        shape = dag_shape(dag)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad query record: {exc}") from exc
-    validate_dag(q.dag)
+    compile_plan(shape)
+    if not isinstance(q.qtype, str) or q.qtype not in TYPE_SHAPES:
+        raise ParseError(f"unknown query type {q.qtype!r}")
+    if shape != TYPE_SHAPES[q.qtype]:
+        raise ParseError(f"the DAG is not the shape of a {q.qtype} query")
     q.validate()
     return q
 

@@ -26,6 +26,7 @@ import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,7 +96,7 @@ def topological_order(dag: QueryDag) -> list[int]:
     out: dict[int, list[int]] = defaultdict(list)
     for e in dag.edges:
         if e.src not in indeg or e.dst not in indeg:
-            raise ValidationError(f"edge {e} references an undeclared node")
+            raise ValidationError(f"edge {e.src}->{e.dst} references an undeclared node")
         indeg[e.dst] += 1
         out[e.src].append(e.dst)
     ready = deque(sorted(n for n, d in indeg.items() if d == 0))
@@ -140,6 +141,74 @@ def validate_dag(dag: QueryDag) -> None:
             reachable.add(n)
     if set(kinds) - reachable:
         raise ValidationError("DAG has nodes unreachable from any anchor")
+
+
+def dag_shape(dag: QueryDag) -> tuple:
+    """The DAG with its anchor entities and relation ids left out: the anchor
+    node ids, each edge as (src, dst, inverse) in order, the operator nodes
+    with their kinds, and the answer node. Queries of one shape share a
+    ``Plan``."""
+    return (
+        tuple(n for n, _ in dag.anchors),
+        tuple((e.src, e.dst, e.inverse) for e in dag.edges),
+        tuple(dag.nodes),
+        dag.answer_node,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """One DAG shape, validated and compiled once.
+
+    ``steps`` holds each operator node in dependency order as (node, whether
+    it intersects, disjunct layout). The layout has one entry per disjunct
+    of the node: the (edge slot, source disjunct) pairs it is computed from,
+    where an edge slot indexes ``edges``. It is the layout
+    ``boxalg.execute_with_trace`` records: an intersection has one disjunct
+    per combination of its inputs' disjuncts, any other node one per input
+    disjunct. Plans compare and hash by identity: ``compile_plan`` returns
+    one object per cached shape.
+    """
+
+    anchors: tuple[int, ...]  # anchor node ids, in the DAG's anchor order
+    edges: tuple[tuple[int, int, bool], ...]  # (src, dst, inverse) per edge slot
+    steps: tuple[tuple[int, bool, tuple[tuple[tuple[int, int], ...], ...]], ...]
+    answer_node: int
+
+
+@lru_cache(maxsize=256)
+def compile_plan(shape: tuple) -> Plan:
+    """Validate a ``dag_shape`` and compile it; cached, so each shape is
+    validated and laid out once however many queries share it."""
+    anchor_nodes, edges, nodes, answer = shape
+    skeleton = QueryDag(
+        tuple((n, 0) for n in anchor_nodes),
+        tuple(Edge(s, t, 0, inverse) for s, t, inverse in edges),
+        nodes,
+        answer,
+    )
+    validate_dag(skeleton)
+    kinds = skeleton.node_kinds()
+    width = {n: 1 for n in anchor_nodes}  # disjuncts per node
+    steps = []
+    for n in topological_order(skeleton):
+        if n in width:
+            continue
+        slots = [i for i, (_, dst, _) in enumerate(edges) if dst == n]
+        ranges = [range(width[edges[i][0]]) for i in slots]
+        intersects = kinds[n] is NodeKind.INTERSECTION
+        if intersects:
+            layout = tuple(tuple(zip(slots, combo)) for combo in itertools.product(*ranges))
+        else:
+            layout = tuple(((i, j),) for i, js in zip(slots, ranges) for j in js)
+        width[n] = len(layout)
+        steps.append((n, intersects, layout))
+    return Plan(anchor_nodes, edges, tuple(steps), answer)
+
+
+def plan_of(dag: QueryDag) -> Plan:
+    """The compiled plan of a DAG's shape (validates the DAG)."""
+    return compile_plan(dag_shape(dag))
 
 
 def chain_dag(anchor: int, relations: list[tuple[int, bool]]) -> QueryDag:

@@ -576,6 +576,12 @@ def _random_example(
 GRAD_CHECK_SHAPES = ("1p", "2p", "2i", "2i_inverse", "2u")
 
 
+def grad_check_config(alpha: float = 0.02, norm: str = "l1") -> TrainConfig:
+    """The config ``grad_check`` runs under: the given distance settings, two
+    negatives and a small margin (see ``grad_check``)."""
+    return replace(TrainConfig(), k_negatives=2, alpha=alpha, gamma=2.0, norm=norm)
+
+
 def grad_check(
     params: ParamStore,
     n_trials: int,
@@ -583,22 +589,27 @@ def grad_check(
     cfg: TrainConfig | None = None,
     h: float = 1e-3,
 ) -> float:
-    """Compare analytic gradients against central finite differences.
+    """Compare analytic gradients against Richardson-extrapolated central
+    finite differences.
 
     Cycles through the five query shapes, perturbing every touched
-    coordinate by +/- h. Coordinates whose two probe points fall on
-    different branches (any hinge, argmin, or ReLU flip in between) are
-    skipped; the rest must agree. Returns the max relative error
+    coordinate by +/- h and +/- h/2. Coordinates where any of the four probe
+    points falls on another branch than the unperturbed point (any hinge,
+    argmin, or ReLU flip in between) are skipped; the rest must agree with
+    (4 D(h/2) - D(h)) / 3, whose truncation error is O(h^4) where a central
+    difference D leaves O(h^2), which the L2 norm's curvature makes visible
+    at h = 1e-3. Returns the max relative error
     |g_a - g_n| / max(1e-8, |g_a| + |g_n|).
 
-    The default check config uses a small margin: central differences of a
-    loss sitting at the scale of gamma carry cancellation noise of about
-    |loss| * eps / h, which at gamma = 24 already rivals the tolerance on
-    flat coordinates. The gradient expressions do not depend on gamma's
-    magnitude, so checking at a small margin loses nothing.
+    The default check config (``grad_check_config()``) uses a small margin:
+    central differences of a loss sitting at the scale of gamma carry
+    cancellation noise of about |loss| * eps / h, which at gamma = 24
+    already rivals the tolerance on flat coordinates. The gradient
+    expressions do not depend on gamma's magnitude, so checking at a small
+    margin loses nothing.
     """
     if cfg is None:
-        cfg = replace(TrainConfig(), k_negatives=2, alpha=0.02, gamma=2.0)
+        cfg = grad_check_config()
     rng = substream(seed, STREAM_QUERY_GEN)
     worst = 0.0
     for trial in range(n_trials):
@@ -607,21 +618,26 @@ def grad_check(
         grads = Grads(params)
         _, sig0 = _loss_and_grads(example, params, cfg, 1.0, grads, want_signature=True)
 
-        def probe(arr: np.ndarray, idx: tuple[int, ...]) -> tuple[float, bytes, float, bytes]:
+        def central(arr: np.ndarray, idx: tuple[int, ...], step: float) -> float | None:
+            """The central difference at ``step``, or None when a probe
+            leaves the unperturbed branch."""
             orig = arr[idx]
-            arr[idx] = orig + h
+            arr[idx] = orig + step
             up, sig_up = _loss_and_grads(example, params, cfg, 1.0, None, want_signature=True)
-            arr[idx] = orig - h
+            arr[idx] = orig - step
             dn, sig_dn = _loss_and_grads(example, params, cfg, 1.0, None, want_signature=True)
             arr[idx] = orig
-            return up, sig_up, dn, sig_dn
+            if sig_up != sig0 or sig_dn != sig0:
+                return None  # a probe crosses a hinge; derivative is not defined here
+            return (up - dn) / (2.0 * step)
 
         def check(arr: np.ndarray, idx: tuple[int, ...], analytic: float) -> None:
             nonlocal worst
-            up, sig_up, dn, sig_dn = probe(arr, idx)
-            if sig_up != sig_dn or sig_up != sig0:
-                return  # probes straddle a hinge; derivative is not defined here
-            numeric = (up - dn) / (2.0 * h)
+            coarse = central(arr, idx, h)
+            fine = None if coarse is None else central(arr, idx, h / 2)
+            if fine is None:
+                return
+            numeric = (4.0 * fine - coarse) / 3.0
             err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
             worst = max(worst, err)
 

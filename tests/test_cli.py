@@ -328,6 +328,19 @@ class TestGradcheckCommand:
         assert report["max_relative_error"] <= 1e-4
         assert "max relative error" in capsys.readouterr().out
 
+    def test_honours_train_norm_and_alpha(self, tmp_path):
+        errors = []
+        for name, train in (("default", ""), ("l2", "norm = l2\n"),
+                            ("l2-alpha", "norm = l2\nalpha = 0.5\n")):
+            ini = tmp_path / f"{name}.ini"
+            ini.write_text(f"[train]\n{train}")
+            out = tmp_path / name
+            assert cli.main(["gradcheck", "--trials", "10", "--config", str(ini),
+                             "--out", str(out)]) == 0
+            errors.append(json.loads((out / "gradcheck.json").read_text())["max_relative_error"])
+        assert len(set(errors)) == 3
+        assert max(errors) <= 1e-4
+
     def test_large_dim_rejected(self, tmp_path):
         code = cli.main(["gradcheck", "--gc-dim", "9", "--out", str(tmp_path / "o")])
         assert code == 2
@@ -466,6 +479,44 @@ class TestEvalCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "edited.jsonl:1:" in err and problem in err
+
+    @pytest.mark.parametrize("qtype, problem", [
+        ("4z", "unknown query type '4z'"),
+        ("3i", "the DAG is not the shape of a 3i query"),
+    ])
+    def test_relabelled_query_type_rejected(self, tmp_path, kg_dir, ckpt, capsys, qtype, problem):
+        qdir = tmp_path / "q"
+        assert cli.main([
+            "gen-queries", "--kg", kg_dir, "--types", "2i", "--count", "3",
+            "--split", "test", "--out", str(qdir),
+        ]) == 0
+        recs = [json.loads(l) for l in (qdir / "queries_2i.jsonl").read_text().splitlines()]
+        recs[1]["type"] = qtype
+        path = tmp_path / "relabelled.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        code = cli.main([
+            "eval", "--kg", kg_dir, "--checkpoint", ckpt, "--queries", str(path),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "relabelled.jsonl:2:" in err and problem in err
+
+    def test_every_generated_shape_loads_and_scores(self, tmp_path, kg_dir, ckpt):
+        qdir = tmp_path / "q"
+        assert cli.main([
+            "gen-queries", "--kg", kg_dir, "--count", "3", "--split", "test", "--out", str(qdir),
+        ]) == 0
+        kg = evalgen.load_kg(
+            f"{kg_dir}/train.tsv", f"{kg_dir}/valid.tsv", f"{kg_dir}/test.tsv"
+        )
+        for qtype in evalgen.EVAL_QUERY_TYPES:
+            path = qdir / f"queries_{qtype}.jsonl"
+            assert all(q.qtype == qtype for q in evalgen.load_queries(str(path), kg))
+            assert cli.main([
+                "eval", "--kg", kg_dir, "--checkpoint", ckpt, "--queries", str(path),
+                "--out", str(tmp_path / qtype),
+            ]) == 0
 
     @pytest.mark.parametrize("change, problem", [
         (lambda ids: ids[::-1], "entity row 0 holds 'c05_04' where the KG has 'c00_00'"),

@@ -3,8 +3,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from srbox.corpus import chunk_sequences, load_corpus
+from srbox.corpus import (
+    Corpus,
+    Document,
+    Mention,
+    Sequence,
+    Triplet,
+    chunk_sequences,
+    load_corpus,
+)
 from srbox.errors import ParseError, ValidationError
 
 
@@ -288,3 +298,82 @@ class TestChunkSequences:
         seqs = chunk_sequences(load_corpus(path), 5)
         lengths = [len(s) for s in seqs]
         assert lengths == [5, 5, 3]
+
+
+# ---------------------------------------------------------------------------
+# one-pass chunking against the loop it replaced
+
+
+def _ref_chunk_sequences(corpus, seq_len):
+    """The scan of every document for every window that ``chunk_sequences``
+    replaced, kept verbatim as its reference."""
+    offsets = corpus.doc_offsets()
+    total = corpus.n_tokens
+    sequences: list[Sequence] = []
+    for seq_id, w_start in enumerate(range(0, total, seq_len)):
+        w_stop = min(w_start + seq_len, total)
+        doc_ids = []
+        window_entities: set[int] = set()
+        for d, doc in enumerate(corpus.documents):
+            d_start, d_stop = offsets[d], offsets[d] + len(doc.tokens)
+            if d_start >= w_stop or d_stop <= w_start:
+                continue
+            doc_ids.append(d)
+            for m in doc.mentions:
+                if d_start + m.start >= w_start and d_start + m.end < w_stop:
+                    window_entities.add(m.entity)
+        by_key: dict[tuple[int, int, int], Triplet] = {}
+        for d in doc_ids:
+            for t in corpus.documents[d].triplets:
+                if t.head in window_entities and t.tail in window_entities:
+                    by_key.setdefault(t.key(), t)
+        triplets = tuple(by_key[k] for k in sorted(by_key))
+        sequences.append(
+            Sequence(
+                seq_id=seq_id,
+                start=w_start,
+                stop=w_stop,
+                doc_ids=tuple(doc_ids),
+                triplets=triplets,
+                entities=tuple(sorted(window_entities)),
+            )
+        )
+    return sequences
+
+
+@st.composite
+def corpora(draw):
+    """Documents of 0-9 tokens (empty ones included) with random mentions of
+    five entities and random triplets among them."""
+    documents = []
+    for i in range(draw(st.integers(0, 12))):
+        n_tok = draw(st.integers(0, 9))
+        mentions = []
+        if n_tok:
+            for _ in range(draw(st.integers(0, 4))):
+                start = draw(st.integers(0, n_tok - 1))
+                end = draw(st.integers(start, n_tok - 1))
+                mentions.append(Mention(draw(st.integers(0, 4)), start, end))
+        triplets = [
+            Triplet(h, r, t, i)
+            for h, r, t in draw(st.lists(
+                st.tuples(st.integers(0, 4), st.integers(0, 1), st.integers(0, 4)), max_size=4,
+            ))
+            if h != t
+        ]
+        documents.append(
+            Document(f"d{i}", ("w",) * n_tok, tuple(mentions), tuple(triplets))
+        )
+    entity_ids = [f"e{i}" for i in range(5)]
+    relation_ids = ["r0", "r1"]
+    return Corpus(
+        documents, entity_ids, relation_ids,
+        {e: i for i, e in enumerate(entity_ids)}, {r: i for i, r in enumerate(relation_ids)},
+    )
+
+
+class TestChunkingMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(corpora(), st.integers(1, 12))
+    def test_same_sequences_as_the_scan(self, corpus, seq_len):
+        assert chunk_sequences(corpus, seq_len) == _ref_chunk_sequences(corpus, seq_len)
