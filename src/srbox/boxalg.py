@@ -28,20 +28,19 @@ with ``_with_cache`` record exactly what the backward needs, plus the branch
 indicators (ReLU masks, hinge sides, argmins) that let a gradient checker
 recognize when a finite-difference probe crosses a non-smooth point.
 
-Query DAGs are executed by topological evaluation into disjuncts: each node
-holds one or more boxes, and scoring takes the minimum distance over the
+Query DAGs run as one walk over their shape's compiled ``Plan``, for one
+query or for a stacked batch of queries of one shape: each node holds one
+or more disjunct boxes, and scoring takes the minimum distance over the
 answer node's. An anchor has one disjunct. A projection or union node has
 one disjunct per disjunct of its inputs, each projected along its edge; an
 intersection node has one per combination of its inputs' disjuncts (the
-cartesian product), so union-free DAGs yield exactly one box. Every
-disjunct records the (incoming edge, source disjunct) pairs it was computed
-from and, at an intersection, its cache; the backward pass walks those
-records in reverse and needs no other knowledge of the node's kind.
+cartesian product), so union-free DAGs yield exactly one box. Training keeps
+each intersection's cache, and the backward pass walks the plan's disjunct
+layouts in reverse; evaluation drops the caches.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 from functools import partialmethod
@@ -50,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from srbox.errors import ValidationError
-from srbox.structures import Edge, NodeKind, Plan, QueryDag, plan_of, topological_order
+from srbox.structures import Plan, QueryDag, plan_of
 
 
 @dataclass(frozen=True)
@@ -498,84 +497,73 @@ def min_distance_with_cache(
 # query execution
 
 
-class _Disjunct(NamedTuple):
-    """One executed disjunct of a query node: its box, the (incoming edge,
-    source disjunct) pairs it was computed from, and its intersection cache
-    (None unless the node intersects). An anchor's one disjunct has no
-    inputs and carries its entity."""
-
-    box: Box
-    inputs: tuple[tuple[Edge, int], ...]
-    cache: IntersectCache | None
-    entity: int | None
-
-
 @dataclass
 class ExecutionTrace:
-    dag: QueryDag
-    order: list[int]
-    nodes: dict[int, list[_Disjunct]]
+    """One query's forward pass: its plan, its anchor entity ids (one per
+    anchor slot) and relation ids (one per edge slot), every node's disjunct
+    boxes, and each intersecting node's per-disjunct caches."""
+
+    plan: Plan
+    anchors: tuple[int, ...]
+    relations: tuple[int, ...]
+    nodes: dict[int, list[Box]]
+    caches: dict[int, list[IntersectCache]]
 
     def answer_boxes(self) -> list[Box]:
-        return [d.box for d in self.nodes[self.dag.answer_node]]
+        return list(self.nodes[self.plan.answer_node])
 
     def signature(self) -> bytes:
         return b"".join(
-            d.cache.signature()
-            for n in self.order
-            for d in self.nodes[n]
-            if d.cache is not None
+            c.signature() for n, _, _ in self.plan.steps for c in self.caches.get(n, ())
         )
 
 
+def _walk(plan: Plan, anchors, relations, params, caches: dict | None = None):
+    """Every node's disjunct boxes for ``plan`` run on one id per anchor and
+    edge slot: ints for one query, giving (d,) boxes, or (B,) arrays for B
+    queries, giving stacked (B, d) boxes. Inverse edges use the inverse
+    relation rows. Intersection caches go to ``caches`` if it is given, else
+    each is dropped at once."""
+    for ids, bound, what in (
+        (anchors, params.entity_centers.shape[0], "anchor entity"),
+        (relations, len(params.relation_ids), "relation"),
+    ):
+        ids = np.asarray(ids).T  # query-major, so the first bad id is the first query's
+        bad = ids[(ids < 0) | (ids >= bound)]
+        if bad.size:
+            raise ValidationError(f"{what} id {bad[0]} out of range")
+    nodes: dict[int, list[Box]] = {}
+    for n, ent in zip(plan.anchors, anchors):
+        centers = params.entity_centers[ent]
+        nodes[n] = [Box(centers, np.zeros_like(centers))]
+    for n, intersects, layout in plan.steps:
+        projected: dict[tuple[int, int], Box] = {}  # (edge slot, source disjunct)
+        for inputs in layout:
+            for slot, j in inputs:
+                if (slot, j) not in projected:
+                    src, _, inverse = plan.edges[slot]
+                    rel = params.relation_params(relations[slot], inverse)
+                    projected[slot, j] = project(nodes[src][j], rel)
+        nodes[n] = boxes = []
+        for inputs in layout:
+            if not intersects:
+                boxes.append(projected[inputs[0]])
+                continue
+            box, cache = intersect_with_cache([projected[i] for i in inputs], params.net)
+            boxes.append(box)
+            if caches is not None:
+                caches.setdefault(n, []).append(cache)
+    return nodes
+
+
 def execute_with_trace(dag: QueryDag, params) -> ExecutionTrace:
-    """Topologically evaluate the DAG; returns the trace holding all node boxes.
-
-    Anchors become zero-offset boxes; each edge applies its relation's
-    projection to one disjunct of its source (inverse edges use the inverse
-    parameter rows). An intersection node has one disjunct per combination
-    of its inputs' disjuncts and intersects that combination; a projection
-    or union node has one disjunct per input disjunct and passes it on.
-    """
-    order = topological_order(dag)
-    anchor_ent = dag.anchor_entities()
-    kinds = dag.node_kinds()
-    incoming = dag.incoming()
-    n_entities = params.entity_centers.shape[0]
-    n_relations = len(params.relation_ids)
-
-    nodes: dict[int, list[_Disjunct]] = {}
-    for n in order:
-        if n in anchor_ent:
-            ent = anchor_ent[n]
-            if not 0 <= ent < n_entities:
-                raise ValidationError(f"anchor entity id {ent} out of range")
-            nodes[n] = [_Disjunct(entity_box(params.entity_centers[ent]), (), None, ent)]
-            continue
-        edges = incoming.get(n, ())
-        if not edges:
-            raise ValidationError(f"non-anchor node {n} has no incoming edges")
-        kind = kinds[n]
-        if kind is NodeKind.PROJECTION and len(edges) != 1:
-            raise ValidationError(f"projection node {n} has {len(edges)} incoming edges")
-        projected = []  # per edge, every disjunct of its source projected along it
-        for e in edges:
-            if not 0 <= e.relation < n_relations:
-                raise ValidationError(f"relation id {e.relation} out of range")
-            rel = params.relation_params(e.relation, e.inverse)
-            projected.append([project(d.box, rel) for d in nodes[e.src]])
-        nodes[n] = disjuncts = []
-        if kind is NodeKind.INTERSECTION:
-            for combo in itertools.product(*(range(len(p)) for p in projected)):
-                box, cache = intersect_with_cache(
-                    [p[j] for p, j in zip(projected, combo)], params.net
-                )
-                disjuncts.append(_Disjunct(box, tuple(zip(edges, combo)), cache, None))
-        else:
-            for e, p in zip(edges, projected):
-                for j, box in enumerate(p):
-                    disjuncts.append(_Disjunct(box, ((e, j),), None, None))
-    return ExecutionTrace(dag, order, nodes)
+    """Run one query's plan, keeping what ``backward_through_dag`` needs."""
+    plan = plan_of(dag)
+    anchors = tuple(e for _, e in dag.anchors)
+    relations = tuple(e.relation for e in dag.edges)
+    caches: dict[int, list[IntersectCache]] = {}
+    nodes = _walk(plan, anchors, relations, params, caches)
+    return ExecutionTrace(plan, anchors, relations, nodes, caches)
 
 
 def execute_batch(plan: Plan, dags: list[QueryDag], params) -> list[Box]:
@@ -588,36 +576,7 @@ def execute_batch(plan: Plan, dags: list[QueryDag], params) -> list[Box]:
     """
     anchor_ids = np.array([[e for _, e in dag.anchors] for dag in dags], dtype=np.intp)
     relation_ids = np.array([[e.relation for e in dag.edges] for dag in dags], dtype=np.intp)
-    n_entities = params.entity_centers.shape[0]
-    n_relations = len(params.relation_ids)
-    for ids, bound, what in (
-        (anchor_ids, n_entities, "anchor entity"), (relation_ids, n_relations, "relation"),
-    ):
-        bad = ids[(ids < 0) | (ids >= bound)]
-        if bad.size:
-            raise ValidationError(f"{what} id {bad[0]} out of range")
-    nodes: dict[int, list[Box]] = {}
-    for slot, n in enumerate(plan.anchors):
-        centers = params.entity_centers[anchor_ids[:, slot]]
-        nodes[n] = [Box(centers, np.zeros_like(centers))]
-    for n, intersects, layout in plan.steps:
-        projected: dict[tuple[int, int], Box] = {}  # (edge slot, source disjunct)
-        for inputs in layout:
-            for slot, j in inputs:
-                if (slot, j) not in projected:
-                    src, _, inverse = plan.edges[slot]
-                    rel = relation_ids[:, slot]
-                    rows = (
-                        params.relation_centers[params.center_row(rel, inverse)],
-                        params.relation_offsets[params.offset_row(rel, inverse)],
-                    )
-                    projected[slot, j] = project(nodes[src][j], rows)
-        nodes[n] = [
-            intersect_with_cache([projected[i] for i in inputs], params.net)[0] if intersects
-            else projected[inputs[0]]
-            for inputs in layout
-        ]
-    return nodes[plan.answer_node]
+    return _walk(plan, anchor_ids.T, relation_ids.T, params)[plan.answer_node]
 
 
 def execute_query(dag: QueryDag, params) -> list[Box]:
@@ -634,44 +593,45 @@ def backward_through_dag(trace: ExecutionTrace, seed_grads, grads) -> None:
     may be None for disjuncts that received no gradient (e.g. non-minimal
     union branches). ``grads`` is a Grads accumulator.
 
-    Each disjunct, latest first, takes the gradient summed into it: an anchor
-    adds it to its entity row (its offset is a constant zero); an
-    intersection passes it through ``intersect_backward``, any other node
-    passes it on unchanged; each input's share then goes to its edge's
-    relation rows and to the source disjunct it was projected from.
+    The plan's steps run latest first, and each disjunct takes the gradient
+    summed into it: an intersection passes it through ``intersect_backward``,
+    any other node passes it on unchanged; each input's share then goes to
+    its edge's relation rows and to the source disjunct it was projected
+    from. The anchors come last, in the reversed topological order (latest
+    node id first), and add theirs to their entity rows.
     """
-    acc: dict[int, list] = {n: [None] * len(ds) for n, ds in trace.nodes.items()}
-    answer = trace.dag.answer_node
+    plan = trace.plan
+    acc: dict[int, list] = {n: [None] * len(boxes) for n, boxes in trace.nodes.items()}
     for j, seed in enumerate(seed_grads):
         if seed is not None:
-            acc[answer][j] = [
-                np.array(seed[0], dtype=np.float64),
-                np.array(seed[1], dtype=np.float64),
-            ]
+            acc[plan.answer_node][j] = [np.array(g, dtype=np.float64) for g in seed]
 
     params = grads.params
-    for n in reversed(trace.order):
-        for disjunct, slot in zip(trace.nodes[n], acc[n]):
+    for n, intersects, layout in reversed(plan.steps):
+        for j, (inputs, slot) in enumerate(zip(layout, acc[n])):
             if slot is None:
                 continue
-            if disjunct.entity is not None:
-                grads.add("entity", disjunct.entity, slot[0])
-                continue
             shares = (slot,)
-            if disjunct.cache is not None:
-                dcens, doffs, net_grads = intersect_backward(disjunct.cache, *slot)
+            if intersects:
+                dcens, doffs, net_grads = intersect_backward(trace.caches[n][j], *slot)
                 for name, g in net_grads.items():
                     grads.add("net", name, g)
                 shares = zip(dcens, doffs)
-            for (e, j), (dc, do) in zip(disjunct.inputs, shares):
-                grads.add("rel_center", params.center_row(e.relation, e.inverse), dc)
-                grads.add("rel_offset", params.offset_row(e.relation, e.inverse), do)
-                src = acc[e.src]
-                if src[j] is None:
-                    src[j] = [dc.copy(), do.copy()]
+            for (edge, src_j), (dc, do) in zip(inputs, shares):
+                src, _, inverse = plan.edges[edge]
+                rel = trace.relations[edge]
+                grads.add("rel_center", params.center_row(rel, inverse), dc)
+                grads.add("rel_offset", params.offset_row(rel, inverse), do)
+                target = acc[src]
+                if target[src_j] is None:
+                    target[src_j] = [dc.copy(), do.copy()]
                 else:
-                    src[j][0] += dc
-                    src[j][1] += do
+                    target[src_j][0] += dc
+                    target[src_j][1] += do
+    for n, ent in sorted(zip(plan.anchors, trace.anchors), reverse=True):
+        slot = acc[n][0]
+        if slot is not None:
+            grads.add("entity", ent, slot[0])
 
 
 GRAD_TABLES = ("entity", "rel_center", "rel_offset", "net")

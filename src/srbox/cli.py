@@ -3,8 +3,10 @@ gen-queries, eval.
 
 Configuration comes from an INI file (sections [run], [paths], [train],
 [eval], [gradcheck]) with every value overridable by a command-line flag.
-The resolved configuration is echoed to <out>/effective_config.ini, and the
-only timestamp any command emits lives in <out>/run_meta.json, so repeated
+The resolved configuration is echoed to <out>/effective_config.ini. The
+only timestamps any command emits live in <out>/run_meta.json, written
+when the command starts and rewritten when it returns with its finish
+time, duration, exit status and the srbox and numpy versions, so repeated
 runs with the same seed produce byte-identical primary outputs.
 
 Exit codes: 0 success, 1 usage error, 2 validation/config error, 3 runtime
@@ -21,7 +23,9 @@ import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
-from srbox import evalgen, params as params_mod, train as train_mod
+import numpy as np
+
+from srbox import __version__, evalgen, params as params_mod, train as train_mod
 from srbox.corpus import load_corpus, chunk_sequences
 from srbox.errors import ValidationError
 from srbox.rng import STREAM_QUERY_GEN, substream
@@ -155,7 +159,7 @@ def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _prepare_out(cfg: RunConfig, command: str, argv: list[str]) -> str:
+def _prepare_out(cfg: RunConfig) -> str:
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     echo = configparser.ConfigParser()
@@ -163,15 +167,13 @@ def _prepare_out(cfg: RunConfig, command: str, argv: list[str]) -> str:
         echo[section] = kv
     with open(os.path.join(out, "effective_config.ini"), "w", encoding="utf-8") as fh:
         echo.write(fh)
-    meta = {
-        "command": command,
-        "argv": argv,
-        "started": datetime.now(timezone.utc).isoformat(),
-    }
+    return out
+
+
+def _write_meta(out: str, meta: dict) -> None:
     with open(os.path.join(out, "run_meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
-    return out
 
 
 def _require(cfg: RunConfig, section: str, key: str, why: str) -> str:
@@ -515,16 +517,31 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = datetime.now(timezone.utc)
+    meta = {"command": args.command, "argv": argv, "started": started.isoformat()}
+    out = None
     try:
         cfg = apply_overrides(load_config(args.config), args)
-        out = _prepare_out(cfg, args.command, argv)
-        return COMMANDS[args.command](cfg, out)
+        out = _prepare_out(cfg)
+        _write_meta(out, meta)
+        status = COMMANDS[args.command](cfg, out)
     except ValidationError as exc:  # includes ParseError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        status = 2
     except Exception as exc:  # I/O and other runtime faults
         print(f"error: {exc}", file=sys.stderr)
+        status = 3
+    if out is None:
+        return status
+    finished = datetime.now(timezone.utc)
+    meta.update(finished=finished.isoformat(), duration_s=(finished - started).total_seconds())
+    meta.update(exit_status=status, srbox_version=__version__, numpy_version=np.__version__)
+    try:
+        _write_meta(out, meta)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
+    return status
 
 
 def entry() -> int:

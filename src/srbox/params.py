@@ -70,7 +70,8 @@ class ParamStore:
             return 0
         return self.center_row(rel, inverse)
 
-    def relation_params(self, rel: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    def relation_params(self, rel, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(center, offset) rows of a relation id, or of each of a (B,) array of ids."""
         return (
             self.relation_centers[self.center_row(rel, inverse)],
             self.relation_offsets[self.offset_row(rel, inverse)],

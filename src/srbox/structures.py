@@ -163,11 +163,11 @@ class Plan:
     ``steps`` holds each operator node in dependency order as (node, whether
     it intersects, disjunct layout). The layout has one entry per disjunct
     of the node: the (edge slot, source disjunct) pairs it is computed from,
-    where an edge slot indexes ``edges``. It is the layout
-    ``boxalg.execute_with_trace`` records: an intersection has one disjunct
-    per combination of its inputs' disjuncts, any other node one per input
-    disjunct. Plans compare and hash by identity: ``compile_plan`` returns
-    one object per cached shape.
+    where an edge slot indexes ``edges``. Every executor reads this layout
+    (``boxalg``'s forward walk, for one query or a batch, and its backward
+    pass): an intersection has one disjunct per combination of its inputs'
+    disjuncts, any other node one per input disjunct. Plans compare and
+    hash by identity: ``compile_plan`` returns one object per cached shape.
     """
 
     anchors: tuple[int, ...]  # anchor node ids, in the DAG's anchor order

@@ -303,16 +303,8 @@ class AdamState:
 
 
 def _adam_row(state: AdamState, key, grad, lr, cfg, bc1, bc2) -> np.ndarray:
-    m = state.m.get(key)
-    if m is None:
-        m = np.zeros_like(grad)
-        v = np.zeros_like(grad)
-    else:
-        v = state.v[key]
-    m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-    state.m[key] = m
-    state.v[key] = v
+    m = state.m[key] = cfg.beta1 * state.m.get(key, 0.0) + (1.0 - cfg.beta1) * grad
+    v = state.v[key] = cfg.beta2 * state.v.get(key, 0.0) + (1.0 - cfg.beta2) * grad * grad
     return lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
@@ -322,16 +314,35 @@ def adam_step(
     """Sparse Adam update on every touched row, then clamp offsets to >= 0.
 
     Rows are visited in sorted key order so accumulation is reproducible.
-    Bias correction uses the global step count.
+    Bias correction uses the global step count. Every update is computed,
+    with overflow and invalid operations trapped, before any parameter row
+    is written: a non-finite gradient or update raises ValidationError
+    naming its table and the step (this optimizer's count of updates, from
+    1).
     """
     state.step += 1
     bc1 = 1.0 - cfg.beta1 ** state.step
     bc2 = 1.0 - cfg.beta2 ** state.step
+    updates = {}
+    with np.errstate(over="raise", invalid="raise"):
+        for table, slots in grads.tables().items():
+            try:
+                rows = updates[table] = [
+                    (key, _adam_row(state, (table, key), slots[key], lr, cfg, bc1, bc2))
+                    for key in sorted(slots)
+                ]
+                # a NaN gradient passes through the arithmetic without a trap
+                finite = not rows or np.isfinite(np.concatenate([u for _, u in rows], None)).all()
+            except FloatingPointError:
+                finite = False
+            if not finite:
+                raise ValidationError(
+                    f"non-finite Adam update in table {table} at step {state.step}"
+                )
     targets = params.grad_targets()
-    for table, slots in grads.tables().items():
-        for key in sorted(slots):
-            row = targets[table][key]
-            row -= _adam_row(state, (table, key), slots[key], lr, cfg, bc1, bc2)
+    for table, rows in updates.items():
+        for key, update in rows:
+            targets[table][key] -= update
     np.maximum(params.relation_offsets, 0.0, out=params.relation_offsets)
 
 

@@ -402,15 +402,27 @@ class TestExecution:
             self.store.entity_centers[4] + self.store.relation_centers[2],
         )
 
-    def test_out_of_range_anchor_rejected(self):
+    @pytest.mark.parametrize("execute", [execute_query, execute_with_trace])
+    def test_out_of_range_anchor_rejected(self, execute):
         dag = chain_dag(99, [(0, False)])
-        with pytest.raises(ValidationError):
-            execute_query(dag, self.store)
+        with pytest.raises(ValidationError, match="anchor entity id 99"):
+            execute(dag, self.store)
 
-    def test_out_of_range_relation_rejected(self):
+    @pytest.mark.parametrize("execute", [execute_query, execute_with_trace])
+    def test_out_of_range_relation_rejected(self, execute):
         dag = chain_dag(0, [(5, False)])
-        with pytest.raises(ValidationError):
-            execute_query(dag, self.store)
+        with pytest.raises(ValidationError, match="relation id 5"):
+            execute(dag, self.store)
+
+    def test_trace_rejects_projection_with_two_edges(self):
+        dag = QueryDag(
+            anchors=((0, 0), (1, 1)),
+            edges=(Edge(0, 2, 0, False), Edge(1, 2, 1, False)),
+            nodes=((2, NodeKind.PROJECTION),),
+            answer_node=2,
+        )
+        with pytest.raises(ValidationError, match="projection node 2 has in-degree 2"):
+            execute_with_trace(dag, self.store)
 
     def test_trace_exposes_answer_boxes(self):
         dag = chain_dag(1, [(0, False)])

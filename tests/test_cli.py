@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import srbox
 from srbox import cli, evalgen
 from srbox import params as params_mod
 from srbox.train import TrainConfig
@@ -152,7 +153,16 @@ class TestConfigResolution:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["command"] == "mine"
         assert "--corpus" in meta["argv"]
-        assert "started" in meta
+        assert meta["started"] <= meta["finished"]
+        assert meta["duration_s"] >= 0.0
+        assert meta["exit_status"] == 0
+        assert meta["srbox_version"] == srbox.__version__
+        assert meta["numpy_version"] == np.__version__
+        failed = tmp_path / "failed"
+        assert cli.main(["mine", "--out", str(failed)]) == 2  # no corpus
+        meta = json.loads((failed / "run_meta.json").read_text())
+        assert meta["exit_status"] == 2
+        assert "finished" in meta
 
 
 class TestMine:

@@ -364,6 +364,18 @@ class TestAdam:
         delta = store.entity_centers[0] - before
         np.testing.assert_allclose(delta, [-0.01, 0.01], rtol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_update_raises_before_any_write(self, bad):
+        # 1e200 squares past the float range inside the second moment
+        store = init_random(2, 3, 1, seed=0)
+        before = store.copy()
+        grads = boxalg.Grads(store)
+        grads.add_entity(0, np.ones(2))
+        grads.add_rel_center(0, np.array([bad, 0.0]))
+        with pytest.raises(ValidationError, match="table rel_center at step 1"):
+            adam_step(store, grads, AdamState(), TrainConfig(), lr=0.1)
+        assert store.equals(before)
+
 
 class TestLrSchedule:
     def test_warmup_and_decay(self):
