@@ -484,6 +484,9 @@ def min_distance_with_cache(
     """
     if not boxes:
         raise ValidationError("query produced no boxes")
+    if len(boxes) == 1:
+        dist, cache = distance_with_cache(entities, boxes[0], alpha, norm)
+        return dist.d, np.zeros(len(dist.d), dtype=np.intp), cache
     per_box = [distance_with_cache(entities, b, alpha, norm) for b in boxes]
     all_d = np.stack([dist.d for dist, _ in per_box])  # (n_boxes, m)
     argmins = np.argmin(all_d, axis=0)

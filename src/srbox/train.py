@@ -11,11 +11,13 @@ query per draw: lambda1 * L_simple + lambda2 * L_complex.
 
 Gradients are hand-derived end to end (distance, min over disjuncts,
 intersection attention and DeepSets pooling, projection chains) and applied
-with a sparse Adam that keeps first/second-moment state only for rows that
-have ever been touched. Relation offsets are clamped to >= 0 after every
-step. A finite-difference checker validates the whole chain on small
-dimensions, skipping coordinates whose probe points straddle a hinge
-(different max/min/ReLU branches on the two sides).
+with a lazy Adam: first/second moments are dense tables shaped like the
+parameters, but a step updates only the rows its gradients touch, so a row's
+moments and parameters stay as they are in every step that does not reach
+it. Relation offsets are clamped to >= 0 after every step. A
+finite-difference checker validates the whole chain on small dimensions,
+skipping coordinates whose probe points straddle a hinge (different
+max/min/ReLU branches on the two sides).
 
 Two training sources are supported: text sequences (structures mined per
 sequence, negatives drawn from the same sequence or the global entity set,
@@ -189,18 +191,16 @@ def _sigmoid(x: float) -> float:
     return ex / (1.0 + ex)
 
 
-def _softplus(x: float) -> float:
-    """log(1 + exp(x)) without overflow; equals -log sigmoid(-x)."""
-    return float(np.logaddexp(0.0, x))
-
-
 def _margin_loss(d: np.ndarray, gamma: float) -> float:
     """-log sigmoid(gamma - D(a)) - (1/K) sum_k log sigmoid(D(a'_k) - gamma),
-    from D of the answer (row 0) and of its K negatives (the rest)."""
+    from D of the answer (row 0) and of its K negatives (the rest). Each
+    term is a softplus, log(1 + exp(x)) = -log sigmoid(-x), taken without
+    overflow as logaddexp(0, x)."""
     k = len(d) - 1
-    loss = _softplus(float(d[0]) - gamma)
-    for d_neg in d[1:]:
-        loss += _softplus(gamma - float(d_neg)) / k
+    terms = np.logaddexp(0.0, np.concatenate(([d[0] - gamma], gamma - d[1:])))
+    loss = float(terms[0])
+    for term in (terms[1:] / k).tolist():  # one by one, in row order, unlike sum()
+        loss += term
     return loss
 
 
@@ -260,16 +260,26 @@ def _loss_and_grads(
         coef = [weight * _sigmoid(float(d_min[0]) - cfg.gamma)]
         coef += [-weight * _sigmoid(cfg.gamma - float(d)) / k for d in d_min[1:]]
         de, dc, doff = boxalg.distance_backward(cache, coef)
+        slots = grads.entity  # de is this call's own array: its rows need no copy
         for ent, g in zip(ents, de):
-            grads.add("entity", ent, g)
-        # each disjunct's seed sums, in row order, the rows it is the argmin of
-        seeds: list[list[np.ndarray] | None] = [None] * len(boxes)
-        for i, j in enumerate(argmins):
-            if seeds[j] is None:
-                seeds[j] = [dc[i], doff[i]]
+            slot = slots.get(ent)
+            if slot is None:
+                slots[ent] = g
             else:
-                seeds[j][0] += dc[i]
-                seeds[j][1] += doff[i]
+                slot += g
+        # each disjunct's seed sums, in row order, the rows it is the argmin
+        # of; a running sum adds them one by one (sum(axis=0) pairs them up
+        # when d = 1)
+        if len(boxes) == 1:
+            seeds = [[np.add.accumulate(dc)[-1], np.add.accumulate(doff)[-1]]]
+        else:
+            seeds = [None] * len(boxes)
+            for i, j in enumerate(argmins):
+                if seeds[j] is None:
+                    seeds[j] = [dc[i], doff[i]]
+                else:
+                    seeds[j][0] += dc[i]
+                    seeds[j][1] += doff[i]
         boxalg.backward_through_dag(trace, seeds, grads)
 
     if not want_signature:
@@ -295,54 +305,74 @@ def backward(
 
 @dataclass
 class AdamState:
-    """Sparse first/second moments keyed by (Grads table, row or net field)."""
+    """Lazy Adam moments. ``m`` and ``v`` map each row table of ``Grads``
+    (entity, rel_center, rel_offset) to a dense array shaped like its
+    parameter array, and each intersection-net field name to an array
+    shaped like that field. An entry is made, zero, on the first step that
+    touches its table or field; a row never touched keeps zero moments."""
 
     step: int = 0
-    m: dict[tuple[str, int | str], np.ndarray] = field(default_factory=dict)
-    v: dict[tuple[str, int | str], np.ndarray] = field(default_factory=dict)
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _adam_row(state: AdamState, key, grad, lr, cfg, bc1, bc2) -> np.ndarray:
-    m = state.m[key] = cfg.beta1 * state.m.get(key, 0.0) + (1.0 - cfg.beta1) * grad
-    v = state.v[key] = cfg.beta2 * state.v.get(key, 0.0) + (1.0 - cfg.beta2) * grad * grad
-    return lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+def _adam_groups(params: ParamStore, table: str, slots: dict):
+    """(moment key, parameter array, index, stacked gradient) for one Grads
+    table: a row table is one group over its touched rows in sorted order,
+    the net one group per field."""
+    targets = params.grad_targets()[table]
+    if table == "net":
+        return [(name, targets[name], ..., slots[name]) for name in sorted(slots)]
+    rows = sorted(slots)
+    return [(table, targets, np.array(rows), np.stack([slots[r] for r in rows]))]
 
 
 def adam_step(
     params: ParamStore, grads: Grads, state: AdamState, cfg: TrainConfig, lr: float
 ) -> None:
-    """Sparse Adam update on every touched row, then clamp offsets to >= 0.
+    """Lazy Adam update on every touched row, then clamp offsets to >= 0.
 
-    Rows are visited in sorted key order so accumulation is reproducible.
-    Bias correction uses the global step count. Every update is computed,
-    with overflow and invalid operations trapped, before any parameter row
-    is written: a non-finite gradient or update raises ValidationError
-    naming its table and the step (this optimizer's count of updates, from
-    1).
+    Each table's touched rows are gathered in sorted key order, with their
+    moments, and updated as one array; rows no gradient touches keep their
+    parameters and moments. Bias correction uses the global step count.
+    Every update is computed, with overflow and invalid operations trapped,
+    before anything is written: a non-finite gradient or update raises
+    ValidationError naming its table and the step (this optimizer's count
+    of updates, from 1), leaving the parameters and ``state`` unchanged.
     """
-    state.step += 1
-    bc1 = 1.0 - cfg.beta1 ** state.step
-    bc2 = 1.0 - cfg.beta2 ** state.step
-    updates = {}
+    step = state.step + 1
+    bc1 = 1.0 - cfg.beta1 ** step
+    bc2 = 1.0 - cfg.beta2 ** step
+    pending = []
     with np.errstate(over="raise", invalid="raise"):
         for table, slots in grads.tables().items():
+            if not slots:
+                continue
+            groups = _adam_groups(params, table, slots)
             try:
-                rows = updates[table] = [
-                    (key, _adam_row(state, (table, key), slots[key], lr, cfg, bc1, bc2))
-                    for key in sorted(slots)
-                ]
+                moved = []
+                for key, _, index, grad in groups:
+                    seen = key in state.m
+                    m_old = state.m[key][index] if seen else 0.0
+                    v_old = state.v[key][index] if seen else 0.0
+                    m = cfg.beta1 * m_old + (1.0 - cfg.beta1) * grad
+                    v = cfg.beta2 * v_old + (1.0 - cfg.beta2) * grad * grad
+                    moved.append((m, v, lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)))
                 # a NaN gradient passes through the arithmetic without a trap
-                finite = not rows or np.isfinite(np.concatenate([u for _, u in rows], None)).all()
+                finite = all(np.isfinite(update).all() for _, _, update in moved)
             except FloatingPointError:
                 finite = False
             if not finite:
-                raise ValidationError(
-                    f"non-finite Adam update in table {table} at step {state.step}"
-                )
-    targets = params.grad_targets()
-    for table, rows in updates.items():
-        for key, update in rows:
-            targets[table][key] -= update
+                raise ValidationError(f"non-finite Adam update in table {table} at step {step}")
+            pending += zip(groups, moved)
+    for (key, target, index, _), (m, v, update) in pending:
+        if key not in state.m:
+            state.m[key] = np.zeros_like(target)
+            state.v[key] = np.zeros_like(target)
+        state.m[key][index] = m
+        state.v[key][index] = v
+        target[index] -= update
+    state.step = step
     np.maximum(params.relation_offsets, 0.0, out=params.relation_offsets)
 
 

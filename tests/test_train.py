@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from srbox import boxalg, evalgen, train
 from srbox.boxalg import Box, entity_box
 from srbox.corpus import load_corpus
 from srbox.evalgen import build_grid_kg, generate_queries
 from srbox.errors import ValidationError
-from srbox.params import init_random
+from srbox.params import OFFSET_MODES, init_random
 from srbox.rng import STREAM_NEGATIVES, STREAM_QUERY_GEN, substream
-from srbox.structures import chain_dag, intersection_dag
+from srbox.structures import NodeKind, chain_dag, intersection_dag, merge_dag
 from srbox.train import (
     AdamState,
     KgSource,
@@ -375,6 +376,256 @@ class TestAdam:
         with pytest.raises(ValidationError, match="table rel_center at step 1"):
             adam_step(store, grads, AdamState(), TrainConfig(), lr=0.1)
         assert store.equals(before)
+
+    def test_non_finite_update_leaves_state_unchanged(self):
+        store = init_random(2, 3, 1, seed=0)
+        state = AdamState()
+        first = boxalg.Grads(store)
+        first.add_entity(1, np.ones(2))
+        first.add_rel_center(0, np.ones(2))
+        adam_step(store, first, state, TrainConfig(), lr=0.1)
+        before = store.copy()
+        moments = {key: (state.m[key].copy(), state.v[key].copy()) for key in state.m}
+        grads = boxalg.Grads(store)
+        grads.add_entity(0, np.ones(2))  # a finite table ahead of the bad one
+        grads.add_rel_center(1, np.array([np.nan, 0.0]))
+        with pytest.raises(ValidationError, match="table rel_center at step 2"):
+            adam_step(store, grads, state, TrainConfig(), lr=0.1)
+        assert store.equals(before)
+        assert state.step == 1
+        assert list(state.m) == list(moments) and list(state.v) == list(moments)
+        for key, (m, v) in moments.items():
+            assert _same_bits(state.m[key], m) and _same_bits(state.v[key], v)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# The per-row optimizer and per-row loss code that adam_step, _margin_loss,
+# _loss_and_grads and min_distance_with_cache replaced, kept as oracles.
+
+
+class _RefAdamState:
+    def __init__(self):
+        self.step = 0
+        self.m = {}
+        self.v = {}
+
+
+def _ref_adam_row(state, key, grad, lr, cfg, bc1, bc2):
+    m = state.m[key] = cfg.beta1 * state.m.get(key, 0.0) + (1.0 - cfg.beta1) * grad
+    v = state.v[key] = cfg.beta2 * state.v.get(key, 0.0) + (1.0 - cfg.beta2) * grad * grad
+    return lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+
+
+def _ref_adam_step(params, grads, state, cfg, lr):
+    state.step += 1
+    bc1 = 1.0 - cfg.beta1 ** state.step
+    bc2 = 1.0 - cfg.beta2 ** state.step
+    updates = {
+        table: [(key, _ref_adam_row(state, (table, key), slots[key], lr, cfg, bc1, bc2))
+                for key in sorted(slots)]
+        for table, slots in grads.tables().items()
+    }
+    targets = params.grad_targets()
+    for table, rows in updates.items():
+        for key, update in rows:
+            targets[table][key] -= update
+    np.maximum(params.relation_offsets, 0.0, out=params.relation_offsets)
+
+
+def _ref_min_distance_with_cache(entities, boxes, alpha, norm):
+    per_box = [boxalg.distance_with_cache(entities, b, alpha, norm) for b in boxes]
+    all_d = np.stack([dist.d for dist, _ in per_box])
+    argmins = np.argmin(all_d, axis=0)
+    rows = np.arange(all_d.shape[1])
+    picked = [np.stack(part)[argmins, rows] for part in zip(*(c[:4] for _, c in per_box))]
+    return all_d[argmins, rows], argmins, boxalg.DistanceCache(*picked, alpha, norm)
+
+
+def _ref_margin_loss(d, gamma):
+    k = len(d) - 1
+    loss = float(np.logaddexp(0.0, float(d[0]) - gamma))
+    for d_neg in d[1:]:
+        loss += float(np.logaddexp(0.0, gamma - float(d_neg))) / k
+    return loss
+
+
+def _ref_loss_and_grads(example, params, cfg, weight, grads):
+    trace = boxalg.execute_with_trace(example.query, params)
+    boxes = trace.answer_boxes()
+    k = len(example.negatives)
+    ents = (example.answer, *example.negatives)
+    d_min, argmins, cache = _ref_min_distance_with_cache(
+        params.entity_centers[list(ents)], boxes, cfg.alpha, cfg.norm
+    )
+    loss = _ref_margin_loss(d_min, cfg.gamma) * weight
+    coef = [weight * train._sigmoid(float(d_min[0]) - cfg.gamma)]
+    coef += [-weight * train._sigmoid(cfg.gamma - float(d)) / k for d in d_min[1:]]
+    de, dc, doff = boxalg.distance_backward(cache, coef)
+    for ent, g in zip(ents, de):
+        grads.add("entity", ent, g)
+    seeds = [None] * len(boxes)
+    for i, j in enumerate(argmins):
+        if seeds[j] is None:
+            seeds[j] = [dc[i], doff[i]]
+        else:
+            seeds[j][0] += dc[i]
+            seeds[j][1] += doff[i]
+    boxalg.backward_through_dag(trace, seeds, grads)
+    signature = b"".join(
+        (trace.signature(), argmins.astype("<u4").tobytes(), cache.signature())
+    )
+    return loss, signature
+
+
+def _assert_same_grads(got, ref):
+    for table, slots in ref.tables().items():
+        mine = got.tables()[table]
+        assert list(mine) == list(slots), table
+        assert all(_same_bits(mine[key], g) for key, g in slots.items()), table
+
+
+@st.composite
+def adam_runs(draw):
+    """A random store and a few steps of random gradients, each touching a
+    random subset of the rows of every table and of the net's fields."""
+    dim = draw(st.integers(1, 4))
+    n_ent = draw(st.integers(1, 6))
+    n_rel = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(OFFSET_MODES))
+    store = init_random(dim, n_ent, n_rel, draw(st.integers(0, 2**16)), offset_mode=mode)
+    shapes = {table: arr.shape[1:] for table, arr in store.grad_targets().items() if table != "net"}
+    rows = {"entity": n_ent, "rel_center": 2 * n_rel, "rel_offset": len(store.relation_offsets)}
+    value = st.floats(-4.0, 4.0, width=64) | st.sampled_from([0.0, -0.0, 1e-300])
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        step = []
+        for table, n in rows.items():
+            for key in draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)):
+                step.append((table, key, draw(hnp.arrays(np.float64, shapes[table], elements=value))))
+        for name in draw(st.lists(st.sampled_from(boxalg.NET_FIELDS), unique=True)):
+            shape = store.net.arrays()[name].shape
+            step.append(("net", name, draw(hnp.arrays(np.float64, shape, elements=value))))
+        steps.append((step, draw(st.floats(0.0, 1.0))))
+    return store, steps
+
+
+class TestLazyAdamMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(adam_runs())
+    def test_params_and_moments_match_bit_for_bit(self, case):
+        store, steps = case
+        ref_store = store.copy()
+        cfg = TrainConfig()
+        state, ref_state = AdamState(), _RefAdamState()
+        for step, lr in steps:
+            grads, ref_grads = boxalg.Grads(store), boxalg.Grads(ref_store)
+            for table, key, g in step:
+                grads.add(table, key, g)
+                ref_grads.add(table, key, g)
+            params_before = store.copy()
+            moments_before = {key: (state.m[key].copy(), state.v[key].copy()) for key in state.m}
+            adam_step(store, grads, state, cfg, lr)
+            _ref_adam_step(ref_store, ref_grads, ref_state, cfg, lr)
+            assert state.step == ref_state.step
+            for name, arr in store.arrays().items():
+                assert _same_bits(arr, ref_store.arrays()[name]), name
+            for (table, key), ref_m in ref_state.m.items():
+                name = key if table == "net" else table
+                index = ... if table == "net" else key
+                assert _same_bits(state.m[name][index], ref_m)
+                assert _same_bits(state.v[name][index], ref_state.v[(table, key)])
+            # a row no gradient of this step touches keeps its moments and its
+            # parameters (offsets start nonnegative, so the clamp leaves them)
+            touched = {(table, key) for table, key, _ in step}
+            targets, old_targets = store.grad_targets(), params_before.grad_targets()
+            for table in ("entity", "rel_center", "rel_offset"):
+                for row in range(len(targets[table])):
+                    if (table, row) in touched:
+                        continue
+                    assert _same_bits(targets[table][row], old_targets[table][row])
+                    if table in moments_before:
+                        m, v = moments_before[table]
+                        assert _same_bits(state.m[table][row], m[row])
+                        assert _same_bits(state.v[table][row], v[row])
+            for name in boxalg.NET_FIELDS:
+                if ("net", name) not in touched:
+                    assert _same_bits(targets["net"][name], old_targets["net"][name])
+                    if name in moments_before:
+                        assert _same_bits(state.m[name], moments_before[name][0])
+
+
+LOSS_SHAPES = ("1p", "2p", "3p", "2i", "3i", "2i_inverse", "2u", "up")
+
+
+@st.composite
+def loss_cases(draw):
+    """An example of one of the trainable or union shapes on a random store,
+    some with repeated negatives, an answer that is also an anchor, or every
+    center and offset collapsed onto zero (all hinges at once)."""
+    dim = draw(st.integers(1, 5))
+    n_ent = draw(st.integers(2, 16))
+    n_rel = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(OFFSET_MODES))
+    store = init_random(dim, n_ent, n_rel, draw(st.integers(0, 2**16)), offset_mode=mode)
+    if draw(st.booleans()) and draw(st.booleans()):
+        for arr in (store.entity_centers, store.relation_centers, store.relation_offsets):
+            arr[...] = 0.0
+    ent = st.integers(0, n_ent - 1)
+    hop = st.tuples(st.integers(0, n_rel - 1), st.booleans())
+    branch = lambda inverse: st.tuples(ent, st.integers(0, n_rel - 1), inverse)
+    shape = draw(st.sampled_from(LOSS_SHAPES))
+    if shape in ("1p", "2p", "3p"):
+        n = int(shape[0])
+        dag = chain_dag(draw(ent), draw(st.lists(hop, min_size=n, max_size=n)))
+    elif shape == "up":
+        dag = merge_dag(draw(st.lists(branch(st.booleans()), min_size=2, max_size=2)),
+                        NodeKind.UNION, [draw(hop)])
+    else:
+        n = int(shape[0])
+        kind = NodeKind.UNION if shape == "2u" else NodeKind.INTERSECTION
+        inverse = st.just(True) if shape == "2i_inverse" else st.booleans()
+        dag = merge_dag(draw(st.lists(branch(inverse), min_size=n, max_size=n)), kind)
+    anchors = [e for _, e in dag.anchors]
+    answer = draw(st.sampled_from(anchors) | ent)
+    others = [e for e in range(n_ent) if e != answer]
+    replace = draw(st.booleans())
+    if replace:
+        negatives = draw(st.lists(st.sampled_from(others), min_size=1, max_size=12))
+    else:
+        negatives = draw(st.lists(st.sampled_from(others), min_size=1, max_size=12, unique=True))
+    example = TrainExample(dag, answer, tuple(negatives), with_replacement=replace)
+    cfg = TrainConfig(norm=draw(st.sampled_from(("l1", "l2"))), k_negatives=len(negatives),
+                      gamma=draw(st.sampled_from((2.0, 24.0))))
+    return store, example, cfg, draw(st.sampled_from((1.0, 0.1, 2.5, 0.0)))
+
+
+class TestLossFastPathMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(loss_cases())
+    def test_loss_signature_and_grads_match_bit_for_bit(self, case):
+        store, example, cfg, weight = case
+        grads, ref_grads = boxalg.Grads(store), boxalg.Grads(store)
+        loss, sig = train._loss_and_grads(example, store, cfg, weight, grads, want_signature=True)
+        ref_loss, ref_sig = _ref_loss_and_grads(example, store, cfg, weight, ref_grads)
+        assert _same_bits(loss, ref_loss)
+        assert sig == ref_sig
+        _assert_same_grads(grads, ref_grads)
+
+    @settings(max_examples=200, deadline=None)
+    @given(loss_cases())
+    def test_min_distance_matches_bit_for_bit(self, case):
+        store, example, cfg, _ = case
+        boxes = boxalg.execute_with_trace(example.query, store).answer_boxes()
+        ents = store.entity_centers[[example.answer, *example.negatives]]
+        got = boxalg.min_distance_with_cache(ents, boxes, cfg.alpha, cfg.norm)
+        ref = _ref_min_distance_with_cache(ents, boxes, cfg.alpha, cfg.norm)
+        assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
+        assert got[2].alpha == ref[2].alpha and got[2].norm == ref[2].norm
+        assert all(_same_bits(a, b) for a, b in zip(got[2][:4], ref[2][:4]))
 
 
 class TestLrSchedule:
