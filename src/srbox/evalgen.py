@@ -28,8 +28,11 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -54,21 +57,22 @@ EVAL_QUERY_TYPES = TRAIN_QUERY_TYPES + ("ip", "pi", "2u", "up")
 SPLITS = ("train", "valid", "test")
 
 
-@dataclass
+@dataclass(eq=False)
 class KnowledgeGraph:
     """A dense-id graph with train, valid and test splits.
 
-    ``train_index`` and ``full_index`` are the ``EdgeIndex`` of the train
-    split and of all three splits, each built once, on first use. They are
-    not rebuilt when a split changes, so the splits must not be mutated once
-    an index exists.
+    ``rows`` holds each split as an ``(n, 3)`` int64 array of (head,
+    relation, tail) ids; ``train``, ``valid`` and ``test`` are the same
+    triplets as lists of tuples, made on first use. ``train_index`` and
+    ``full_index`` are the ``EdgeIndex`` of the train split and of all three
+    splits, each built from the arrays once, on first use. None of these is
+    rebuilt when ``rows`` changes, so the splits must not be mutated once the
+    graph exists.
     """
 
     entity_ids: list[str]
     relation_ids: list[str]
-    train: list[tuple[int, int, int]]
-    valid: list[tuple[int, int, int]]
-    test: list[tuple[int, int, int]]
+    rows: dict[str, np.ndarray]
     entity_index: dict[str, int] = field(default_factory=dict)
     relation_index: dict[str, int] = field(default_factory=dict)
 
@@ -77,6 +81,18 @@ class KnowledgeGraph:
             self.entity_index = {e: i for i, e in enumerate(self.entity_ids)}
         if not self.relation_index:
             self.relation_index = {r: i for i, r in enumerate(self.relation_ids)}
+
+    @cached_property
+    def train(self) -> list[tuple[int, int, int]]:
+        return _triplets(self.rows["train"])
+
+    @cached_property
+    def valid(self) -> list[tuple[int, int, int]]:
+        return _triplets(self.rows["valid"])
+
+    @cached_property
+    def test(self) -> list[tuple[int, int, int]]:
+        return _triplets(self.rows["test"])
 
     @property
     def n_entities(self) -> int:
@@ -96,60 +112,77 @@ class KnowledgeGraph:
 
     @cached_property
     def train_index(self) -> EdgeIndex:
-        return EdgeIndex(self.train)
+        return EdgeIndex(self.rows["train"])
 
     @cached_property
     def full_index(self) -> EdgeIndex:
-        return EdgeIndex(self.all_edges())
+        return EdgeIndex(np.concatenate([self.rows[split] for split in SPLITS]))
 
     def validate(self) -> None:
-        train_set = set(self.train)
-        for split in ("valid", "test"):
-            overlap = train_set & set(getattr(self, split))
-            if overlap:
-                raise ValidationError(
-                    f"{split} split shares {len(overlap)} triplet(s) with train"
-                )
-        n_e, n_r = self.n_entities, self.n_relations
+        """Every id in range, then no valid or test triplet also in train."""
+        sizes = (self.n_entities, self.n_relations, self.n_entities)
         for split in SPLITS:
-            for h, r, t in getattr(self, split):
-                if not (0 <= h < n_e and 0 <= t < n_e and 0 <= r < n_r):
-                    raise ValidationError(f"triplet ({h}, {r}, {t}) out of id range")
+            rows = self.rows[split]
+            bad = ((rows < 0) | (rows >= sizes)).any(axis=1)
+            if bad.any():
+                h, r, t = rows[bad.argmax()].tolist()
+                raise ValidationError(f"triplet ({h}, {r}, {t}) out of id range")
+        train = _distinct(_row_keys(self.rows["train"], sizes))
+        for split in ("valid", "test"):
+            keys = _distinct(_row_keys(self.rows[split], sizes))
+            shared = len(train) + len(keys) - len(_distinct(np.concatenate([train, keys])))
+            if shared:
+                raise ValidationError(f"{split} split shares {shared} triplet(s) with train")
+
+
+def _id_rows(triplets) -> np.ndarray:
+    """An ``(n, 3)`` int64 array of id triplets."""
+    return np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+
+
+def _triplets(rows: np.ndarray) -> list[tuple[int, int, int]]:
+    return list(zip(*rows.T.tolist()))
+
+
+def _read_fields(path: str) -> list[str]:
+    """The fields of a head<TAB>relation<TAB>tail file, three per non-blank
+    line, as one flat list."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    # the counts run in C; the Python loop runs only to name a bad line
+    tabs = list(map(str.count, lines, repeat("\t")))
+    if tabs.count(2) + lines.count("") != len(lines):
+        for lineno, (line, n) in enumerate(zip(lines, tabs), start=1):
+            if line and n != 2:
+                raise ParseError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {n + 1}"
+                )
+    kept = [line for line in lines if line]
+    return "\t".join(kept).split("\t") if kept else []
 
 
 def load_kg(train_path: str, valid_path: str, test_path: str) -> KnowledgeGraph:
-    """Read three head<TAB>relation<TAB>tail files into one dense-id graph."""
-    raw: dict[str, list[tuple[str, str, str]]] = {}
-    for split, path in (("train", train_path), ("valid", valid_path), ("test", test_path)):
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                    )
-                rows.append(tuple(parts))
-        raw[split] = rows
-    entities = sorted({h for rows in raw.values() for h, _, _ in rows}
-                      | {t for rows in raw.values() for _, _, t in rows})
-    relations = sorted({r for rows in raw.values() for _, r, _ in rows})
+    """Read three head<TAB>relation<TAB>tail files into one dense-id graph.
+
+    Ids follow the sorted names. A triplet repeated within a split is kept
+    once, at its first occurrence.
+    """
+    paths = (train_path, valid_path, test_path)
+    fields = {split: _read_fields(path) for split, path in zip(SPLITS, paths)}
+    entities = sorted(set().union(*(f[i::3] for f in fields.values() for i in (0, 2))))
+    relations = sorted(set().union(*(f[1::3] for f in fields.values())))
     e_idx = {e: i for i, e in enumerate(entities)}
     r_idx = {r: i for i, r in enumerate(relations)}
-    splits = {}
-    for split, rows in raw.items():
-        seen = set()
-        ids = []
-        for h, r, t in rows:
-            key = (e_idx[h], r_idx[r], e_idx[t])
-            if key not in seen:
-                seen.add(key)
-                ids.append(key)
-        splits[split] = ids
-    kg = KnowledgeGraph(entities, relations, splits["train"], splits["valid"], splits["test"])
+    rows = {}
+    for split, f in fields.items():
+        columns = [list(map(ids.__getitem__, f[i::3])) for i, ids in enumerate((e_idx, r_idx, e_idx))]
+        split_rows = np.array(columns, dtype=np.int64).T
+        keys = _row_keys(split_rows, (len(entities), len(relations), len(entities)))
+        if len(_distinct(keys)) < len(keys):
+            _, first = np.unique(keys, return_index=True)
+            split_rows = split_rows[np.sort(first)]
+        rows[split] = np.ascontiguousarray(split_rows)
+    kg = KnowledgeGraph(entities, relations, rows)
     kg.validate()
     return kg
 
@@ -171,52 +204,147 @@ def save_kg(kg: KnowledgeGraph, out_dir: str) -> dict[str, str]:
 # edge index and the set-semantics oracle
 
 
-def _grouped(pairs) -> dict:
-    """key -> sorted tuple of the distinct values paired with it."""
-    groups: dict = {}
-    for key, value in pairs:
-        groups.setdefault(key, set()).add(value)
-    return {k: tuple(sorted(v)) for k, v in groups.items()}
+def _row_keys(rows: np.ndarray, sizes: tuple[int, int, int]) -> np.ndarray:
+    """Each ``(c0, c1, c2)`` row, with ``0 <= c_i < sizes[i]``, as one int64
+    that sorts as the row does."""
+    if sizes[0] * sizes[1] * sizes[2] > 2**63:
+        raise ValidationError(f"ids too large to index: {sizes}")
+    return (rows[:, 0] * sizes[1] + rows[:, 1]) * sizes[2] + rows[:, 2]
+
+
+def _key_columns(keys: np.ndarray, sizes: tuple[int, int, int]) -> np.ndarray:
+    """The rows of ``_row_keys``' keys, as a ``(3, n)`` array of columns."""
+    rest, c2 = np.divmod(keys, sizes[2])
+    c0, c1 = np.divmod(rest, sizes[1])
+    return np.stack([c0, c1, c2])
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _last_column(c1, c2, lo: int, hi: int) -> tuple:
+    return tuple(c2[lo:hi])
+
+
+def _last_pairs(c1, c2, lo: int, hi: int) -> tuple:
+    return tuple(zip(c1[lo:hi], c2[lo:hi]))
+
+
+def _last_pairs_reversed(c1, c2, lo: int, hi: int) -> tuple:
+    return tuple(sorted(zip(c2[lo:hi], c1[lo:hi])))
+
+
+class _Groups(Mapping):
+    """One read-only map of an ``EdgeIndex``: a key (the first column, or the
+    first two, of distinct edges sorted by their columns) to the sorted
+    tuple of what its rows hold after the key. A group is cut from the
+    columns by binary search on its first lookup and kept, and an absent
+    key is kept as an empty group. The search reads the columns through
+    memoryviews, whose items are Python ints."""
+
+    def __init__(self, columns: np.ndarray, width: int, group: Callable) -> None:
+        self._columns = columns
+        self._views = tuple(map(memoryview, columns))
+        self._width = width
+        self._group = group
+        self._built: dict = {}
+
+    def get(self, key, default=None):
+        found = self._built.get(key)
+        if found is None:
+            found = self._build(key)
+        return found or default
+
+    def image(self, firsts, second: int) -> set:
+        """The union of the groups of the keys ``(e, second)``, e in
+        ``firsts``, of a two-column map; an absent key adds nothing."""
+        out: set = set()
+        built = self._built
+        for e in firsts:
+            found = built.get((e, second))
+            out.update(self._build((e, second)) if found is None else found)
+        return out
+
+    def _build(self, key) -> tuple:
+        c0, c1, c2 = self._views
+        if self._width == 1:
+            lo = bisect_left(c0, key)
+            hi = bisect_right(c0, key, lo)
+        else:
+            a, b = key
+            lo = bisect_left(c0, a)
+            hi = bisect_right(c0, a, lo)
+            lo = bisect_left(c1, b, lo, hi)
+            hi = bisect_right(c1, b, lo, hi)
+        found = self._built[key] = self._group(c1, c2, lo, hi)
+        return found
+
+    def __getitem__(self, key):
+        found = self.get(key)
+        if found is None:
+            raise KeyError(key)
+        return found
+
+    def __contains__(self, key) -> bool:
+        return self.get(key) is not None
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        keys = self._columns[: self._width]
+        change = np.ones(keys.shape[1], dtype=bool)
+        change[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        return np.flatnonzero(change)
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __iter__(self):
+        keys = self._columns[: self._width, self._starts].tolist()
+        return iter(keys[0]) if self._width == 1 else zip(*keys)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Groups) and (other._width, other._group) == (self._width, self._group):
+            return np.array_equal(self._columns, other._columns)
+        return super().__eq__(other)
 
 
 class EdgeIndex:
-    """Adjacency maps for fast forward/inverse traversal, all sorted.
+    """Adjacency maps for fast forward/inverse traversal, all sorted:
+    ``fwd`` (head, relation) -> tails, ``rev`` (tail, relation) -> heads,
+    ``out_adj`` head -> (relation, tail) pairs and ``in_adj`` tail ->
+    (head, relation) pairs.
 
-    Each map is built from the edges on first use, so a caller that needs
-    only ``fwd`` (the (head, relation) -> tails answer sets) pays for it
-    alone.
+    The distinct edges are held as int arrays, sorted twice: by (head,
+    relation, tail) for ``fwd`` and ``out_adj``, and by (tail, relation,
+    head) for ``rev`` and ``in_adj``. Each map is a view that builds a key's
+    group on its first lookup, so set-up costs the two sorts, not a pass over
+    every edge per map, and only the groups looked up are ever built. Ids
+    must be >= 0.
     """
 
     def __init__(self, edges) -> None:
-        self.edges = list(edges)
-
-    @cached_property
-    def fwd(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        return _grouped(((h, r), t) for h, r, t in self.edges)
-
-    @cached_property
-    def rev(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        return _grouped(((t, r), h) for h, r, t in self.edges)
-
-    @cached_property
-    def out_adj(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        return _grouped((h, (r, t)) for h, r, t in self.edges)
-
-    @cached_property
-    def in_adj(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        return _grouped((t, (h, r)) for h, r, t in self.edges)
+        rows = _id_rows(edges)
+        if len(rows) and rows.min() < 0:
+            raise ValidationError("an edge index needs ids >= 0")
+        n_e, n_r = (int(rows[:, ::2].max()) + 1, int(rows[:, 1].max()) + 1) if len(rows) else (1, 1)
+        sizes = (n_e, n_r, n_e)
+        heads = _key_columns(_distinct(_row_keys(rows, sizes)), sizes)
+        tails = _key_columns(np.sort(_row_keys(heads[::-1].T, sizes)), sizes)
+        self.fwd = _Groups(heads, 2, _last_column)
+        self.out_adj = _Groups(heads, 1, _last_pairs)
+        self.rev = _Groups(tails, 2, _last_column)
+        self.in_adj = _Groups(tails, 1, _last_pairs_reversed)
 
     def map_forward(self, sources: set[int], rel: int) -> set[int]:
-        out: set[int] = set()
-        for e in sources:
-            out.update(self.fwd.get((e, rel), ()))
-        return out
+        return self.fwd.image(sources, rel)
 
     def map_inverse(self, sources: set[int], rel: int) -> set[int]:
-        out: set[int] = set()
-        for e in sources:
-            out.update(self.rev.get((e, rel), ()))
-        return out
+        return self.rev.image(sources, rel)
 
     def answers(self, dag: QueryDag) -> set[int]:
         """Answer set of a valid query DAG over this index's edges, by set
@@ -234,10 +362,7 @@ class EdgeIndex:
         pulled = []
         for e in incoming[n]:
             src = self._answers_at(e.src, anchors, kinds, incoming)
-            pulled.append(
-                self.map_inverse(src, e.relation) if e.inverse
-                else self.map_forward(src, e.relation)
-            )
+            pulled.append((self.rev if e.inverse else self.fwd).image(src, e.relation))
         if kinds[n] is NodeKind.PROJECTION:
             return pulled[0]
         if kinds[n] is NodeKind.INTERSECTION:
@@ -246,9 +371,10 @@ class EdgeIndex:
 
 
 def brute_force_answers(dag: QueryDag, edges) -> set[int]:
-    """Exact answer set of a query DAG over an edge collection, by plain set
-    semantics (anchor singletons, relational image per edge, set
-    intersection/union at operator nodes)."""
+    """Exact answer set of a query DAG over an ``EdgeIndex``, a list of id
+    triplets or an ``(n, 3)`` id array, by plain set semantics (anchor
+    singletons, relational image per edge, set intersection/union at
+    operator nodes)."""
     validate_dag(dag)
     index = edges if isinstance(edges, EdgeIndex) else EdgeIndex(edges)
     return index.answers(dag)
@@ -741,12 +867,7 @@ def build_grid_kg(
     n_valid = int(fractions[1] * len(edges))
     n_test = int(fractions[2] * len(edges))
     n_train = len(edges) - n_valid - n_test
-    kg = KnowledgeGraph(
-        entity_ids,
-        relation_ids,
-        shuffled[:n_train],
-        shuffled[n_train : n_train + n_valid],
-        shuffled[n_train + n_valid :],
-    )
+    parts = (shuffled[:n_train], shuffled[n_train : n_train + n_valid], shuffled[n_train + n_valid :])
+    kg = KnowledgeGraph(entity_ids, relation_ids, dict(zip(SPLITS, map(_id_rows, parts))))
     kg.validate()
     return kg

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -316,25 +316,32 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _adam_groups(params: ParamStore, table: str, slots: dict):
-    """(moment key, parameter array, index, stacked gradient) for one Grads
-    table: a row table is one group over its touched rows in sorted order,
-    the net one group per field."""
+def _adam_groups(params: ParamStore, table: str, slots: dict, scale: float):
+    """(moment key, parameter array, index, stacked gradient times ``scale``)
+    for one Grads table: a row table is one group over its touched rows in
+    sorted order, the net one group per field."""
     targets = params.grad_targets()[table]
     if table == "net":
-        return [(name, targets[name], ..., slots[name]) for name in sorted(slots)]
+        return [(name, targets[name], ..., slots[name] * scale) for name in sorted(slots)]
     rows = sorted(slots)
-    return [(table, targets, np.array(rows), np.stack([slots[r] for r in rows]))]
+    return [(table, targets, np.array(rows), np.stack([slots[r] for r in rows]) * scale)]
 
 
 def adam_step(
-    params: ParamStore, grads: Grads, state: AdamState, cfg: TrainConfig, lr: float
+    params: ParamStore,
+    grads: Grads,
+    state: AdamState,
+    cfg: TrainConfig,
+    lr: float,
+    scale: float = 1.0,
 ) -> None:
     """Lazy Adam update on every touched row, then clamp offsets to >= 0.
 
     Each table's touched rows are gathered in sorted key order, with their
     moments, and updated as one array; rows no gradient touches keep their
-    parameters and moments. Bias correction uses the global step count.
+    parameters and moments. The gradients are multiplied by ``scale`` first,
+    the same product ``grads.scale(scale)`` gives, without touching
+    ``grads``. Bias correction uses the global step count.
     Every update is computed, with overflow and invalid operations trapped,
     before anything is written: a non-finite gradient or update raises
     ValidationError naming its table and the step (this optimizer's count
@@ -348,8 +355,8 @@ def adam_step(
         for table, slots in grads.tables().items():
             if not slots:
                 continue
-            groups = _adam_groups(params, table, slots)
             try:
+                groups = _adam_groups(params, table, slots, scale)
                 moved = []
                 for key, _, index, grad in groups:
                     seen = key in state.m
@@ -407,17 +414,19 @@ class KgSource:
     ``complex_queries`` are pre-generated (dag, train-answer tuple) pairs of
     any mix of shapes; negatives are drawn by rejection from the global
     entity range, at O(K) cost per draw. ``answer_sets`` maps (head,
-    relation) to every known tail (an ``EdgeIndex``'s ``fwd`` map) and is
-    built from ``triplets`` when not given. All of a query's known answers,
-    its tails or a complex query's train answers, are excluded from its
-    negatives, not just the sampled one; otherwise co-answers of
-    multi-answer queries get pushed away as false negatives.
+    relation) to every known tail, sorted; it is an ``EdgeIndex``'s ``fwd``
+    view, which cuts a key's tails from the sorted edges on first lookup,
+    built from ``triplets`` when not given, or any mapping of the same
+    content. All of a query's known answers, its tails or a complex query's
+    train answers, are excluded from its negatives, not just the sampled
+    one; otherwise co-answers of multi-answer queries get pushed away as
+    false negatives.
     """
 
     triplets: list[tuple[int, int, int]]
     complex_queries: list[tuple[QueryDag, tuple[int, ...]]]
     n_entities: int
-    answer_sets: dict[tuple[int, int], tuple[int, ...]] | None = None
+    answer_sets: Mapping[tuple[int, int], tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
         if self.answer_sets is None:
@@ -426,8 +435,8 @@ class KgSource:
     @staticmethod
     def build_answer_sets(
         triplets: list[tuple[int, int, int]],
-    ) -> dict[tuple[int, int], tuple[int, ...]]:
-        """(head, relation) -> sorted tails, the forward map of an ``EdgeIndex``."""
+    ) -> Mapping[tuple[int, int], tuple[int, ...]]:
+        """(head, relation) -> sorted tails, the ``fwd`` view of an ``EdgeIndex``."""
         return evalgen.EdgeIndex(triplets).fwd
 
 
@@ -440,7 +449,7 @@ def _text_draw(state, rng: np.random.Generator):
     seq = seqs[idx]
     mined = cache.get(idx)
     if mined is None:
-        edges = ((t.head, t.relation, t.tail) for t in seq.triplets)
+        edges = [(t.head, t.relation, t.tail) for t in seq.triplets]
         mined = (*split_structures(mine_structures(seq.triplets)), evalgen.EdgeIndex(edges))
         cache[idx] = mined
     simples, complexes, window = mined
@@ -547,9 +556,8 @@ def train(
         loss = (loss_simple + loss_complex) / cfg.batch_size
         if not math.isfinite(loss):
             raise ValidationError(f"non-finite loss at step {step}")
-        grads.scale(1.0 / cfg.batch_size)
         lr = lr_at(cfg, step)
-        adam_step(params, grads, state, cfg, lr)
+        adam_step(params, grads, state, cfg, lr, scale=1.0 / cfg.batch_size)
         if step % cfg.trace_every == 0 or step == cfg.steps - 1:
             record = {
                 "step": step,

@@ -139,6 +139,79 @@ class TestLoadKg:
         assert sorted(back.test) == sorted(small_kg.test)
 
 
+class TestLoadKgFormat:
+    """The loader's file format, pinned: line endings, blank and malformed
+    lines, duplicates, split overlap and id order."""
+
+    ROWS = [("b", "r2", "a"), ("B", "r1", "c"), ("é", "r2", "b"), ("a", "r1", "B")]
+
+    def _load(self, folder, train_text, valid_text="", test_text=""):
+        folder.mkdir(exist_ok=True)
+        paths = []
+        for split, text in (("train", train_text), ("valid", valid_text), ("test", test_text)):
+            path = folder / f"{split}.tsv"
+            path.write_bytes(text.encode("utf-8"))
+            paths.append(str(path))
+        return load_kg(*paths)
+
+    @staticmethod
+    def _text(rows, newline="\n"):
+        return "".join(f"{h}\t{r}\t{t}{newline}" for h, r, t in rows)
+
+    @staticmethod
+    def _same(a, b):
+        assert a.entity_ids == b.entity_ids and a.relation_ids == b.relation_ids
+        assert (a.train, a.valid, a.test) == (b.train, b.valid, b.test)
+
+    def test_crlf_matches_lf(self, tmp_path):
+        lf = self._load(tmp_path / "lf", self._text(self.ROWS[:3]), self._text(self.ROWS[3:]))
+        crlf = self._load(
+            tmp_path / "crlf", self._text(self.ROWS[:3], "\r\n"), self._text(self.ROWS[3:], "\r\n")
+        )
+        self._same(lf, crlf)
+        assert crlf.entity_ids == ["B", "a", "b", "c", "é"]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        plain = self._load(tmp_path, self._text(self.ROWS))
+        lines = self._text(self.ROWS).splitlines(keepends=True)
+        gappy = self._load(tmp_path / "gaps", "\n" + lines[0] + "\n\n" + "".join(lines[1:]) + "\n")
+        self._same(plain, gappy)
+
+    def test_last_line_without_newline(self, tmp_path):
+        plain = self._load(tmp_path, self._text(self.ROWS))
+        self._same(plain, self._load(tmp_path / "open", self._text(self.ROWS).rstrip("\n")))
+
+    @pytest.mark.parametrize("bad, got", [("  ", 1), ("a\tr1", 2), ("a\tr1\tb\tc", 4), ("\t\t\t", 4)])
+    def test_malformed_line_names_path_and_line(self, tmp_path, bad, got):
+        text = self._text(self.ROWS[:1]) + "\n" + bad + "\n" + self._text(self.ROWS[1:])
+        with pytest.raises(ParseError, match=rf"train\.tsv:3: expected 3 tab-separated fields, got {got}"):
+            self._load(tmp_path, text)
+
+    def test_malformed_line_in_test_split(self, tmp_path):
+        with pytest.raises(ParseError, match=r"test\.tsv:2: .* got 2"):
+            self._load(tmp_path, self._text(self.ROWS[:2]), "", self._text(self.ROWS[2:3]) + "x\ty\n")
+
+    def test_duplicates_keep_first_occurrence_order(self, tmp_path):
+        rows = [self.ROWS[2], self.ROWS[0], self.ROWS[2], self.ROWS[1], self.ROWS[0]]
+        kg = self._load(tmp_path, self._text(rows))
+        names = [(kg.entity_ids[h], kg.relation_ids[r], kg.entity_ids[t]) for h, r, t in kg.train]
+        assert names == [self.ROWS[2], self.ROWS[0], self.ROWS[1]]
+
+    def test_overlap_message(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"^valid split shares 1 triplet\(s\) with train$"):
+            self._load(tmp_path, self._text(self.ROWS), self._text(self.ROWS[1:2] * 2))
+        with pytest.raises(ValidationError, match=r"^test split shares 2 triplet\(s\) with train$"):
+            self._load(tmp_path / "t", self._text(self.ROWS[:2]), "", self._text(self.ROWS[::-1]))
+
+    def test_ids_sorted(self, tmp_path):
+        kg = self._load(tmp_path, self._text(self.ROWS[:2]), self._text(self.ROWS[2:3]),
+                        self._text(self.ROWS[3:]))
+        assert kg.entity_ids == sorted({"a", "b", "B", "c", "é"})
+        assert kg.relation_ids == ["r1", "r2"]
+        assert kg.train == [(2, 1, 1), (0, 0, 3)]
+        assert kg.valid == [(4, 1, 2)] and kg.test == [(1, 0, 0)]
+
+
 class TestEdgeIndex:
     def test_forward_and_inverse(self):
         idx = EdgeIndex([(0, 0, 1), (0, 0, 2), (3, 0, 1), (0, 1, 3)])

@@ -557,6 +557,26 @@ class TestLazyAdamMatchesReference:
                     if name in moments_before:
                         assert _same_bits(state.m[name], moments_before[name][0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(adam_runs(), st.sampled_from([1, 3, 7, 64]))
+    def test_scale_matches_scaling_the_grads_first(self, case, batch):
+        store, steps = case
+        scaled_store = store.copy()
+        cfg = TrainConfig()
+        state, scaled_state = AdamState(), AdamState()
+        for step, lr in steps:
+            grads, scaled = boxalg.Grads(store), boxalg.Grads(scaled_store)
+            for table, key, g in step:
+                grads.add(table, key, g)
+                scaled.add(table, key, g)
+            adam_step(store, grads, state, cfg, lr, scale=1.0 / batch)
+            adam_step(scaled_store, scaled.scale(1.0 / batch), scaled_state, cfg, lr)
+            for name, arr in store.arrays().items():
+                assert _same_bits(arr, scaled_store.arrays()[name]), name
+            for key in scaled_state.m:
+                assert _same_bits(state.m[key], scaled_state.m[key])
+                assert _same_bits(state.v[key], scaled_state.v[key])
+
 
 LOSS_SHAPES = ("1p", "2p", "3p", "2i", "3i", "2i_inverse", "2u", "up")
 
