@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from srbox.errors import ValidationError
-from srbox.structures import Plan, QueryDag, plan_of
+from srbox.structures import Plan, QueryDag, plan_of, query_ids
 
 
 @dataclass(frozen=True)
@@ -507,8 +507,8 @@ class ExecutionTrace:
     boxes, and each intersecting node's per-disjunct caches."""
 
     plan: Plan
-    anchors: tuple[int, ...]
-    relations: tuple[int, ...]
+    anchors: list[int]
+    relations: list[int]
     nodes: dict[int, list[Box]]
     caches: dict[int, list[IntersectCache]]
 
@@ -517,7 +517,7 @@ class ExecutionTrace:
 
     def signature(self) -> bytes:
         return b"".join(
-            c.signature() for n, _, _ in self.plan.steps for c in self.caches.get(n, ())
+            c.signature() for n, *_ in self.plan.steps for c in self.caches.get(n, ())
         )
 
 
@@ -539,7 +539,7 @@ def _walk(plan: Plan, anchors, relations, params, caches: dict | None = None):
     for n, ent in zip(plan.anchors, anchors):
         centers = params.entity_centers[ent]
         nodes[n] = [Box(centers, np.zeros_like(centers))]
-    for n, intersects, layout in plan.steps:
+    for n, intersects, _, layout in plan.steps:
         projected: dict[tuple[int, int], Box] = {}  # (edge slot, source disjunct)
         for inputs in layout:
             for slot, j in inputs:
@@ -562,8 +562,7 @@ def _walk(plan: Plan, anchors, relations, params, caches: dict | None = None):
 def execute_with_trace(dag: QueryDag, params) -> ExecutionTrace:
     """Run one query's plan, keeping what ``backward_through_dag`` needs."""
     plan = plan_of(dag)
-    anchors = tuple(e for _, e in dag.anchors)
-    relations = tuple(e.relation for e in dag.edges)
+    anchors, relations = query_ids(dag)
     caches: dict[int, list[IntersectCache]] = {}
     nodes = _walk(plan, anchors, relations, params, caches)
     return ExecutionTrace(plan, anchors, relations, nodes, caches)
@@ -577,8 +576,9 @@ def execute_batch(plan: Plan, dags: list[QueryDag], params) -> list[Box]:
     projection is elementwise and ``intersect_with_cache`` computes a stack
     as it computes one intersection.
     """
-    anchor_ids = np.array([[e for _, e in dag.anchors] for dag in dags], dtype=np.intp)
-    relation_ids = np.array([[e.relation for e in dag.edges] for dag in dags], dtype=np.intp)
+    ids = [query_ids(dag) for dag in dags]
+    anchor_ids = np.array([a for a, _ in ids], dtype=np.intp)
+    relation_ids = np.array([r for _, r in ids], dtype=np.intp)
     return _walk(plan, anchor_ids.T, relation_ids.T, params)[plan.answer_node]
 
 
@@ -610,7 +610,7 @@ def backward_through_dag(trace: ExecutionTrace, seed_grads, grads) -> None:
             acc[plan.answer_node][j] = [np.array(g, dtype=np.float64) for g in seed]
 
     params = grads.params
-    for n, intersects, layout in reversed(plan.steps):
+    for n, intersects, _, layout in reversed(plan.steps):
         for j, (inputs, slot) in enumerate(zip(layout, acc[n])):
             if slot is None:
                 continue

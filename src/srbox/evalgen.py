@@ -30,7 +30,7 @@ import os
 import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
@@ -42,6 +42,7 @@ from srbox.rng import substream
 from srbox.structures import (
     Edge,
     NodeKind,
+    Plan,
     QueryDag,
     chain_dag,
     compile_plan,
@@ -49,7 +50,7 @@ from srbox.structures import (
     intersection_dag,
     merge_dag,
     plan_of,
-    validate_dag,
+    query_ids,
 )
 
 TRAIN_QUERY_TYPES = ("1p", "2p", "3p", "2i", "3i")
@@ -65,22 +66,22 @@ class KnowledgeGraph:
     relation, tail) ids; ``train``, ``valid`` and ``test`` are the same
     triplets as lists of tuples, made on first use. ``train_index`` and
     ``full_index`` are the ``EdgeIndex`` of the train split and of all three
-    splits, each built from the arrays once, on first use. None of these is
-    rebuilt when ``rows`` changes, so the splits must not be mutated once the
-    graph exists.
+    splits, and ``entity_index`` and ``relation_index`` map each name to its
+    id. Each is built once, on first use, and never rebuilt, so neither the
+    names nor the splits may be mutated once the graph exists.
     """
 
     entity_ids: list[str]
     relation_ids: list[str]
     rows: dict[str, np.ndarray]
-    entity_index: dict[str, int] = field(default_factory=dict)
-    relation_index: dict[str, int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.entity_index:
-            self.entity_index = {e: i for i, e in enumerate(self.entity_ids)}
-        if not self.relation_index:
-            self.relation_index = {r: i for i, r in enumerate(self.relation_ids)}
+    @cached_property
+    def entity_index(self) -> dict[str, int]:
+        return {e: i for i, e in enumerate(self.entity_ids)}
+
+    @cached_property
+    def relation_index(self) -> dict[str, int]:
+        return {r: i for i, r in enumerate(self.relation_ids)}
 
     @cached_property
     def train(self) -> list[tuple[int, int, int]]:
@@ -347,27 +348,22 @@ class EdgeIndex:
         return self.rev.image(sources, rel)
 
     def answers(self, dag: QueryDag) -> set[int]:
-        """Answer set of a valid query DAG over this index's edges, by set
-        semantics evaluated from the answer node back to the anchors."""
-        return self._answers_at(
-            dag.answer_node, dag.anchor_entities(), dag.node_kinds(), dag.incoming()
-        )
+        """Answer set of a query DAG over this index's edges: ``plan_answers``
+        of its compiled plan (which validates the DAG)."""
+        return self.plan_answers(plan_of(dag), *query_ids(dag))
 
-    def _answers_at(self, n: int, anchors, kinds, incoming) -> set[int]:
-        # a method, not a nested closure: a closure that calls itself is a
-        # reference cycle left for the collector on every call, which raised
-        # peak RSS by about 20 MB while generating queries at E=5000
-        if n in anchors:
-            return {anchors[n]}
-        pulled = []
-        for e in incoming[n]:
-            src = self._answers_at(e.src, anchors, kinds, incoming)
-            pulled.append((self.rev if e.inverse else self.fwd).image(src, e.relation))
-        if kinds[n] is NodeKind.PROJECTION:
-            return pulled[0]
-        if kinds[n] is NodeKind.INTERSECTION:
-            return set.intersection(*pulled)
-        return set.union(*pulled)
+    def plan_answers(self, plan: Plan, anchors, relations) -> set[int]:
+        """Answer set of a plan on an entity id per anchor slot and a relation id
+        per edge slot: each step maps its slots' source sets along their relations,
+        then intersects the images at an intersection and unions them otherwise."""
+        sets = dict(zip(plan.anchors, zip(anchors)))  # 1-tuples: ``image`` only iterates them
+        for n, intersects, slots, _ in plan.steps:
+            images = []
+            for slot in slots:
+                src, _, inverse = plan.edges[slot]
+                images.append((self.rev if inverse else self.fwd).image(sets[src], relations[slot]))
+            sets[n] = (set.intersection if intersects else set.union)(*images)
+        return set(sets[plan.answer_node])
 
 
 def brute_force_answers(dag: QueryDag, edges) -> set[int]:
@@ -375,7 +371,6 @@ def brute_force_answers(dag: QueryDag, edges) -> set[int]:
     triplets or an ``(n, 3)`` id array, by plain set semantics (anchor
     singletons, relational image per edge, set intersection/union at
     operator nodes)."""
-    validate_dag(dag)
     index = edges if isinstance(edges, EdgeIndex) else EdgeIndex(edges)
     return index.answers(dag)
 
@@ -532,6 +527,7 @@ def generate_queries(
     train_index = kg.train_index
     full_index = kg.full_index
     walk_index = train_index if split == "train" else full_index
+    plan = compile_plan(TYPE_SHAPES[qtype])  # the shape ``_walk_dag`` gives every candidate
 
     budget = retry_budget if retry_budget is not None else max(100, 30 * count)
     out: list[GeneratedQuery] = []
@@ -542,8 +538,9 @@ def generate_queries(
         dag = _walk_dag(qtype, seed_edge, walk_index, rng)
         if dag is None:
             continue
-        answers_train = frozenset(train_index.answers(dag))
-        answers_full = frozenset(full_index.answers(dag))
+        ids = query_ids(dag)
+        answers_train = frozenset(train_index.plan_answers(plan, *ids))
+        answers_full = frozenset(full_index.plan_answers(plan, *ids))
         if not answers_full:
             continue
         if split == "train":
@@ -566,21 +563,21 @@ def generate_queries(
 
 
 def dag_to_path(dag: QueryDag) -> tuple[int, list[tuple[int, bool]]]:
-    """Anchor and relation hops of a pure chain; anything else is rejected."""
-    kinds = dag.node_kinds()
-    if len(dag.anchors) != 1 or any(k is not NodeKind.PROJECTION for k in kinds.values()):
+    """Anchor and relation hops of a pure chain: a plan of one anchor, then
+    steps of one slot each fed by the node before, the answer node last."""
+    plan = plan_of(dag)
+    if len(plan.anchors) != 1 or any(len(slots) != 1 for _, _, slots, _ in plan.steps):
         raise ValidationError("unsupported query shape for the path scorer (chains only)")
-    anchor_node, anchor = dag.anchors[0]
-    by_src = {e.src: e for e in dag.edges}
-    if len(by_src) != len(dag.edges):
-        raise ValidationError("unsupported query shape for the path scorer (chains only)")
+    (anchor,), relations = query_ids(dag)
     path = []
-    node = anchor_node
-    while node in by_src:
-        e = by_src[node]
-        path.append((e.relation, e.inverse))
-        node = e.dst
-    if node != dag.answer_node or len(path) != len(dag.edges):
+    node = plan.anchors[0]
+    for n, _, (slot,), _ in plan.steps:
+        src, _, inverse = plan.edges[slot]
+        if src != node:
+            raise ValidationError("unsupported query shape for the path scorer (chains only)")
+        path.append((relations[slot], inverse))
+        node = n
+    if node != plan.answer_node:
         raise ValidationError("unsupported query shape for the path scorer (chains only)")
     return anchor, path
 

@@ -23,7 +23,7 @@ intersection and union nodes at least two.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -113,34 +113,32 @@ def topological_order(dag: QueryDag) -> list[int]:
     return order
 
 
-def validate_dag(dag: QueryDag) -> None:
-    """Check the structural invariants every query DAG must satisfy."""
+def validate_dag(dag: QueryDag) -> list[int]:
+    """Check the structural invariants every query DAG must satisfy; returns
+    the node ids in dependency order."""
     anchor_ids = {n for n, _ in dag.anchors}
-    kinds = dag.node_kinds()
+    kinds = dict(dag.nodes)
     if anchor_ids & kinds.keys():
         raise ValidationError("a node cannot be both anchor and operator")
+    if len(anchor_ids) + len(kinds) < len(dag.anchors) + len(dag.nodes):
+        ids = [n for n, _ in dag.anchors] + [n for n, _ in dag.nodes]
+        repeated = next(n for i, n in enumerate(ids) if n in ids[:i])
+        raise ValidationError(f"node {repeated} is declared twice")
     if dag.answer_node not in kinds and dag.answer_node not in anchor_ids:
         raise ValidationError("answer node is not a node of the DAG")
     order = topological_order(dag)  # also rejects cycles
-    incoming = dag.incoming()
+    indeg = Counter(e.dst for e in dag.edges)
     for n, kind in dag.nodes:
-        deg = len(incoming.get(n, ()))
+        deg = indeg[n]
         if kind is NodeKind.PROJECTION and deg != 1:
             raise ValidationError(f"projection node {n} has in-degree {deg}")
         if kind in (NodeKind.INTERSECTION, NodeKind.UNION) and deg < 2:
             raise ValidationError(f"{kind.value} node {n} has in-degree {deg} < 2")
     for n in anchor_ids:
-        if incoming.get(n):
+        if indeg[n]:
             raise ValidationError(f"anchor node {n} has incoming edges")
-    # every non-anchor node reachable from an anchor
-    reachable = set(anchor_ids)
-    for n in order:
-        if n in reachable:
-            continue
-        if any(e.src in reachable for e in incoming.get(n, ())):
-            reachable.add(n)
-    if set(kinds) - reachable:
-        raise ValidationError("DAG has nodes unreachable from any anchor")
+    # every operator has an input and there is no cycle, so every node is reachable from an anchor
+    return order
 
 
 def dag_shape(dag: QueryDag) -> tuple:
@@ -161,18 +159,17 @@ class Plan:
     """One DAG shape, validated and compiled once.
 
     ``steps`` holds each operator node in dependency order as (node, whether
-    it intersects, disjunct layout). The layout has one entry per disjunct
-    of the node: the (edge slot, source disjunct) pairs it is computed from,
-    where an edge slot indexes ``edges``. Every executor reads this layout
-    (``boxalg``'s forward walk, for one query or a batch, and its backward
-    pass): an intersection has one disjunct per combination of its inputs'
-    disjuncts, any other node one per input disjunct. Plans compare and
-    hash by identity: ``compile_plan`` returns one object per cached shape.
+    it intersects, incoming edge slots, disjunct layout); a slot indexes
+    ``edges``. The layout gives each of the node's disjuncts its (edge slot,
+    source disjunct) pairs: one disjunct per combination of the inputs'
+    disjuncts at an intersection, per input disjunct elsewhere. ``boxalg``'s
+    walks read the layouts, ``evalgen``'s answer oracle and chain scorer the
+    slots. Plans compare and hash by identity (one per cached shape).
     """
 
     anchors: tuple[int, ...]  # anchor node ids, in the DAG's anchor order
     edges: tuple[tuple[int, int, bool], ...]  # (src, dst, inverse) per edge slot
-    steps: tuple[tuple[int, bool, tuple[tuple[tuple[int, int], ...], ...]], ...]
+    steps: tuple[tuple[int, bool, tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]], ...]
     answer_node: int
 
 
@@ -187,14 +184,13 @@ def compile_plan(shape: tuple) -> Plan:
         nodes,
         answer,
     )
-    validate_dag(skeleton)
-    kinds = skeleton.node_kinds()
+    kinds = dict(nodes)
     width = {n: 1 for n in anchor_nodes}  # disjuncts per node
     steps = []
-    for n in topological_order(skeleton):
+    for n in validate_dag(skeleton):
         if n in width:
             continue
-        slots = [i for i, (_, dst, _) in enumerate(edges) if dst == n]
+        slots = tuple(i for i, (_, dst, _) in enumerate(edges) if dst == n)
         ranges = [range(width[edges[i][0]]) for i in slots]
         intersects = kinds[n] is NodeKind.INTERSECTION
         if intersects:
@@ -202,13 +198,19 @@ def compile_plan(shape: tuple) -> Plan:
         else:
             layout = tuple(((i, j),) for i, js in zip(slots, ranges) for j in js)
         width[n] = len(layout)
-        steps.append((n, intersects, layout))
+        steps.append((n, intersects, slots, layout))
     return Plan(anchor_nodes, edges, tuple(steps), answer)
 
 
 def plan_of(dag: QueryDag) -> Plan:
     """The compiled plan of a DAG's shape (validates the DAG)."""
     return compile_plan(dag_shape(dag))
+
+
+def query_ids(dag: QueryDag) -> tuple[list[int], list[int]]:
+    """The entity id of each anchor slot and the relation id of each edge
+    slot of a DAG's ``Plan``: what the DAG holds beyond its shape."""
+    return [e for _, e in dag.anchors], [e.relation for e in dag.edges]
 
 
 def chain_dag(anchor: int, relations: list[tuple[int, bool]]) -> QueryDag:

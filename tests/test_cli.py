@@ -479,7 +479,8 @@ class TestEvalCommand:
     @pytest.mark.parametrize("edit, problem", [
         (lambda dag: dag.update(answer_node=99), "answer node is not a node of the DAG"),
         (lambda dag: dag["edges"].pop(), "intersection node 2 has in-degree 1"),
-    ], ids=["answer-node-99", "2i-missing-edge"])
+        (lambda dag: dag["anchors"].append(dag["anchors"][0]), "node 0 is declared twice"),
+    ], ids=["answer-node-99", "2i-missing-edge", "repeated-anchor"])
     def test_malformed_query_dag_rejected(self, tmp_path, kg_dir, ckpt, capsys, edit, problem):
         queries = self.edited_queries(tmp_path, kg_dir, edit)
         code = cli.main([

@@ -1,6 +1,7 @@
 """The sorted, lazily grouped ``EdgeIndex`` against the dict-of-tuples index
 it replaced, kept here verbatim as the reference: every view on present and
-absent keys, and the answer oracle on DAGs of all nine query shapes."""
+absent keys, and the answer oracle on DAGs of all nine query shapes and of
+other shapes (unions into intersections, unions of unions, diamonds)."""
 
 import tracemalloc
 from functools import cached_property
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srbox.evalgen import EdgeIndex, _pi_dag, brute_force_answers, build_grid_kg
-from srbox.structures import NodeKind, chain_dag, intersection_dag, merge_dag
+from srbox.structures import Edge, NodeKind, QueryDag, chain_dag, intersection_dag, merge_dag
 
 # ---------------------------------------------------------------------------
 # reference: the eager index, one dict of sorted tuples per map
@@ -188,6 +189,77 @@ class TestAnswers:
         for h, r, t in edges[:40]:
             for dag in (chain_dag(h, [(r, False), (r, True)]), chain_dag(t, [(r, True), (0, False)])):
                 assert new.answers(dag) == ref.answers(dag)
+
+
+# DAGs outside the nine shapes, as (anchor count, operator nodes in dependency
+# order as (kind, source nodes)); anchors take ids 0.., operator j id count + j
+U, I, P = NodeKind.UNION, NodeKind.INTERSECTION, NodeKind.PROJECTION
+TEMPLATES = {
+    "union-into-intersection": (3, [(U, (0, 1)), (I, (3, 2))]),
+    "union-of-unions": (3, [(U, (0, 1)), (U, (3, 2)), (P, (4,))]),
+    "intersection-of-unions": (4, [(U, (0, 1)), (U, (2, 3)), (I, (4, 5))]),
+    "diamond": (1, [(P, (0,)), (P, (1,)), (P, (1,)), (I, (2, 3))]),
+    "one-source-twice": (2, [(P, (0,)), (I, (2, 2, 1)), (U, (3, 2))]),
+}
+
+
+def _template_dag(draw, template, n_e, n_r):
+    """A template's DAG with random anchors, relations and edge directions,
+    its node ids relabelled by a random permutation (so they need not follow
+    dependency order) and its edges shuffled."""
+    n_anchors, ops = template
+    label = draw(st.permutations(range(n_anchors + len(ops))))
+    edges = [
+        Edge(label[src], label[n_anchors + j], draw(st.integers(0, n_r)), draw(st.booleans()))
+        for j, (_, sources) in enumerate(ops) for src in sources
+    ]
+    return QueryDag(
+        tuple((label[i], draw(st.integers(0, n_e))) for i in range(n_anchors)),
+        tuple(draw(st.permutations(edges))),
+        tuple((label[n_anchors + j], kind) for j, (kind, _) in enumerate(ops)),
+        answer_node=label[-1],
+    )
+
+
+def _grown_dag(draw, n_e, n_r):
+    """A random DAG grown node by node in a random id order, each operator fed
+    by earlier nodes; the answer node is any operator, so some nodes may feed
+    nothing."""
+    ids = draw(st.permutations(range(8)))
+    n_anchors = draw(st.integers(1, 3))
+    n_ops = draw(st.integers(1, 5))
+    edges, nodes = [], []
+    for i in range(n_anchors, n_anchors + n_ops):
+        kind = draw(st.sampled_from([P, I, U]))
+        for _ in range(1 if kind is P else draw(st.integers(2, 3))):
+            src = draw(st.sampled_from(ids[:i]))
+            edges.append(Edge(src, ids[i], draw(st.integers(0, n_r)), draw(st.booleans())))
+        nodes.append((ids[i], kind))
+    return QueryDag(
+        tuple((n, draw(st.integers(0, n_e))) for n in ids[:n_anchors]),
+        tuple(edges),
+        tuple(nodes),
+        answer_node=draw(st.sampled_from(nodes))[0],
+    )
+
+
+@st.composite
+def graphs_with_other_dags(draw):
+    edges, n_e, n_r = draw(edge_lists())
+    dags = [_template_dag(draw, t, n_e, n_r) for t in TEMPLATES.values()]
+    return edges, dags + [_grown_dag(draw, n_e, n_r) for _ in range(3)]
+
+
+class TestAnswersBeyondNineShapes:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_other_dags())
+    def test_answers_match_reference(self, case):
+        edges, dags = case
+        new, ref = EdgeIndex(edges), RefEdgeIndex(edges)
+        for dag in dags:
+            expect = ref.answers(dag)
+            assert new.answers(dag) == expect
+            assert brute_force_answers(dag, edges) == expect
 
 
 class TestMemory:

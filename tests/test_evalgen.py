@@ -432,6 +432,35 @@ class TestDagToPath:
         with pytest.raises(ValidationError, match="unsupported"):
             dag_to_path(dag)
 
+    def test_chain_with_unordered_node_ids(self):
+        dag = QueryDag(
+            anchors=((5, 4),),
+            edges=(Edge(2, 9, 0, True), Edge(5, 2, 1, False)),
+            nodes=((9, NodeKind.PROJECTION), (2, NodeKind.PROJECTION)),
+            answer_node=9,
+        )
+        assert dag_to_path(dag) == (4, [(1, False), (0, True)])
+
+    @pytest.mark.parametrize("dag", [
+        QueryDag(  # one anchor feeding two projections
+            anchors=((0, 4),),
+            edges=(Edge(0, 1, 0), Edge(0, 2, 1)),
+            nodes=((1, NodeKind.PROJECTION), (2, NodeKind.PROJECTION)),
+            answer_node=2,
+        ),
+        evalgen.merge_dag([(0, 0, False), (1, 1, False)], NodeKind.UNION),
+        evalgen._pi_dag(0, 1, 2, 3, 0),
+        QueryDag(  # two anchors, projections only
+            anchors=((0, 4), (1, 5)),
+            edges=(Edge(0, 2, 0), Edge(1, 3, 1)),
+            nodes=((2, NodeKind.PROJECTION), (3, NodeKind.PROJECTION)),
+            answer_node=3,
+        ),
+    ], ids=["branching-anchor", "2u", "pi", "two-anchors"])
+    def test_non_chains_rejected(self, dag):
+        with pytest.raises(ValidationError, match=r"^unsupported query shape for the path scorer \(chains only\)$"):
+            dag_to_path(dag)
+
 
 class TestRanking:
     def test_counting_example(self):

@@ -4,19 +4,26 @@ Mining is checked against an independent brute-force enumerator that loops
 over all ordered triplet pairs, written from the structure definitions alone.
 """
 
+from collections import defaultdict, deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srbox.corpus import Sequence, Triplet
 from srbox.errors import ValidationError
 from srbox.evalgen import brute_force_answers
 from srbox.structures import (
     COMPLEX_KINDS,
+    Edge,
     NodeKind,
+    QueryDag,
     StructureKind,
     build_query,
     mine_structures,
     sample_training_pair,
+    topological_order,
     validate_dag,
 )
 
@@ -244,6 +251,98 @@ class TestSampleTrainingPair:
         assert seen == {(1, False), (2, False), (2, True)}
 
 
+@st.composite
+def small_dags(draw):
+    """A DAG over node ids 0..5 grown in a random id order, then mostly given
+    one fault: a repeated or shared id, an extra edge (to an undeclared node,
+    into an anchor, closing a cycle, or one too many), a missing edge, or an
+    answer node outside the DAG."""
+    ids = draw(st.permutations(range(6)))
+    n_anchors = draw(st.integers(1, 3))
+    anchors = [(n, draw(st.integers(0, 3))) for n in ids[:n_anchors]]
+    nodes, edges = [], []
+    for i in range(n_anchors, draw(st.integers(n_anchors, 6))):
+        kind = draw(st.sampled_from(list(NodeKind)))
+        for _ in range(1 if kind is NodeKind.PROJECTION else draw(st.integers(2, 3))):
+            src = draw(st.sampled_from(ids[:i]))
+            edges.append(Edge(src, ids[i], draw(st.integers(0, 2)), draw(st.booleans())))
+        nodes.append((ids[i], kind))
+    answer = nodes[-1][0] if nodes else anchors[0][0]
+    any_id = st.integers(0, 6)
+    fault = draw(st.sampled_from(["none", "repeat", "repeat", "edge", "edge", "drop", "answer"]))
+    if fault == "repeat":
+        n = draw(st.sampled_from(ids[: n_anchors + len(nodes)]))
+        if draw(st.booleans()):
+            anchors.append((n, draw(st.integers(0, 3))))
+        else:
+            nodes.append((n, draw(st.sampled_from(list(NodeKind)))))
+    elif fault == "edge":
+        edges.append(Edge(draw(any_id), draw(any_id), 0, False))
+    elif fault == "drop" and edges:
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    elif fault == "answer":
+        answer = draw(any_id)
+    return QueryDag(
+        tuple(anchors), tuple(draw(st.permutations(edges))), tuple(draw(st.permutations(nodes))), answer
+    )
+
+
+# the validator as it was before it returned the dependency order, verbatim
+# but for names: the reference for ``test_same_verdicts_as_the_previous_validator``
+
+
+def _prev_topological_order(dag):
+    node_ids = [n for n, _ in dag.anchors] + [n for n, _ in dag.nodes]
+    indeg = {n: 0 for n in node_ids}
+    out = defaultdict(list)
+    for e in dag.edges:
+        if e.src not in indeg or e.dst not in indeg:
+            raise ValidationError(f"edge {e.src}->{e.dst} references an undeclared node")
+        indeg[e.dst] += 1
+        out[e.src].append(e.dst)
+    ready = deque(sorted(n for n, d in indeg.items() if d == 0))
+    order = []
+    while ready:
+        n = ready.popleft()
+        order.append(n)
+        for m in sorted(out[n]):
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                ready.append(m)
+    if len(order) != len(node_ids):
+        raise ValidationError("query DAG contains a cycle")
+    return order
+
+
+def _prev_validate_dag(dag):
+    anchor_ids = {n for n, _ in dag.anchors}
+    kinds = dag.node_kinds()
+    if anchor_ids & kinds.keys():
+        raise ValidationError("a node cannot be both anchor and operator")
+    if dag.answer_node not in kinds and dag.answer_node not in anchor_ids:
+        raise ValidationError("answer node is not a node of the DAG")
+    order = _prev_topological_order(dag)
+    incoming = dag.incoming()
+    for n, kind in dag.nodes:
+        deg = len(incoming.get(n, ()))
+        if kind is NodeKind.PROJECTION and deg != 1:
+            raise ValidationError(f"projection node {n} has in-degree {deg}")
+        if kind in (NodeKind.INTERSECTION, NodeKind.UNION) and deg < 2:
+            raise ValidationError(f"{kind.value} node {n} has in-degree {deg} < 2")
+    for n in anchor_ids:
+        if incoming.get(n):
+            raise ValidationError(f"anchor node {n} has incoming edges")
+    reachable = set(anchor_ids)
+    for n in order:
+        if n in reachable:
+            continue
+        if any(e.src in reachable for e in incoming.get(n, ())):
+            reachable.add(n)
+    if set(kinds) - reachable:
+        raise ValidationError("DAG has nodes unreachable from any anchor")
+    return order
+
+
 class TestDagValidation:
     def test_rejects_intersection_in_degree_one(self):
         from srbox.structures import Edge, QueryDag
@@ -263,3 +362,39 @@ class TestDagValidation:
             StructureKind.OUTWARD,
             StructureKind.INWARD,
         }
+
+    @pytest.mark.parametrize("anchors, nodes, repeated", [
+        (((0, 5), (0, 6)), ((1, NodeKind.INTERSECTION),), 0),
+        (((0, 5),), ((1, NodeKind.PROJECTION), (1, NodeKind.PROJECTION)), 1),
+    ], ids=["anchor", "operator"])
+    def test_rejects_repeated_node_id(self, anchors, nodes, repeated):
+        dag = QueryDag(anchors, (Edge(0, 1, 0), Edge(0, 1, 1)), nodes, answer_node=1)
+        with pytest.raises(ValidationError, match=f"^node {repeated} is declared twice$"):
+            validate_dag(dag)
+
+    def test_returns_dependency_order(self):
+        dag = QueryDag(
+            anchors=((7, 0),),
+            edges=(Edge(3, 1, 0), Edge(7, 3, 1)),
+            nodes=((1, NodeKind.PROJECTION), (3, NodeKind.PROJECTION)),
+            answer_node=1,
+        )
+        assert validate_dag(dag) == [7, 3, 1] == topological_order(dag)
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_dags())
+    def test_same_verdicts_as_the_previous_validator(self, dag):
+        try:
+            expect = ("accept", _prev_validate_dag(dag))
+        except ValidationError as exc:
+            expect = ("reject", str(exc))
+        try:
+            got = ("accept", validate_dag(dag))
+        except ValidationError as exc:
+            got = ("reject", str(exc))
+        ids = [n for n, _ in dag.anchors] + [n for n, _ in dag.nodes]
+        if len(set(ids)) < len(ids) and not {n for n, _ in dag.anchors} & dict(dag.nodes).keys():
+            assert expect[0] == got[0] == "reject"
+            assert got[1].endswith("is declared twice")
+        else:
+            assert got == expect
