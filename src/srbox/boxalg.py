@@ -21,7 +21,10 @@ to L2. One kernel computes it for a single entity (d,) or for every row of
 a batch (m, d) against one box: ``distance`` and ``distance_batch`` keep
 only the distances, ``distance_with_cache`` also keeps the gaps and hinge
 sides, and ``distance_backward`` turns them into gradients for all rows at
-once.
+once. Evaluation ranks stacked query boxes against every entity through
+``min_distance_tiles``, which runs ``distance_batch`` on cache-sized tiles
+split across worker threads, one CPU each; every tile writes its own slice
+of the result, so its distances have the same bits for any worker count.
 
 Every operation here has a matching hand-written backward; forward variants
 with ``_with_cache`` record exactly what the backward needs, plus the branch
@@ -42,8 +45,10 @@ layouts in reverse; evaluation drops the caches.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partialmethod
+from functools import cache, partialmethod
 from typing import NamedTuple
 
 import numpy as np
@@ -325,14 +330,15 @@ class DistanceCache(NamedTuple):
         )
 
 
-def _norm(v: np.ndarray, norm: str, in_place: bool = False) -> np.ndarray:
-    """Norm of each row (last axis); ``in_place`` overwrites ``v`` with the
-    elementwise terms instead of allocating them."""
-    terms = v if in_place else None
+def _norm(v: np.ndarray, norm: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Norm of each row (last axis). ``out``, a buffer of the result shape,
+    takes the norms, and then ``v`` is overwritten with the elementwise
+    terms, so the call allocates nothing."""
+    terms = None if out is None else v
     if norm == "l1":
-        return np.abs(v, out=terms).sum(axis=-1)
+        return np.abs(v, out=terms).sum(axis=-1, out=out)
     if norm == "l2":
-        return np.sqrt(np.multiply(v, v, out=terms).sum(axis=-1))
+        return np.sqrt(np.multiply(v, v, out=terms).sum(axis=-1, out=out), out=out)
     raise ValidationError(f"unknown norm {norm!r}")
 
 
@@ -367,12 +373,10 @@ def _gaps(e: np.ndarray, b: Box, out=None) -> tuple[np.ndarray, np.ndarray]:
     return v_out, u_in
 
 
-def _combine(
-    v_out: np.ndarray, u_in: np.ndarray, alpha: float, norm: str, in_place: bool = False
-) -> Distance:
-    """d_out + alpha * d_in from the gaps; ``in_place`` overwrites them."""
-    d_out = _norm(v_out, norm, in_place)
-    d_in = _norm(u_in, norm, in_place)
+def _combine(v_out: np.ndarray, u_in: np.ndarray, alpha: float, norm: str) -> Distance:
+    """d_out + alpha * d_in from the gaps."""
+    d_out = _norm(v_out, norm)
+    d_in = _norm(u_in, norm)
     return Distance(d_out + alpha * d_in, d_out, d_in)
 
 
@@ -386,14 +390,74 @@ def distance_batch(
     entities: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1", out=None
 ) -> np.ndarray:
     """Distance from every row of ``entities`` (m, d) to one box, (m,), or to
-    each box of a stacked (q, 1, d) box, (q, m). ``out`` is an optional pair
-    of work buffers of the gap shape, which the call overwrites."""
-    return _combine(*_gaps(entities, b, out), alpha, norm, in_place=out is not None).d
+    each box of a stacked (q, 1, d) box, (q, m). ``out`` is an optional set
+    of work buffers, which the call overwrites instead of allocating: two
+    of the gap shape, then two of the result shape, the first of which
+    holds the result. Either way the distances have the same bits."""
+    if out is None:
+        return _combine(*_gaps(entities, b), alpha, norm).d
+    v_out, u_in, d, scaled = out
+    _gaps(entities, b, (v_out, u_in))
+    _norm(v_out, norm, out=d)
+    _norm(u_in, norm, out=scaled)
+    np.multiply(alpha, scaled, out=scaled)
+    return np.add(d, scaled, out=d)
 
 
 # elements of one gap buffer in the tiled distance pass: both buffers of a
 # tile, 512 KB at this size, stay in a core's L2 cache
 DIST_TILE = 1 << 15
+
+# threads of the tiled distance pass, the calling thread included: every CPU
+# this process may run on
+DIST_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+# tiles per worker that a chunk of queries holds at least, so handing a chunk
+# to the pool costs little against its tiles; a larger chunk would hold more
+# distance rows alive
+TILES_PER_WORKER = 4
+
+
+@cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(threads, thread_name_prefix="srbox-distance")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _in_parallel(work, shares: list) -> None:
+    """``work(*share)`` for every share: the first in the calling thread,
+    the others on the worker pool. Returns once every share has finished;
+    an error is raised as it was raised, the earliest share's first."""
+    futures = [_pool(DIST_WORKERS - 1).submit(work, *share) for share in shares[1:]]
+    try:
+        work(*shares[0])
+    finally:
+        errors = [f.exception() for f in futures]
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _tile_pass(tiles, gaps: np.ndarray, sums: np.ndarray, alpha: float, norm: str) -> None:
+    """Write the distances of each tile taken from the iterator ``tiles``,
+    the minimum over its disjuncts, into its target. Every tile reuses the
+    one pair of gap buffers ``gaps`` and the pair of result buffers
+    ``sums``, so the pass allocates no array."""
+    for tile, stacked, target in tiles:
+        shape = (*target.shape, tile.shape[1])
+        out = [buf[: math.prod(shape)].reshape(shape) for buf in gaps]
+        out += [buf[: target.size].reshape(target.shape) for buf in sums]
+        for k, box in enumerate(stacked):
+            part = distance_batch(tile, box, alpha, norm, out)
+            if k == 0:
+                target[...] = part
+            else:
+                np.minimum(target, part, out=target)
 
 
 def min_distance_tiles(
@@ -403,32 +467,45 @@ def min_distance_tiles(
     queries, each the minimum over its disjuncts: ``boxes`` holds one Box of
     stacked (B, d) arrays per disjunct.
 
-    Yields (start, D) for consecutive chunks of q queries, D (q, m) for
-    queries start .. start + q - 1, so only one chunk's distances are alive
-    at a time. Each chunk is computed in tiles of q queries by as many
-    entity rows as keep a tile's gaps within ``DIST_TILE`` elements; every
+    Yields (start, D) for consecutive chunks of queries, D (c, m) for
+    queries start .. start + c - 1, so only one chunk's distances are alive
+    at a time. A chunk is computed in tiles of q queries by as many entity
+    rows as keep a tile's gaps within ``DIST_TILE`` elements; every
     distance is the one ``distance_batch`` gives for one query's box.
+
+    A chunk holds at least ``TILES_PER_WORKER`` tiles per worker, and up to
+    ``DIST_WORKERS`` workers compute them: the calling thread and pool
+    threads, each with its own gap and result buffers, each taking the
+    chunk's next tile whenever it is free and writing the tile's disjoint
+    (queries, entity rows) slice of D. Since a tile gets the same operands
+    whichever thread runs it, every distance has the same bits for any
+    worker count and tile size. With one worker, or a chunk of one tile, no
+    thread is started.
     """
     m, d = entities.shape
     n_queries = boxes[0].center.shape[0]
     q = min(n_queries, max(1, DIST_TILE // (m * d)))
     rows = max(1, DIST_TILE // (q * d))
-    buffers = np.empty((2, q * min(rows, m) * d))
-    for start in range(0, n_queries, q):
-        stop = min(start + q, n_queries)
-        stacked = [Box(b.center[start:stop, None], b.offset[start:stop, None]) for b in boxes]
+    row_tiles = -(-m // rows)
+    chunk = q * -(-TILES_PER_WORKER * DIST_WORKERS // row_tiles)
+    n_workers = min(DIST_WORKERS, -(-min(chunk, n_queries) // q) * row_tiles)
+    gaps = np.empty((n_workers, 2, q * min(rows, m) * d))
+    sums = np.empty((n_workers, 2, q * min(rows, m)))
+    for start in range(0, n_queries, chunk):
+        stop = min(start + chunk, n_queries)
         dist = np.empty((stop - start, m))
-        for r0 in range(0, m, rows):
-            tile = entities[r0:r0 + rows]
-            shape = (stop - start, len(tile), d)
-            out = [buf[: math.prod(shape)].reshape(shape) for buf in buffers]
-            target = dist[:, r0:r0 + len(tile)]
-            for k, box in enumerate(stacked):
-                part = distance_batch(tile, box, alpha, norm, out)
-                if k == 0:
-                    target[...] = part
-                else:
-                    np.minimum(target, part, out=target)
+        tiles = []
+        for s0 in range(start, stop, q):
+            s1 = min(s0 + q, stop)
+            stacked = [Box(b.center[s0:s1, None], b.offset[s0:s1, None]) for b in boxes]
+            tiles += [
+                (entities[r0:r0 + rows], stacked, dist[s0 - start:s1 - start, r0:r0 + rows])
+                for r0 in range(0, m, rows)
+            ]
+        todo = iter(tiles)  # shared: under the GIL each next() hands out one tile
+        _in_parallel(_tile_pass, [
+            (todo, gaps[w], sums[w], alpha, norm) for w in range(min(n_workers, len(tiles)))
+        ])
         yield start, dist
 
 

@@ -6,7 +6,8 @@ Configuration comes from an INI file (sections [run], [paths], [train],
 The resolved configuration is echoed to <out>/effective_config.ini. The
 only timestamps any command emits live in <out>/run_meta.json, written
 when the command starts and rewritten when it returns with its finish
-time, duration, exit status and the srbox and numpy versions, so repeated
+time, duration, exit status and the srbox and numpy versions (eval adds
+its distance worker count and the wall time of each phase), so repeated
 runs with the same seed produce byte-identical primary outputs.
 
 Exit codes: 0 success, 1 usage error, 2 validation/config error, 3 runtime
@@ -20,12 +21,14 @@ import configparser
 import json
 import os
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
-from srbox import __version__, evalgen, params as params_mod, train as train_mod
+from srbox import __version__, boxalg, evalgen, params as params_mod, train as train_mod
 from srbox.corpus import load_corpus, chunk_sequences
 from srbox.errors import ValidationError
 from srbox.rng import STREAM_QUERY_GEN, substream
@@ -241,7 +244,7 @@ def _load_or_init_params(
 # commands
 
 
-def cmd_mine(cfg: RunConfig, out: str) -> int:
+def cmd_mine(cfg: RunConfig, out: str, meta: dict) -> int:
     corpus = load_corpus(_require(cfg, "paths", "corpus", "to mine structures"))
     seq_len = cfg.get_int("run", "seq_len")
     counts = {kind.value: 0 for kind in StructureKind}
@@ -260,7 +263,7 @@ def cmd_mine(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def cmd_init_embeddings(cfg: RunConfig, out: str) -> int:
+def cmd_init_embeddings(cfg: RunConfig, out: str, meta: dict) -> int:
     corpus = load_corpus(_require(cfg, "paths", "corpus", "to size the embedding tables"))
     store = params_mod.init_random(
         cfg.get_int("run", "dim"),
@@ -286,7 +289,7 @@ def cmd_init_embeddings(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig, out: str) -> int:
+def cmd_train(cfg: RunConfig, out: str, meta: dict) -> int:
     mode = cfg.get("run", "mode")
     tc = cfg.train_config()
     if mode == "text":
@@ -318,12 +321,13 @@ def cmd_train(cfg: RunConfig, out: str) -> int:
         store, trace = train_mod.train(source, store, tc, callback=emit)
     ckpt = cfg.get("paths", "checkpoint_out") or os.path.join(out, "params.ckpt")
     params_mod.save(store, ckpt)
-    last = trace[-1]["loss"] if trace else float("nan")
+    last = trace[-1]["loss"] if trace else None
+    last = float("nan") if last is None else last
     print(f"trained {tc.steps} steps (mode {mode}); final loss {last:.6f} -> {ckpt}")
     return 0
 
 
-def cmd_gradcheck(cfg: RunConfig, out: str) -> int:
+def cmd_gradcheck(cfg: RunConfig, out: str, meta: dict) -> int:
     ckpt = cfg.get("paths", "checkpoint")
     gc_dim = cfg.get_int("gradcheck", "dim")
     if gc_dim > 8:
@@ -365,7 +369,7 @@ def _eval_types(cfg: RunConfig) -> list[str]:
     return types
 
 
-def cmd_gen_queries(cfg: RunConfig, out: str) -> int:
+def cmd_gen_queries(cfg: RunConfig, out: str, meta: dict) -> int:
     kg = _load_kg_dir(cfg)
     rng = substream(cfg.seed, STREAM_QUERY_GEN)
     split = cfg.get("eval", "split")
@@ -378,35 +382,51 @@ def cmd_gen_queries(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig, out: str) -> int:
-    kg = _load_kg_dir(cfg)
-    ckpt = _require(cfg, "paths", "checkpoint", "to score queries")
-    store = _load_checkpoint(ckpt, kg.entity_ids, kg.relation_ids, "KG")
+@contextmanager
+def _timed(timings: dict, key: str):
+    """Add the wall time of the ``with`` block to ``timings[key]``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
+
+
+def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
     scorer = cfg.get("eval", "scorer")
+    meta["distance_workers"] = boxalg.DIST_WORKERS if scorer == "box" else 1
+    timings = meta["timings_s"] = {}
+    with _timed(timings, "load_kg"):
+        kg = _load_kg_dir(cfg)
+    with _timed(timings, "load_checkpoint"):
+        ckpt = _require(cfg, "paths", "checkpoint", "to score queries")
+        store = _load_checkpoint(ckpt, kg.entity_ids, kg.relation_ids, "KG")
     raw = cfg.get_bool("eval", "raw")
     alpha = cfg.get_float("train", "alpha")
     norm = cfg.get("train", "norm")
 
     queries_path = cfg.get("paths", "queries")
     batches: list[tuple[str, list[evalgen.GeneratedQuery]]] = []
-    if queries_path:
-        loaded = evalgen.load_queries(queries_path, kg)
-        by_type: dict[str, list[evalgen.GeneratedQuery]] = {}
-        for q in loaded:
-            by_type.setdefault(q.qtype, []).append(q)
-        batches = sorted(by_type.items())
-    else:
-        rng = substream(cfg.seed, STREAM_QUERY_GEN)
-        split = cfg.get("eval", "split")
-        count = cfg.get_int("eval", "count")
-        for qtype in _eval_types(cfg):
-            batches.append((qtype, evalgen.generate_queries(kg, qtype, count, split, rng)))
+    with _timed(timings, "queries"):
+        if queries_path:
+            loaded = evalgen.load_queries(queries_path, kg)
+            by_type: dict[str, list[evalgen.GeneratedQuery]] = {}
+            for q in loaded:
+                by_type.setdefault(q.qtype, []).append(q)
+            batches = sorted(by_type.items())
+        else:
+            rng = substream(cfg.seed, STREAM_QUERY_GEN)
+            split = cfg.get("eval", "split")
+            count = cfg.get_int("eval", "count")
+            for qtype in _eval_types(cfg):
+                batches.append((qtype, evalgen.generate_queries(kg, qtype, count, split, rng)))
 
     header = f"{'type':<6}{'scorer':<10}{'H@1':>8}{'H@3':>8}{'H@10':>8}{'MRR':>8}{'n':>7}"
     print(header)
     with open(os.path.join(out, "metrics.jsonl"), "w", encoding="utf-8") as fh:
         for qtype, queries in batches:
-            report = evalgen.metrics_report(queries, store, scorer, alpha, norm, raw)
+            with _timed(timings, "score_and_rank"):
+                report = evalgen.metrics_report(queries, store, scorer, alpha, norm, raw)
             fh.write(json.dumps(report) + "\n")
             print(
                 f"{qtype:<6}{scorer:<10}"
@@ -416,6 +436,8 @@ def cmd_eval(cfg: RunConfig, out: str) -> int:
     return 0
 
 
+# each command takes the resolved config, its output directory and the
+# run_meta dict, to which it may add entries
 COMMANDS = {
     "mine": cmd_mine,
     "init-embeddings": cmd_init_embeddings,
@@ -524,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = apply_overrides(load_config(args.config), args)
         out = _prepare_out(cfg)
         _write_meta(out, meta)
-        status = COMMANDS[args.command](cfg, out)
+        status = COMMANDS[args.command](cfg, out, meta)
     except ValidationError as exc:  # includes ParseError
         print(f"error: {exc}", file=sys.stderr)
         status = 2

@@ -473,8 +473,10 @@ def train(
     with two sampling counters over the steps since the previous record:
     ``skipped_draws`` (draws that formed no example: a window with no
     query, or no free negative) and ``with_replacement_frac`` (the share of
-    formed examples whose negatives were drawn with replacement).
-    Deterministic for a fixed seed; aborts on a non-finite loss.
+    formed examples whose negatives were drawn with replacement, null if
+    none formed). A step that forms no example takes no Adam step, and its
+    record, if one is due, has null losses. Deterministic for a fixed seed;
+    aborts on a non-finite loss.
 
     Negatives never include a known answer of their query: in kg mode the
     (head, relation) answer set or the complex query's train answers, in
@@ -550,14 +552,13 @@ def train(
             if val_complex is not None:
                 loss_complex += val_complex
                 n_complex += 1
-        n_formed = n_simple + n_complex
-        if n_formed == 0:
-            continue
-        loss = (loss_simple + loss_complex) / cfg.batch_size
-        if not math.isfinite(loss):
-            raise ValidationError(f"non-finite loss at step {step}")
         lr = lr_at(cfg, step)
-        adam_step(params, grads, state, cfg, lr, scale=1.0 / cfg.batch_size)
+        loss = None
+        if n_simple + n_complex:
+            loss = (loss_simple + loss_complex) / cfg.batch_size
+            if not math.isfinite(loss):
+                raise ValidationError(f"non-finite loss at step {step}")
+            adam_step(params, grads, state, cfg, lr, scale=1.0 / cfg.batch_size)
         if step % cfg.trace_every == 0 or step == cfg.steps - 1:
             record = {
                 "step": step,
@@ -566,7 +567,7 @@ def train(
                 "loss_complex": loss_complex / n_complex if n_complex else None,
                 "lr": lr,
                 "skipped_draws": n_skipped,
-                "with_replacement_frac": n_replaced / n_examples,
+                "with_replacement_frac": n_replaced / n_examples if n_examples else None,
             }
             n_skipped = n_replaced = n_examples = 0
             trace.append(record)

@@ -10,12 +10,14 @@ import dataclasses
 import json
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import srbox
-from srbox import cli, evalgen
+from srbox import boxalg, cli, evalgen
 from srbox import params as params_mod
 from srbox.train import TrainConfig
 
@@ -528,6 +530,46 @@ class TestEvalCommand:
                 "eval", "--kg", kg_dir, "--checkpoint", ckpt, "--queries", str(path),
                 "--out", str(tmp_path / qtype),
             ]) == 0
+
+    def _eval_argv(self, kg_dir, ckpt, out):
+        return [
+            "eval", "--kg", kg_dir, "--checkpoint", ckpt, "--types", "1p,2i,2u",
+            "--count", "4", "--seed", "7", "--out", str(out),
+        ]
+
+    def test_run_meta_records_workers_and_phase_times(self, tmp_path, kg_dir, ckpt, monkeypatch):
+        # tiles of one query by 5 of the 30 entity rows, so every chunk splits
+        monkeypatch.setattr(boxalg, "DIST_TILE", 40)
+        outputs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(boxalg, "DIST_WORKERS", workers)
+            out = tmp_path / f"w{workers}"
+            assert cli.main(self._eval_argv(kg_dir, ckpt, out)) == 0
+            meta = json.loads((out / "run_meta.json").read_text())
+            assert meta["distance_workers"] == workers
+            timings = meta["timings_s"]
+            assert set(timings) == {"load_kg", "load_checkpoint", "queries", "score_and_rank"}
+            assert all(t >= 0.0 for t in timings.values())
+            assert sum(timings.values()) <= meta["duration_s"]
+            outputs.append((out / "metrics.jsonl").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"timings" not in outputs[0] and b"workers" not in outputs[0]
+
+    def test_a_worker_error_exits_2_with_its_message(self, tmp_path, kg_dir, ckpt, monkeypatch, capsys):
+        real = boxalg.distance_batch
+
+        def short_in_workers(entities, box, *args):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.001)  # leave tiles for the worker to take
+            else:
+                entities = entities[:, :-1]
+            return real(entities, box, *args)
+
+        monkeypatch.setattr(boxalg, "DIST_TILE", 40)
+        monkeypatch.setattr(boxalg, "DIST_WORKERS", 2)
+        monkeypatch.setattr(boxalg, "distance_batch", short_in_workers)
+        assert cli.main(self._eval_argv(kg_dir, ckpt, tmp_path / "o")) == 2
+        assert "error: entity shape (5, 7) does not match box dim 8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("change, problem", [
         (lambda ids: ids[::-1], "entity row 0 holds 'c05_04' where the KG has 'c00_00'"),

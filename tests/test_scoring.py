@@ -6,11 +6,16 @@ their bodies kept verbatim, plus the unstacked intersection and distance
 kernels they called. Distances must match bit for bit and ranks exactly.
 """
 
+import sys
+import threading
+import time
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srbox import boxalg, evalgen
@@ -265,3 +270,146 @@ class TestScoringMemory:
         bound = 2_500_000
         assert few < bound and many < bound
         assert many - few < 50_000
+
+
+# ---------------------------------------------------------------------------
+# the tiled distance pass split across worker threads
+
+
+@st.composite
+def split_cases(draw):
+    """A store whose entity rows do not fill the last tile, a list of 1p, 2i
+    and two-disjunct 2u/up queries, and tile and block sizes. Tiles of one
+    query by fewer rows than the store has must leave a partial last tile;
+    larger tiles hold several queries by every row."""
+    dim = draw(st.integers(1, 8))
+    n_ent = draw(st.integers(2, 300))
+    store = init_random(
+        dim, n_ent, 3, draw(st.integers(0, 2**16)),
+        offset_mode=draw(st.sampled_from(OFFSET_MODES)),
+    )
+    ent = st.integers(0, n_ent - 1)
+    queries = []
+    for name in draw(st.lists(st.sampled_from(("1p", "2i", "2u", "up")), min_size=1, max_size=12)):
+        shape = TYPE_SHAPES[name]
+        n_edges = len(shape[1])
+        dag = _dag_of_shape(
+            shape,
+            draw(st.lists(ent, min_size=len(shape[0]), max_size=len(shape[0]))),
+            draw(st.lists(st.integers(0, 2), min_size=n_edges, max_size=n_edges)),
+            draw(st.lists(st.booleans(), min_size=n_edges, max_size=n_edges)),
+        )
+        queries.append(GeneratedQuery(name, dag, frozenset(), frozenset({0})))
+    tile = draw(st.integers(dim, 6 * n_ent * dim))
+    rows = tile // dim
+    assume(rows >= n_ent or n_ent % rows)
+    block = draw(st.integers(1, 6))
+    norm = draw(st.sampled_from(("l1", "l2")))
+    return store, queries, draw(st.sampled_from((0.0, 0.02, 0.5))), norm, tile, block
+
+
+@contextmanager
+def fast_switching():
+    """Threads switch every microsecond, so workers interleave even between
+    the small numpy calls of a test-sized tile."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestDistanceWorkers:
+    def _distances(self, queries, store, alpha, norm, workers):
+        with mock.patch.object(boxalg, "DIST_WORKERS", workers):
+            seen = []
+            dists = {}
+            for idxs, chunk in evalgen.box_distances(queries, store, alpha, norm):
+                assert len(idxs) == len(chunk)
+                seen += list(idxs)
+                dists.update(zip(idxs, chunk))
+        assert sorted(seen) == list(range(len(queries)))
+        return dists
+
+    @settings(max_examples=120, deadline=None)
+    @given(split_cases())
+    def test_every_worker_count_gives_the_bits_of_one(self, case):
+        store, queries, alpha, norm, tile, block = case
+        ref = [_ref_query_distances(q, store, alpha, norm) for q in queries]
+        with mock.patch.object(boxalg, "DIST_TILE", tile), \
+                mock.patch.object(evalgen, "FORWARD_TILE", block * store.dim), \
+                fast_switching():
+            one = self._distances(queries, store, alpha, norm, 1)
+            for workers in (2, 3, 4):
+                many = self._distances(queries, store, alpha, norm, workers)
+                for i in range(len(queries)):
+                    assert _same_bits(many[i], one[i])
+        for i, dist in enumerate(ref):
+            assert _same_bits(one[i], dist)
+
+    def _store_and_queries(self):
+        store = init_random(4, 100, 3, seed=5)
+        shape = TYPE_SHAPES["2u"]
+        queries = [
+            GeneratedQuery("2u", _dag_of_shape(shape, [i, i + 1], [0, 1], [False, True]),
+                           frozenset(), frozenset({i}))
+            for i in range(6)
+        ]
+        return store, queries
+
+    def _failing_in(self, fails):
+        """``distance_batch`` run on a tile one column short, so ``_gaps``
+        raises, in every thread for which ``fails(thread)`` holds; records
+        the threads it ran in and finished in."""
+        calls, done = [], []
+        real = boxalg.distance_batch
+
+        def patched(entities, box, *args):
+            thread = threading.current_thread()
+            calls.append(thread)
+            if fails(thread):
+                return real(entities[:, :-1], box, *args)
+            time.sleep(0.001)
+            out = real(entities, box, *args)
+            done.append(thread)
+            return out
+
+        return patched, calls, done
+
+    def test_a_worker_error_reaches_the_caller_unchanged(self):
+        store, queries = self._store_and_queries()
+        main = threading.main_thread()
+        patched, calls, done = self._failing_in(lambda t: t is not main)
+        with mock.patch.object(boxalg, "DIST_WORKERS", 2), \
+                mock.patch.object(boxalg, "DIST_TILE", 40), \
+                mock.patch.object(boxalg, "distance_batch", patched):
+            with pytest.raises(ValidationError) as exc:
+                list(evalgen.box_distances(queries, store))
+        assert str(exc.value) == "entity shape (10, 3) does not match box dim 4"
+        assert any(t is not main for t in calls)
+        assert main in done  # the caller's own share ran to its end
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_the_caller_error_waits_for_every_worker(self, workers):
+        store, queries = self._store_and_queries()
+        main = threading.main_thread()
+        patched, calls, done = self._failing_in(lambda t: t is main)
+        with mock.patch.object(boxalg, "DIST_WORKERS", workers), \
+                mock.patch.object(boxalg, "DIST_TILE", 40), \
+                mock.patch.object(boxalg, "distance_batch", patched):
+            with pytest.raises(ValidationError, match="does not match box dim 4"):
+                list(evalgen.box_distances(queries, store))
+            finished = len(done)
+        # every worker call that started had finished before the error surfaced
+        assert finished == len(done) == len([t for t in calls if t is not main])
+        assert finished > 0
+
+    def test_a_single_tile_starts_no_thread(self):
+        store, queries = self._store_and_queries()
+        before = threading.active_count()
+        with mock.patch.object(boxalg, "DIST_WORKERS", 7), \
+                mock.patch.object(boxalg, "_pool", side_effect=AssertionError("pool used")):
+            [(_, dist)] = evalgen.box_distances(queries[:1], store)
+        assert threading.active_count() == before
+        assert _same_bits(dist[0], _ref_query_distances(queries[0], store, 0.02, "l1"))

@@ -767,6 +767,26 @@ class TestTrainLoop:
         assert trace[-1]["step"] == 9
         assert np.isfinite(trace[-1]["loss"])
 
+    def test_steps_that_form_no_example_still_write_their_records(self):
+        # one entity with a self-loop: its query's only entity is its answer,
+        # so no negative is ever free and every draw is skipped (a text
+        # corpus cannot say this: its loader rejects self-loops)
+        src = KgSource([(0, 0, 0)], [], 1)
+        store = init_random(4, 1, 1, seed=0)
+        before = store.copy()
+        seen = []
+        cfg = TrainConfig(steps=5, k_negatives=2, batch_size=3, seed=0, trace_every=3)
+        after, trace = train.train(src, store, cfg, callback=seen.append)
+        assert after.equals(before)
+        assert seen == trace
+        assert [r["step"] for r in trace] == [0, 3, 4]
+        for r in trace:
+            assert r["loss"] is None and r["loss_simple"] is None and r["loss_complex"] is None
+            assert r["with_replacement_frac"] is None
+            assert r["lr"] == lr_at(cfg, r["step"])
+        # draws since the previous record: step 0, steps 1-3, step 4
+        assert [r["skipped_draws"] for r in trace] == [3, 9, 3]
+
     def test_empty_kg_source_rejected(self):
         store = init_random(4, 5, 2, seed=0)
         with pytest.raises(ValidationError):
