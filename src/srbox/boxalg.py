@@ -23,8 +23,9 @@ only the distances, ``distance_with_cache`` also keeps the gaps and hinge
 sides, and ``distance_backward`` turns them into gradients for all rows at
 once. Evaluation ranks stacked query boxes against every entity through
 ``min_distance_tiles``, which runs ``distance_batch`` on cache-sized tiles
-split across worker threads, one CPU each; every tile writes its own slice
-of the result, so its distances have the same bits for any worker count.
+split across worker threads, one CPU each (at most two); every tile writes
+its own slice of the result, so its distances have the same bits for any
+worker count.
 
 Every operation here has a matching hand-written backward; forward variants
 with ``_with_cache`` record exactly what the backward needs, plus the branch
@@ -48,7 +49,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import cache, partialmethod
+from functools import partialmethod
 from typing import NamedTuple
 
 import numpy as np
@@ -373,11 +374,16 @@ def _gaps(e: np.ndarray, b: Box, out=None) -> tuple[np.ndarray, np.ndarray]:
     return v_out, u_in
 
 
-def _combine(v_out: np.ndarray, u_in: np.ndarray, alpha: float, norm: str) -> Distance:
-    """d_out + alpha * d_in from the gaps."""
-    d_out = _norm(v_out, norm)
-    d_in = _norm(u_in, norm)
-    return Distance(d_out + alpha * d_in, d_out, d_in)
+def _combine(
+    v_out: np.ndarray, u_in: np.ndarray, alpha: float, norm: str, out=(None, None)
+) -> Distance:
+    """d_out + alpha * d_in from the gaps. ``out`` may hold two buffers of
+    the result shape: the first takes d_out and then d, the second d_in and
+    then alpha * d_in, and the gaps are overwritten, so the call allocates
+    nothing and only its d is kept."""
+    d_out = _norm(v_out, norm, out[0])
+    d_in = _norm(u_in, norm, out[1])
+    return Distance(np.add(d_out, np.multiply(alpha, d_in, out=out[1]), out=out[0]), d_out, d_in)
 
 
 def distance(e: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1") -> Distance:
@@ -387,32 +393,34 @@ def distance(e: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1") -> Di
 
 
 def distance_batch(
-    entities: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1", out=None
+    entities: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1", out=(None,) * 4
 ) -> np.ndarray:
     """Distance from every row of ``entities`` (m, d) to one box, (m,), or to
-    each box of a stacked (q, 1, d) box, (q, m). ``out`` is an optional set
-    of work buffers, which the call overwrites instead of allocating: two
-    of the gap shape, then two of the result shape, the first of which
-    holds the result. Either way the distances have the same bits."""
-    if out is None:
-        return _combine(*_gaps(entities, b), alpha, norm).d
-    v_out, u_in, d, scaled = out
-    _gaps(entities, b, (v_out, u_in))
-    _norm(v_out, norm, out=d)
-    _norm(u_in, norm, out=scaled)
-    np.multiply(alpha, scaled, out=scaled)
-    return np.add(d, scaled, out=d)
+    each box of a stacked (q, 1, d) box, (q, m). ``out`` may hold four work
+    buffers, which the call overwrites instead of allocating: two of the
+    gap shape, then two of the result shape, the first of which holds the
+    result. Either way the distances have the same bits."""
+    return _combine(*_gaps(entities, b, out[:2]), alpha, norm, out[2:]).d
 
 
 # elements of one gap buffer in the tiled distance pass: both buffers of a
 # tile, 512 KB at this size, stay in a core's L2 cache
 DIST_TILE = 1 << 15
 
-# threads of the tiled distance pass, the calling thread included: every CPU
-# this process may run on
-DIST_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
+# most threads of the tiled distance pass, the calling thread included: two
+# is the count measured. Every worker holds its own tile buffers, so more
+# would raise the pass's memory, and the CPU affinity does not see a
+# container's CPU quota.
+MAX_DIST_WORKERS = 2
+
+
+def _distance_workers() -> int:
+    """The CPUs this process may run on, at most ``MAX_DIST_WORKERS``."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, MAX_DIST_WORKERS)
+
+
+DIST_WORKERS = _distance_workers()
 
 # tiles per worker that a chunk of queries holds at least, so handing a chunk
 # to the pool costs little against its tiles; a larger chunk would hold more
@@ -420,20 +428,11 @@ DIST_WORKERS = (
 TILES_PER_WORKER = 4
 
 
-@cache
-def _pool(threads: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(threads, thread_name_prefix="srbox-distance")
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _in_parallel(work, shares: list) -> None:
+def _in_parallel(pool: ThreadPoolExecutor, work, shares: list) -> None:
     """``work(*share)`` for every share: the first in the calling thread,
-    the others on the worker pool. Returns once every share has finished;
-    an error is raised as it was raised, the earliest share's first."""
-    futures = [_pool(DIST_WORKERS - 1).submit(work, *share) for share in shares[1:]]
+    the others on ``pool``. Returns once every share has finished; an error
+    is raised as it was raised, the earliest share's first."""
+    futures = [pool.submit(work, *share) for share in shares[1:]]
     try:
         work(*shares[0])
     finally:
@@ -474,13 +473,13 @@ def min_distance_tiles(
     distance is the one ``distance_batch`` gives for one query's box.
 
     A chunk holds at least ``TILES_PER_WORKER`` tiles per worker, and up to
-    ``DIST_WORKERS`` workers compute them: the calling thread and pool
-    threads, each with its own gap and result buffers, each taking the
-    chunk's next tile whenever it is free and writing the tile's disjoint
-    (queries, entity rows) slice of D. Since a tile gets the same operands
-    whichever thread runs it, every distance has the same bits for any
-    worker count and tile size. With one worker, or a chunk of one tile, no
-    thread is started.
+    ``DIST_WORKERS`` workers compute them: the calling thread and the
+    threads of a pool that ends with the call, each with its own gap and
+    result buffers, each taking the chunk's next tile whenever it is free
+    and writing the tile's disjoint (queries, entity rows) slice of D.
+    Since a tile gets the same operands whichever thread runs it, every
+    distance has the same bits for any worker count and tile size. With one
+    worker, or a chunk of one tile, no thread is started.
     """
     m, d = entities.shape
     n_queries = boxes[0].center.shape[0]
@@ -491,22 +490,24 @@ def min_distance_tiles(
     n_workers = min(DIST_WORKERS, -(-min(chunk, n_queries) // q) * row_tiles)
     gaps = np.empty((n_workers, 2, q * min(rows, m) * d))
     sums = np.empty((n_workers, 2, q * min(rows, m)))
-    for start in range(0, n_queries, chunk):
-        stop = min(start + chunk, n_queries)
-        dist = np.empty((stop - start, m))
-        tiles = []
-        for s0 in range(start, stop, q):
-            s1 = min(s0 + q, stop)
-            stacked = [Box(b.center[s0:s1, None], b.offset[s0:s1, None]) for b in boxes]
-            tiles += [
-                (entities[r0:r0 + rows], stacked, dist[s0 - start:s1 - start, r0:r0 + rows])
-                for r0 in range(0, m, rows)
-            ]
-        todo = iter(tiles)  # shared: under the GIL each next() hands out one tile
-        _in_parallel(_tile_pass, [
-            (todo, gaps[w], sums[w], alpha, norm) for w in range(min(n_workers, len(tiles)))
-        ])
-        yield start, dist
+    # the pool starts its threads on the first submit and ends them on exit
+    with ThreadPoolExecutor(max(1, n_workers - 1), "srbox-distance") as pool:
+        for start in range(0, n_queries, chunk):
+            stop = min(start + chunk, n_queries)
+            dist = np.empty((stop - start, m))
+            tiles = []
+            for s0 in range(start, stop, q):
+                s1 = min(s0 + q, stop)
+                stacked = [Box(b.center[s0:s1, None], b.offset[s0:s1, None]) for b in boxes]
+                tiles += [
+                    (entities[r0:r0 + rows], stacked, dist[s0 - start:s1 - start, r0:r0 + rows])
+                    for r0 in range(0, m, rows)
+                ]
+            todo = iter(tiles)  # shared: under the GIL each next() hands out one tile
+            _in_parallel(pool, _tile_pass, [
+                (todo, gaps[w], sums[w], alpha, norm) for w in range(min(n_workers, len(tiles)))
+            ])
+            yield start, dist
 
 
 def distance_with_cache(

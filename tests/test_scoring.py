@@ -409,7 +409,31 @@ class TestDistanceWorkers:
         store, queries = self._store_and_queries()
         before = threading.active_count()
         with mock.patch.object(boxalg, "DIST_WORKERS", 7), \
-                mock.patch.object(boxalg, "_pool", side_effect=AssertionError("pool used")):
+                mock.patch.object(boxalg.ThreadPoolExecutor, "submit",
+                                  side_effect=AssertionError("pool used")):
             [(_, dist)] = evalgen.box_distances(queries[:1], store)
         assert threading.active_count() == before
         assert _same_bits(dist[0], _ref_query_distances(queries[0], store, 0.02, "l1"))
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, boxalg.MAX_DIST_WORKERS)])
+    def test_the_worker_count_follows_the_cpus_up_to_its_cap(self, cpus, workers):
+        with mock.patch.object(boxalg.os, "sched_getaffinity", return_value=set(range(cpus)),
+                               create=True):
+            assert boxalg._distance_workers() == workers
+
+    def test_the_pool_threads_end_with_the_pass(self):
+        store, queries = self._store_and_queries()
+        before = threading.active_count()
+        with mock.patch.object(boxalg, "DIST_WORKERS", 2), \
+                mock.patch.object(boxalg, "DIST_TILE", 40):
+            chunks = list(evalgen.box_distances(queries, store))
+        assert len(chunks) > 1
+        assert threading.active_count() == before
+
+
+class TestScoringMemoryAtTheWorkerCap:
+    def test_peak_is_bounded_and_flat_at_the_most_workers(self):
+        # the scenario of TestScoringMemory, with every worker the pass may
+        # have, whatever this machine's CPU count
+        with mock.patch.object(boxalg, "DIST_WORKERS", boxalg.MAX_DIST_WORKERS):
+            TestScoringMemory().test_peak_is_bounded_and_flat_in_the_query_count()
