@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from srbox.errors import ValidationError
-from srbox.structures import Plan, QueryDag, plan_of, query_ids
+from srbox.structures import Plan, QueryDag, plan_of, query_ids, stack_ids
 
 
 @dataclass(frozen=True)
@@ -646,18 +646,22 @@ def execute_with_trace(dag: QueryDag, params) -> ExecutionTrace:
     return ExecutionTrace(plan, anchors, relations, nodes, caches)
 
 
-def execute_batch(plan: Plan, dags: list[QueryDag], params) -> list[Box]:
-    """Evaluate B query DAGs of one plan at once, as stacked (B, d) arrays.
+def execute_ids(plan: Plan, anchors: np.ndarray, relations: np.ndarray, params) -> list[Box]:
+    """Evaluate B queries of one plan at once, given as an (B, n_anchors)
+    array of anchor entity ids and a (B, n_edges) array of relation ids.
 
-    Returns the answer node's disjuncts, each a Box of (B, d) arrays; row i
-    is bit for bit what ``execute_with_trace`` gives for ``dags[i]``, since
-    projection is elementwise and ``intersect_with_cache`` computes a stack
-    as it computes one intersection.
+    Returns the answer node's disjuncts, each a Box of stacked (B, d)
+    arrays; row i is bit for bit what ``execute_with_trace`` gives for
+    query i alone, since projection is elementwise and
+    ``intersect_with_cache`` computes a stack as it computes one
+    intersection.
     """
-    ids = [query_ids(dag) for dag in dags]
-    anchor_ids = np.array([a for a, _ in ids], dtype=np.intp)
-    relation_ids = np.array([r for _, r in ids], dtype=np.intp)
-    return _walk(plan, anchor_ids.T, relation_ids.T, params)[plan.answer_node]
+    return _walk(plan, anchors.T, relations.T, params)[plan.answer_node]
+
+
+def execute_batch(plan: Plan, dags: list[QueryDag], params) -> list[Box]:
+    """``execute_ids`` of B query DAGs of one plan."""
+    return execute_ids(plan, *stack_ids(dags), params)
 
 
 def execute_query(dag: QueryDag, params) -> list[Box]:

@@ -6,9 +6,10 @@ Configuration comes from an INI file (sections [run], [paths], [train],
 The resolved configuration is echoed to <out>/effective_config.ini. The
 only timestamps any command emits live in <out>/run_meta.json, written
 when the command starts and rewritten when it returns with its finish
-time, duration, exit status and the srbox and numpy versions (eval adds
-its distance worker count and the wall time of each phase), so repeated
-runs with the same seed produce byte-identical primary outputs.
+time, duration, exit status and the srbox and numpy versions (gen-queries
+adds the queries requested and written per type, eval its distance worker
+count and the wall time of each phase), so repeated runs with the same seed
+produce byte-identical primary outputs.
 
 Exit codes: 0 success, 1 usage error, 2 validation/config error, 3 runtime
 failure (I/O and the like).
@@ -374,10 +375,12 @@ def cmd_gen_queries(cfg: RunConfig, out: str, meta: dict) -> int:
     rng = substream(cfg.seed, STREAM_QUERY_GEN)
     split = cfg.get("eval", "split")
     count = cfg.get_int("eval", "count")
+    written = meta["queries"] = {}
     for qtype in _eval_types(cfg):
         queries = evalgen.generate_queries(kg, qtype, count, split, rng)
         path = os.path.join(out, f"queries_{qtype}.jsonl")
         evalgen.save_queries(queries, kg, path)
+        written[qtype] = {"requested": count, "written": len(queries)}
         print(f"{qtype}: {len(queries)} queries -> {path}")
     return 0
 
@@ -406,30 +409,37 @@ def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
     norm = cfg.get("train", "norm")
 
     queries_path = cfg.get("paths", "queries")
-    batches: list[tuple[str, list[evalgen.GeneratedQuery]]] = []
     with _timed(timings, "queries"):
         if queries_path:
-            loaded = evalgen.load_queries(queries_path, kg)
-            by_type: dict[str, list[evalgen.GeneratedQuery]] = {}
-            for q in loaded:
-                by_type.setdefault(q.qtype, []).append(q)
-            batches = sorted(by_type.items())
+            source = queries_path
+            blocks = sorted(evalgen.read_query_blocks(queries_path, kg), key=lambda b: b.qtype)
         else:
             rng = substream(cfg.seed, STREAM_QUERY_GEN)
             split = cfg.get("eval", "split")
             count = cfg.get_int("eval", "count")
+            source = f"{split} split"
+            blocks = []
             for qtype in _eval_types(cfg):
-                batches.append((qtype, evalgen.generate_queries(kg, qtype, count, split, rng)))
+                queries = evalgen.generate_queries(kg, qtype, count, split, rng)
+                if not queries:
+                    raise ValidationError(f"{source}: no {qtype} queries to evaluate")
+                blocks += evalgen.query_blocks(queries)
+    for block in blocks:
+        if not len(block.hard.ids):
+            raise ValidationError(
+                f"{source}: none of the {len(block)} {block.qtype} queries has a hard answer to rank"
+            )
 
     header = f"{'type':<6}{'scorer':<10}{'H@1':>8}{'H@3':>8}{'H@10':>8}{'MRR':>8}{'n':>7}"
     print(header)
     with open(os.path.join(out, "metrics.jsonl"), "w", encoding="utf-8") as fh:
-        for qtype, queries in batches:
+        for block in blocks:
             with _timed(timings, "score_and_rank"):
-                report = evalgen.metrics_report(queries, store, scorer, alpha, norm, raw)
+                ranks = evalgen.block_ranks(block, store, scorer, alpha, norm, raw, timings)
+                report = evalgen.rank_report(block.qtype, scorer, ranks.tolist(), len(block))
             fh.write(json.dumps(report) + "\n")
             print(
-                f"{qtype:<6}{scorer:<10}"
+                f"{block.qtype:<6}{scorer:<10}"
                 f"{report['H@1']:>8.4f}{report['H@3']:>8.4f}{report['H@10']:>8.4f}"
                 f"{report['MRR']:>8.4f}{report['n_queries']:>7d}"
             )

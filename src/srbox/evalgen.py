@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import json
 import os
+import time
 import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from srbox.structures import (
     merge_dag,
     plan_of,
     query_ids,
+    stack_ids,
 )
 
 TRAIN_QUERY_TYPES = ("1p", "2p", "3p", "2i", "3i")
@@ -391,10 +393,16 @@ class GeneratedQuery:
         return self.answers_full - self.answers_train
 
     def validate(self) -> None:
-        if not self.answers_full:
-            raise ValidationError("query has no answers over the full graph")
-        if not self.answers_full >= self.answers_train:
-            raise ValidationError("train answers are not a subset of full answers")
+        check_answers(self.answers_train, self.answers_full)
+
+
+def check_answers(train: set[int], full: set[int]) -> None:
+    """A query needs answers over the full graph, and its train answers
+    must be among them."""
+    if not full:
+        raise ValidationError("query has no answers over the full graph")
+    if not full >= train:
+        raise ValidationError("train answers are not a subset of full answers")
 
 
 def _pick(options, rng: np.random.Generator):
@@ -559,27 +567,139 @@ def generate_queries(
 
 
 # ---------------------------------------------------------------------------
-# ranking
+# queries as id arrays
 
 
-def dag_to_path(dag: QueryDag) -> tuple[int, list[tuple[int, bool]]]:
-    """Anchor and relation hops of a pure chain: a plan of one anchor, then
-    steps of one slot each fed by the node before, the answer node last."""
-    plan = plan_of(dag)
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """Rows of sorted, distinct ids: row i is ``ids[offsets[i]:offsets[i + 1]]``."""
+
+    offsets: np.ndarray  # (rows + 1,) int64, from 0
+    ids: np.ndarray  # int64
+
+    @classmethod
+    def of(cls, rows: list[list[int]]) -> Csr:
+        """From a list of sorted, distinct id lists."""
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([len(row) for row in rows])
+        return cls(offsets, np.fromiter(chain.from_iterable(rows), np.int64, int(offsets[-1])))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def rows(self, start: int, stop: int) -> Csr:
+        """Rows start .. stop - 1."""
+        offsets = self.offsets[start:stop + 1]
+        return Csr(offsets - offsets[0], self.ids[offsets[0]:offsets[-1]])
+
+    def row_of_ids(self) -> np.ndarray:
+        """The row that holds each id."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def lists(self) -> list[list[int]]:
+        ids, offsets = self.ids.tolist(), self.offsets.tolist()
+        return [ids[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+
+
+@dataclass(frozen=True, eq=False)
+class QueryBlock:
+    """Queries of one type and one DAG shape, held as id arrays.
+
+    Row i is one query: ``anchors[i]`` holds its entity id per anchor slot
+    of ``plan`` and ``relations[i]`` its relation id per edge slot;
+    ``train``, ``full`` and ``hard`` (full minus train) hold its answers.
+    ``positions[i]`` is the query's place in the list or file the block
+    came from.
+    """
+
+    qtype: str
+    shape: tuple  # the ``dag_shape`` that ``plan`` compiles
+    plan: Plan
+    anchors: np.ndarray  # (B, n_anchors) int64
+    relations: np.ndarray  # (B, n_edges) int64
+    train: Csr
+    full: Csr
+    hard: Csr
+    positions: np.ndarray  # (B,) int64
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    @classmethod
+    def build(cls, qtype: str, shape: tuple, plan: Plan, anchors, relations, answers, positions):
+        """A block of B queries from their (B, n_anchors) anchor and
+        (B, n_edges) relation ids and each one's (train, full) answer sets."""
+        ids = [np.asarray(a, dtype=np.int64) for a in (anchors, relations)]
+        train = Csr.of([sorted(t) for t, _ in answers])
+        full = Csr.of([sorted(f) for _, f in answers])
+        hard = Csr.of([sorted(f - t) for t, f in answers])
+        return cls(qtype, shape, plan, *ids, train, full, hard, np.asarray(positions, dtype=np.int64))
+
+
+def query_blocks(queries: list[GeneratedQuery]) -> list[QueryBlock]:
+    """The array form of a list of queries: one block per (type, DAG shape),
+    in order of first appearance, each row's position its query's index in
+    the list."""
+    groups: dict = {}
+    for i, q in enumerate(queries):
+        groups.setdefault((q.qtype, dag_shape(q.dag)), []).append(i)
+    return [
+        QueryBlock.build(
+            qtype, shape, compile_plan(shape), *stack_ids([queries[i].dag for i in idxs]),
+            [(queries[i].answers_train, queries[i].answers_full) for i in idxs], idxs,
+        )
+        for (qtype, shape), idxs in groups.items()
+    ]
+
+
+def block_queries(blocks: list[QueryBlock]) -> list[GeneratedQuery]:
+    """The queries of blocks whose positions number them 0 .. N - 1, as
+    ``GeneratedQuery`` objects in that order."""
+    out: list = [None] * sum(map(len, blocks))
+    for b in blocks:
+        anchor_nodes, edges, nodes, answer = b.shape
+        rows = zip(b.positions.tolist(), b.anchors.tolist(), b.relations.tolist(),
+                   b.train.lists(), b.full.lists())
+        for pos, ents, rels, train, full in rows:
+            dag = QueryDag(
+                tuple(zip(anchor_nodes, ents)),
+                tuple(Edge(s, d, r, inverse) for (s, d, inverse), r in zip(edges, rels)),
+                nodes,
+                answer,
+            )
+            out[pos] = GeneratedQuery(b.qtype, dag, frozenset(train), frozenset(full))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# scoring and ranking
+
+
+def _chain_hops(plan: Plan) -> list[tuple[int, bool]]:
+    """The (edge slot, inverse) of each hop of a pure chain plan, from its
+    anchor to its answer node: one anchor, then steps of one slot each fed
+    by the node before."""
+    unsupported = ValidationError("unsupported query shape for the path scorer (chains only)")
     if len(plan.anchors) != 1 or any(len(slots) != 1 for _, _, slots, _ in plan.steps):
-        raise ValidationError("unsupported query shape for the path scorer (chains only)")
-    (anchor,), relations = query_ids(dag)
-    path = []
+        raise unsupported
+    hops = []
     node = plan.anchors[0]
     for n, _, (slot,), _ in plan.steps:
         src, _, inverse = plan.edges[slot]
         if src != node:
-            raise ValidationError("unsupported query shape for the path scorer (chains only)")
-        path.append((relations[slot], inverse))
+            raise unsupported
+        hops.append((slot, inverse))
         node = n
     if node != plan.answer_node:
-        raise ValidationError("unsupported query shape for the path scorer (chains only)")
-    return anchor, path
+        raise unsupported
+    return hops
+
+
+def dag_to_path(dag: QueryDag) -> tuple[int, list[tuple[int, bool]]]:
+    """Anchor and (relation, inverse) hops of a pure chain DAG."""
+    hops = _chain_hops(plan_of(dag))
+    (anchor,), relations = query_ids(dag)
+    return anchor, [(relations[slot], inverse) for slot, inverse in hops]
 
 
 def ptranse_distances(anchor: int, path: list[tuple[int, bool]], params) -> np.ndarray:
@@ -595,32 +715,97 @@ def ptranse_distances(anchor: int, path: list[tuple[int, bool]], params) -> np.n
 
 # elements of one stacked (B, d) array in the forward pass: 128 queries at
 # d = 32, where a 3i block's intersection holds about 2 MB of intermediate
-# arrays; a larger shape group runs in blocks of that size, so memory does
-# not grow with it (512-query blocks raised eval's peak RSS by about 7 MB)
+# arrays; a larger block runs in parts of that size, so memory does not grow
+# with it (512-query parts raised eval's peak RSS by about 7 MB)
 FORWARD_TILE = 1 << 12
 
 
-def box_distances(queries: list[GeneratedQuery], params, alpha: float = 0.02, norm: str = "l1"):
-    """Box-scorer distances of a list of queries, scored by shape.
+def block_distances(block: QueryBlock, params, scorer: str = "box", alpha: float = 0.02,
+                    norm: str = "l1"):
+    """Distances from every entity to the queries of a block under the
+    chosen scorer (lower is better).
 
-    Queries of one DAG shape run as one stacked ``boxalg.execute_batch``
-    call per block of ``FORWARD_TILE // d`` of them; their distances come
-    from ``boxalg.min_distance_tiles``. Yields
-    (indices into ``queries``, distances (len(indices), n_entities)) one
-    chunk at a time, shape by shape in order of first appearance, so memory
-    holds one chunk's distances, not the whole list's.
+    Yields (start, D) for consecutive chunks of rows, D (c, n_entities) for
+    rows start .. start + c - 1, so memory holds one chunk's distances, not
+    the block's. The box scorer runs up to ``FORWARD_TILE // d`` rows as one
+    stacked ``boxalg.execute_ids`` call and takes their distances from
+    ``boxalg.min_distance_tiles``; the path-sum scorer scores one row at a
+    time along the chain its plan lays out.
     """
-    groups: dict = {}
-    for i, q in enumerate(queries):
-        groups.setdefault(plan_of(q.dag), []).append(i)
+    if scorer == "ptranse":
+        hops = _chain_hops(block.plan)
+        for i, (ents, rels) in enumerate(zip(block.anchors.tolist(), block.relations.tolist())):
+            yield i, ptranse_distances(ents[0], [(rels[s], inv) for s, inv in hops], params)[None]
+        return
+    if scorer != "box":
+        raise ValidationError(f"unknown scorer {scorer!r}")
     size = max(1, FORWARD_TILE // params.entity_centers.shape[1])
-    blocks = (
-        (plan, idxs[i:i + size]) for plan, idxs in groups.items() for i in range(0, len(idxs), size)
-    )
-    for plan, block in blocks:
-        boxes = boxalg.execute_batch(plan, [queries[i].dag for i in block], params)
+    for b0 in range(0, len(block), size):
+        rows = slice(b0, b0 + size)
+        boxes = boxalg.execute_ids(block.plan, block.anchors[rows], block.relations[rows], params)
         for start, dist in boxalg.min_distance_tiles(params.entity_centers, boxes, alpha, norm):
-            yield block[start:start + len(dist)], dist
+            yield b0 + start, dist
+
+
+def rank_block(dist: np.ndarray, hard: Csr, known: Csr | None) -> np.ndarray:
+    """Rank of each hard answer of c queries, in the order of ``hard.ids``,
+    from their distances D (c, m) to every entity: 1 + competitors strictly
+    closer + half the competitors at the same distance.
+
+    Filtered ranking takes each query's ``known`` answers out of its
+    competitor pool; raw ranking (``known`` None) keeps every entity. The
+    ranked entity is never its own competitor. The counts are integers,
+    made by comparing each answer's distance with its query's row in slices
+    of answers (and of entities, for rows longer than the budget), so no
+    compare array holds more than ``boxalg.DIST_TILE`` elements however
+    many answers there are. Distances must not be NaN.
+    """
+    m = dist.shape[1]
+    pool = dist
+    if known is not None:
+        pool = dist.copy()
+        pool[known.row_of_ids(), known.ids] = np.nan  # NaN is neither closer nor tied
+    rows, answers = hard.row_of_ids(), hard.ids
+    da = dist[rows, answers]
+    better = np.zeros(len(answers), dtype=np.intp)
+    tied = -(pool[rows, answers] == da).astype(np.intp)  # an answer in the pool ties itself
+    width = min(m, boxalg.DIST_TILE)
+    step = max(1, boxalg.DIST_TILE // width)
+    for a0 in range(0, len(answers), step):
+        part, r, d = slice(a0, a0 + step), rows[a0:a0 + step], da[a0:a0 + step, None]
+        for c0 in range(0, m, width):
+            competitors = pool[r, c0:c0 + width]
+            better[part] += np.count_nonzero(competitors < d, axis=1)
+            tied[part] += np.count_nonzero(competitors == d, axis=1)
+    return 1.0 + better + 0.5 * tied
+
+
+def block_ranks(block: QueryBlock, params, scorer: str = "box", alpha: float = 0.02,
+                norm: str = "l1", raw: bool = False, timings: dict | None = None) -> np.ndarray:
+    """``rank_block`` of each chunk of ``block_distances``: the filtered (or
+    raw) rank of every hard answer of the block, in the order of
+    ``block.hard.ids`` (rows in order, each row's answers by id). Adds the
+    seconds spent in ``rank_block`` to ``timings["ranks"]`` if given."""
+    ranks = []
+    spent = 0.0
+    for start, dist in block_distances(block, params, scorer, alpha, norm):
+        stop = start + len(dist)
+        t0 = time.perf_counter()
+        known = None if raw else block.full.rows(start, stop)
+        ranks.append(rank_block(dist, block.hard.rows(start, stop), known))
+        spent += time.perf_counter() - t0
+    if timings is not None:
+        timings["ranks"] = timings.get("ranks", 0.0) + spent
+    return np.concatenate(ranks)
+
+
+def box_distances(queries: list[GeneratedQuery], params, alpha: float = 0.02, norm: str = "l1"):
+    """Box-scorer distances of a list of queries: ``block_distances`` of its
+    ``query_blocks``. Yields (indices into ``queries``, distances
+    (len(indices), n_entities)) one chunk at a time, block by block."""
+    for block in query_blocks(queries):
+        for start, dist in block_distances(block, params, "box", alpha, norm):
+            yield block.positions[start:start + len(dist)].tolist(), dist
 
 
 def query_distances(
@@ -631,35 +816,20 @@ def query_distances(
     norm: str = "l1",
 ) -> np.ndarray:
     """Per-entity distance vector under the chosen scorer (lower is better)."""
-    if scorer == "box":
-        [(_, dist)] = box_distances([query], params, alpha, norm)
-        return dist[0]
-    if scorer == "ptranse":
-        return ptranse_distances(*dag_to_path(query.dag), params)
-    raise ValidationError(f"unknown scorer {scorer!r}")
+    [block] = query_blocks([query])
+    [(_, dist)] = block_distances(block, params, scorer, alpha, norm)
+    return dist[0]
 
 
 def ranks_from_distances(
     dist: np.ndarray, hard: frozenset[int], answers_full: frozenset[int], raw: bool = False
 ) -> dict[int, float]:
-    """Rank of each hard answer: 1 + competitors strictly closer + half the
-    competitors at the same distance. Filtered mode drops every known answer
-    from the competitor pool; raw mode drops only the ranked entity.
-
-    One sort of the pool and two binary searches per answer count the closer
-    and the tied competitors; a ranked entity that is itself in the pool is
-    taken out of its own tie count. Distances must not be NaN.
-    """
-    pool = np.ones(dist.shape[0], dtype=bool)
-    if not raw:
-        pool[list(answers_full)] = False
-    competitors = dist[pool]
-    competitors.sort()
-    answers = np.array(sorted(hard), dtype=np.intp)
-    da = dist[answers]
-    better = competitors.searchsorted(da, "left")
-    tied = competitors.searchsorted(da, "right") - better - pool[answers]
-    return dict(zip(answers.tolist(), (1.0 + better + 0.5 * tied).tolist()))
+    """Rank of each hard answer of one query from its distances (m,):
+    ``rank_block`` of a chunk of one query, whose known answers, in
+    filtered mode, are ``answers_full``."""
+    answers = sorted(hard)
+    known = None if raw else Csr.of([sorted(answers_full)])
+    return dict(zip(answers, rank_block(dist[None], Csr.of([answers]), known).tolist()))
 
 
 def query_ranks(
@@ -670,16 +840,15 @@ def query_ranks(
     norm: str = "l1",
     raw: bool = False,
 ) -> list[dict[int, float]]:
-    """``rank_answers`` of every query, in the list's order; the box scorer
-    scores the list by shape through ``box_distances``."""
-    if scorer != "box":
-        return [rank_answers(q, params, scorer, alpha, norm, raw) for q in queries]
-    ranks: list = [None] * len(queries)
-    for idxs, dists in box_distances(queries, params, alpha, norm):
-        for i, dist in zip(idxs, dists):
-            q = queries[i]
-            ranks[i] = ranks_from_distances(dist, q.hard_answers, q.answers_full, raw)
-    return ranks
+    """Filtered (or raw) ranks of every query's hard answers, in the list's
+    order: ``block_ranks`` of its ``query_blocks``."""
+    out: list = [None] * len(queries)
+    for block in query_blocks(queries):
+        ranks = block_ranks(block, params, scorer, alpha, norm, raw).tolist()
+        answers, offsets = block.hard.ids.tolist(), block.hard.offsets.tolist()
+        for pos, lo, hi in zip(block.positions.tolist(), offsets, offsets[1:]):
+            out[pos] = dict(zip(answers[lo:hi], ranks[lo:hi]))
+    return out
 
 
 def rank_answers(
@@ -691,8 +860,7 @@ def rank_answers(
     raw: bool = False,
 ) -> dict[int, float]:
     """Filtered (or raw) ranks of the query's hard answers."""
-    dist = query_distances(query, params, scorer, alpha, norm)
-    return ranks_from_distances(dist, query.hard_answers, query.answers_full, raw)
+    return query_ranks([query], params, scorer, alpha, norm, raw)[0]
 
 
 def hits_at_k(ranks, k: int) -> float:
@@ -711,6 +879,20 @@ def mrr(ranks) -> float:
     return sum(1.0 / r for r in ranks) / len(ranks)
 
 
+def rank_report(qtype: str, scorer: str, ranks: list[float], n_queries: int) -> dict:
+    """H@1/3/10 and MRR over ranks listed query by query, each query's by
+    answer id: the order in which MRR's float sum runs."""
+    return {
+        "scorer": scorer,
+        "query_type": qtype,
+        "H@1": hits_at_k(ranks, 1),
+        "H@3": hits_at_k(ranks, 3),
+        "H@10": hits_at_k(ranks, 10),
+        "MRR": mrr(ranks),
+        "n_queries": n_queries,
+    }
+
+
 def metrics_report(
     queries: list[GeneratedQuery],
     params,
@@ -723,19 +905,8 @@ def metrics_report(
     if not queries:
         raise ValidationError("no queries to evaluate")
     qtypes = {q.qtype for q in queries}
-    all_ranks = [
-        r for ranks in query_ranks(queries, params, scorer, alpha, norm, raw)
-        for r in ranks.values()
-    ]
-    return {
-        "scorer": scorer,
-        "query_type": qtypes.pop() if len(qtypes) == 1 else "mixed",
-        "H@1": hits_at_k(all_ranks, 1),
-        "H@3": hits_at_k(all_ranks, 3),
-        "H@10": hits_at_k(all_ranks, 10),
-        "MRR": mrr(all_ranks),
-        "n_queries": len(queries),
-    }
+    ranks = [r for rk in query_ranks(queries, params, scorer, alpha, norm, raw) for r in rk.values()]
+    return rank_report(qtypes.pop() if len(qtypes) == 1 else "mixed", scorer, ranks, len(queries))
 
 
 # ---------------------------------------------------------------------------
@@ -758,10 +929,48 @@ def query_record(q: GeneratedQuery, kg: KnowledgeGraph) -> dict:
     }
 
 
-def record_to_query(rec: dict, kg: KnowledgeGraph) -> GeneratedQuery:
-    """A query from its ``query_record``: the DAG must be valid (checked once
-    per shape) and be the shape that ``generate_queries`` gives the
-    record's type."""
+def save_queries(queries: list[GeneratedQuery], kg: KnowledgeGraph, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for q in queries:
+            fh.write(json.dumps(query_record(q, kg)) + "\n")
+
+
+@dataclass
+class _Pending:
+    """A block of one query type being read, record by record."""
+
+    qtype: str
+    shape: tuple
+    plan: Plan
+    anchors: list = field(default_factory=list)  # a list of ids per record
+    relations: list = field(default_factory=list)
+    answers: list = field(default_factory=list)  # (train, full) id sets per record
+    positions: list = field(default_factory=list)
+
+    def block(self) -> QueryBlock:
+        return QueryBlock.build(self.qtype, self.shape, self.plan, self.anchors, self.relations,
+                                self.answers, self.positions)
+
+
+def _written_shape(rec) -> tuple:
+    """A record's type and DAG shape fields as written: the key under which
+    the loader keeps a shape it has checked. Its fields are unpacked as
+    ``_checked_type`` unpacks them, and values that compare equal convert
+    alike, so equal keys are records of one checked shape."""
+    dag = rec["dag"]
+    return (
+        rec["type"],
+        tuple([n for n, _ in dag["anchors"]]),
+        tuple([(s, d, i) for s, d, _, i in dag["edges"]]),
+        tuple([(n, k) for n, k in dag["nodes"]]),
+        dag["answer_node"],
+    )
+
+
+def _checked_type(rec, kg: KnowledgeGraph, pending: dict[str, _Pending]) -> _Pending:
+    """The pending block of a record's type, once the record is a valid DAG
+    (checked once per shape) of the shape that ``generate_queries`` gives
+    its type."""
     try:
         dag = QueryDag(
             anchors=tuple((int(n), kg.entity_index[e]) for n, e in rec["dag"]["anchors"]),
@@ -772,41 +981,82 @@ def record_to_query(rec: dict, kg: KnowledgeGraph) -> GeneratedQuery:
             nodes=tuple((int(n), NodeKind(k)) for n, k in rec["dag"]["nodes"]),
             answer_node=int(rec["dag"]["answer_node"]),
         )
-        q = GeneratedQuery(
-            rec["type"],
-            dag,
-            frozenset(kg.entity_index[e] for e in rec["answers_train"]),
-            frozenset(kg.entity_index[e] for e in rec["answers_full"]),
-        )
+        qtype = rec["type"]
+        for e in chain(rec["answers_train"], rec["answers_full"]):
+            kg.entity_index[e]
         shape = dag_shape(dag)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad query record: {exc}") from exc
-    compile_plan(shape)
-    if not isinstance(q.qtype, str) or q.qtype not in TYPE_SHAPES:
-        raise ParseError(f"unknown query type {q.qtype!r}")
-    if shape != TYPE_SHAPES[q.qtype]:
-        raise ParseError(f"the DAG is not the shape of a {q.qtype} query")
-    q.validate()
-    return q
+    plan = compile_plan(shape)
+    if not isinstance(qtype, str) or qtype not in TYPE_SHAPES:
+        raise ParseError(f"unknown query type {qtype!r}")
+    if shape != TYPE_SHAPES[qtype]:
+        raise ParseError(f"the DAG is not the shape of a {qtype} query")
+    if qtype not in pending:
+        pending[qtype] = _Pending(qtype, shape, plan)
+    return pending[qtype]
 
 
-def save_queries(queries: list[GeneratedQuery], kg: KnowledgeGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for q in queries:
-            fh.write(json.dumps(query_record(q, kg)) + "\n")
+def _read_record(rec, position: int, kg: KnowledgeGraph, checked: dict,
+                 pending: dict[str, _Pending]) -> None:
+    """Check one record and add it to its type's pending block. ``checked``
+    maps each ``_written_shape`` already checked to its type's block."""
+    try:
+        key = _written_shape(rec)
+        target = checked.get(key)
+    except (KeyError, TypeError, ValueError):
+        key = target = None
+    if target is None:
+        target = _checked_type(rec, kg, pending)
+        if key is not None:
+            checked[key] = target
+    e_idx, r_idx = kg.entity_index, kg.relation_index
+    try:
+        dag = rec["dag"]
+        anchors = [e_idx[e] for _, e in dag["anchors"]]
+        relations = [r_idx[r] for _, _, r, _ in dag["edges"]]
+        train = {e_idx[e] for e in rec["answers_train"]}
+        full = {e_idx[e] for e in rec["answers_full"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad query record: {exc}") from exc
+    check_answers(train, full)
+    target.anchors.append(anchors)
+    target.relations.append(relations)
+    target.answers.append((train, full))
+    target.positions.append(position)
 
 
-def load_queries(path: str, kg: KnowledgeGraph) -> list[GeneratedQuery]:
-    out = []
+def read_query_blocks(path: str, kg: KnowledgeGraph) -> list[QueryBlock]:
+    """The queries of a ``save_queries`` file, one block per type in order
+    of first appearance, each row's position its record's place among the
+    file's records.
+
+    Records stream into their type's id lists. A record's DAG shape is
+    validated (``compile_plan``) and matched against its type's
+    (``TYPE_SHAPES``) the first time the file shows it; every record's
+    names must be the graph's, its full answers nonempty and its train
+    answers a subset of them. The first bad line is reported as
+    ``path:lineno``.
+    """
+    checked: dict = {}
+    pending: dict[str, _Pending] = {}
+    position = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(record_to_query(json.loads(line), kg))
+                _read_record(json.loads(line), position, kg, checked, pending)
             except (json.JSONDecodeError, ValidationError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return out
+            position += 1
+    return [p.block() for p in pending.values()]
+
+
+def load_queries(path: str, kg: KnowledgeGraph) -> list[GeneratedQuery]:
+    """The queries of a ``save_queries`` file, in file order, read as
+    ``read_query_blocks`` reads them."""
+    return block_queries(read_query_blocks(path, kg))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import srbox
-from srbox import boxalg, cli, evalgen
+from srbox import boxalg, cli, evalgen, structures
 from srbox import params as params_mod
 from srbox.train import TrainConfig
 
@@ -375,6 +375,27 @@ class TestGenQueries:
             assert all(q.qtype == qtype for q in queries)
         assert "1p: 4 queries" in capsys.readouterr().out
 
+    def test_run_meta_counts_requested_and_written_queries(self, tmp_path):
+        # a chain graph: no node has two incoming edges, so no 2i query exists
+        kg = tmp_path / "kg"
+        kg.mkdir()
+        for split, rows in (("train", "ab"), ("valid", "bc"), ("test", "cd")):
+            (kg / f"{split}.tsv").write_text(f"{rows[0]}\tr\t{rows[1]}\n")
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="generated 0/3 2i queries"):
+            code = cli.main([
+                "gen-queries", "--kg", str(kg), "--types", "1p,2i", "--count", "3",
+                "--split", "test", "--out", str(out),
+            ])
+        assert code == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["queries"] == {
+            "1p": {"requested": 3, "written": 3},
+            "2i": {"requested": 3, "written": 0},
+        }
+        assert len((out / "queries_1p.jsonl").read_text().splitlines()) == 3
+        assert (out / "queries_2i.jsonl").read_text() == ""
+
     def test_unknown_type(self, tmp_path, kg_dir):
         code = cli.main([
             "gen-queries", "--kg", kg_dir, "--types", "4p", "--out", str(tmp_path / "o"),
@@ -515,6 +536,78 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "relabelled.jsonl:2:" in err and problem in err
 
+    def records(self, tmp_path, kg_dir, qtype, count):
+        """The records of a pre-generated query file of one type."""
+        qdir = tmp_path / "q"
+        assert cli.main([
+            "gen-queries", "--kg", kg_dir, "--types", qtype, "--count", str(count),
+            "--split", "test", "--out", str(qdir),
+        ]) == 0
+        return [json.loads(l) for l in (qdir / f"queries_{qtype}.jsonl").read_text().splitlines()]
+
+    def eval_records(self, tmp_path, kg_dir, ckpt, recs, name="edited.jsonl"):
+        path = tmp_path / name
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        return cli.main([
+            "eval", "--kg", kg_dir, "--checkpoint", ckpt, "--queries", str(path),
+            "--out", str(tmp_path / "o"),
+        ])
+
+    @pytest.mark.parametrize("bad_shape_line, unknown_entity_line", [(3, 5), (5, 3)])
+    def test_the_first_bad_line_is_reported(
+        self, tmp_path, kg_dir, ckpt, capsys, bad_shape_line, unknown_entity_line
+    ):
+        recs = self.records(tmp_path, kg_dir, "2i", 6)
+        recs[bad_shape_line - 1]["dag"]["edges"].pop()
+        recs[unknown_entity_line - 1]["dag"]["anchors"][0][1] = "c99_99"
+        assert self.eval_records(tmp_path, kg_dir, ckpt, recs) == 2
+        err = capsys.readouterr().err
+        problem = ("intersection node 2 has in-degree 1" if bad_shape_line == 3
+                   else "bad query record: 'c99_99'")
+        assert f"edited.jsonl:3: {problem}" in err
+
+    def test_a_type_without_hard_answers_is_named_before_the_header(
+        self, tmp_path, kg_dir, ckpt, capsys
+    ):
+        recs = self.records(tmp_path, kg_dir, "1p", 3)
+        for rec in recs:
+            rec["answers_train"] = rec["answers_full"]
+        assert self.eval_records(tmp_path, kg_dir, ckpt, recs, "easy.jsonl") == 2
+        captured = capsys.readouterr()
+        path = tmp_path / "easy.jsonl"
+        assert f"error: {path}: none of the 3 1p queries has a hard answer to rank" in captured.err
+        assert "H@3" not in captured.out
+
+    def test_each_shape_compiles_once_per_eval(self, tmp_path, kg_dir, ckpt, monkeypatch):
+        qdir = tmp_path / "q"
+        assert cli.main([
+            "gen-queries", "--kg", kg_dir, "--count", "5", "--split", "test", "--out", str(qdir),
+        ]) == 0
+        lines = [
+            line for t in evalgen.EVAL_QUERY_TYPES
+            for line in (qdir / f"queries_{t}.jsonl").read_text().splitlines()
+        ]
+        path = tmp_path / "all.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        calls = {"compile_plan": 0, "dag_shape": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name, getattr(structures, name))
+            for module in (structures, evalgen):
+                monkeypatch.setattr(module, name, wrapper)
+        assert cli.main([
+            "eval", "--kg", kg_dir, "--checkpoint", ckpt, "--queries", str(path),
+            "--out", str(tmp_path / "o"),
+        ]) == 0
+        assert len(lines) == 45
+        assert calls == {"compile_plan": 9, "dag_shape": 9}
+
     def test_every_generated_shape_loads_and_scores(self, tmp_path, kg_dir, ckpt):
         qdir = tmp_path / "q"
         assert cli.main([
@@ -548,9 +641,11 @@ class TestEvalCommand:
             meta = json.loads((out / "run_meta.json").read_text())
             assert meta["distance_workers"] == workers
             timings = meta["timings_s"]
-            assert set(timings) == {"load_kg", "load_checkpoint", "queries", "score_and_rank"}
+            phases = {"load_kg", "load_checkpoint", "queries", "score_and_rank"}
+            assert set(timings) == phases | {"ranks"}
             assert all(t >= 0.0 for t in timings.values())
-            assert sum(timings.values()) <= meta["duration_s"]
+            assert sum(timings[p] for p in phases) <= meta["duration_s"]
+            assert timings["ranks"] <= timings["score_and_rank"]  # ranking is part of it
             outputs.append((out / "metrics.jsonl").read_bytes())
         assert outputs[0] == outputs[1]
         assert b"timings" not in outputs[0] and b"workers" not in outputs[0]

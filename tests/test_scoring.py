@@ -6,6 +6,8 @@ their bodies kept verbatim, plus the unstacked intersection and distance
 kernels they called. Distances must match bit for bit and ranks exactly.
 """
 
+import json
+import random
 import sys
 import threading
 import time
@@ -18,11 +20,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from srbox import boxalg, evalgen
+from srbox import boxalg, cli, evalgen
+from srbox import params as params_mod
 from srbox.boxalg import Box, Distance, IntersectCache, _mlp2, sigmoid
 from srbox.errors import ValidationError
-from srbox.evalgen import TYPE_SHAPES, GeneratedQuery
+from srbox.evalgen import EVAL_QUERY_TYPES, TYPE_SHAPES, Csr, GeneratedQuery
 from srbox.params import OFFSET_MODES, init_random
+from srbox.rng import substream
 from srbox.structures import Edge, NodeKind, QueryDag
 
 # ---------------------------------------------------------------------------
@@ -224,6 +228,141 @@ class TestBatchedScoringMatchesReference:
         for raw in (False, True):
             assert evalgen.ranks_from_distances(dist, hard, full, raw) == \
                 _ref_ranks_from_distances(dist, hard, full, raw)
+
+
+@st.composite
+def rank_chunks(draw):
+    """A chunk of c queries' integer-valued distances to m entities, so
+    ties are common; each query's hard answers (maybe none) and known
+    answers (at times every entity but one); raw or filtered ranking; and a
+    slice budget small enough that one query's answers, and a row of
+    entities, span several slices."""
+    c = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 30))
+    rows = st.lists(st.integers(0, 5), min_size=m, max_size=m)
+    dist = np.array(draw(st.lists(rows, min_size=c, max_size=c)), dtype=np.float64)
+    ent = st.integers(0, m - 1)
+    hard, known = [], []
+    for _ in range(c):
+        h = draw(st.frozensets(ent))
+        kind = draw(st.sampled_from(("any", "with the hard ones", "all but one")))
+        if kind == "all but one":
+            k = frozenset(range(m)) - {draw(ent)}
+        else:
+            k = draw(st.frozensets(ent)) | (h if kind == "with the hard ones" else frozenset())
+        hard.append(h)
+        known.append(k)
+    return dist, hard, known, draw(st.booleans()), draw(st.integers(1, 3 * m))
+
+
+def _csr(sets) -> Csr:
+    return Csr.of([sorted(s) for s in sets])
+
+
+class TestBlockRanker:
+    @settings(max_examples=400, deadline=None)
+    @given(rank_chunks())
+    def test_matches_the_reference_bit_for_bit(self, case):
+        dist, hard, known, raw, budget = case
+        ref = [
+            r for row, h, k in zip(dist, hard, known)
+            for r in _ref_ranks_from_distances(row, h, k, raw).values()
+        ]
+        with mock.patch.object(boxalg, "DIST_TILE", budget):
+            got = evalgen.rank_block(dist, _csr(hard), None if raw else _csr(known))
+        assert _same_bits(got, np.array(ref, dtype=np.float64))
+
+    def test_a_repeated_answer_name_counts_once(self, tmp_path):
+        kg = evalgen.build_grid_kg(width=6, height=5, seed=1)
+        queries = evalgen.generate_queries(kg, "2u", 4, "test", substream(3, "queries"))
+        path = tmp_path / "q.jsonl"
+        evalgen.save_queries(queries, kg, str(path))
+        recs = [json.loads(line) for line in path.read_text().splitlines()]
+        for rec in recs:
+            rec["answers_full"] = rec["answers_full"] * 2
+            rec["answers_train"] = rec["answers_train"][:1] * 3
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        [block] = evalgen.read_query_blocks(str(path), kg)
+        loaded = evalgen.load_queries(str(path), kg)
+        assert block.full.lists() == [sorted(q.answers_full) for q in loaded]
+        assert block.train.lists() == [sorted(q.answers_train) for q in loaded]
+        assert block.hard.lists() == [sorted(q.hard_answers) for q in loaded]
+        store = init_random(6, kg.n_entities, kg.n_relations, seed=2)
+        ref = [
+            r for q in loaded for r in _ref_ranks_from_distances(
+                _ref_query_distances(q, store, 0.02, "l1"), q.hard_answers, q.answers_full
+            ).values()
+        ]
+        assert evalgen.block_ranks(block, store).tolist() == ref
+
+    def test_half_the_entities_as_hard_answers_stay_in_bounds(self):
+        n = 50_000
+        rng = np.random.default_rng(0)
+        dist = rng.integers(0, 1000, size=(1, n)).astype(np.float64)
+        answers = np.sort(rng.choice(n, n // 2, replace=False))
+        hard = Csr(np.array([0, len(answers)]), answers)
+        largest = [0]
+        count_nonzero = np.count_nonzero
+
+        def recorded(a, axis=None):
+            largest[0] = max(largest[0], a.size)
+            return count_nonzero(a, axis=axis)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(evalgen.np, "count_nonzero", recorded):
+                ranks = evalgen.rank_block(dist, hard, hard)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a compare of every answer against the row would hold 1.25e9 elements
+        assert 0 < largest[0] <= boxalg.DIST_TILE
+        assert peak < 2_500_000
+        pool = np.delete(dist[0], answers)
+        for i in rng.choice(len(answers), 20, replace=False):
+            d = dist[0, answers[i]]
+            assert ranks[i] == 1.0 + np.count_nonzero(pool < d) + 0.5 * np.count_nonzero(pool == d)
+
+
+class TestEvalMatchesThePerQueryReference:
+    @pytest.mark.parametrize("norm, raw", [("l1", False), ("l2", False), ("l1", True)])
+    def test_metrics_file(self, tmp_path, norm, raw):
+        kg = evalgen.build_grid_kg(width=8, height=6, seed=2)
+        kg_dir = tmp_path / "kg"
+        evalgen.save_kg(kg, str(kg_dir))
+        rng = substream(5, "queries")
+        queries = [q for t in EVAL_QUERY_TYPES for q in evalgen.generate_queries(kg, t, 6, "test", rng)]
+        random.Random(1).shuffle(queries)  # the nine types interleaved
+        path = tmp_path / "mixed.jsonl"
+        evalgen.save_queries(queries, kg, str(path))
+        ckpt = tmp_path / "params.ckpt"
+        params_mod.save(init_random(8, kg.n_entities, kg.n_relations, 3, entity_ids=kg.entity_ids,
+                                    relation_ids=kg.relation_ids), str(ckpt))
+        config = tmp_path / "eval.ini"
+        config.write_text(f"[train]\nnorm = {norm}\n")
+        out = tmp_path / "o"
+        assert cli.main([
+            "eval", "--config", str(config), "--kg", str(kg_dir), "--checkpoint", str(ckpt),
+            "--queries", str(path), "--out", str(out), *(["--raw"] if raw else []),
+        ]) == 0
+
+        store = params_mod.load(str(ckpt))
+        by_type: dict = {}
+        for q in evalgen.load_queries(str(path), kg):
+            by_type.setdefault(q.qtype, []).append(q)
+        lines = []
+        for qtype, qs in sorted(by_type.items()):
+            ranks = [
+                r for q in qs for r in _ref_ranks_from_distances(
+                    _ref_query_distances(q, store, 0.02, norm), q.hard_answers, q.answers_full, raw
+                ).values()
+            ]
+            hits = {f"H@{k}": sum(1 for r in ranks if r <= k) / len(ranks) for k in (1, 3, 10)}
+            mrr = sum(1.0 / r for r in ranks) / len(ranks)
+            lines.append(json.dumps({"scorer": "box", "query_type": qtype, **hits, "MRR": mrr,
+                                     "n_queries": len(qs)}) + "\n")
+        assert len(lines) == 9
+        assert (out / "metrics.jsonl").read_text() == "".join(lines)
 
 
 class TestScoringMemory:
