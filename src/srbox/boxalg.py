@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from srbox.errors import ValidationError
-from srbox.structures import Plan, QueryDag, plan_of, query_ids, stack_ids
+from srbox.structures import Plan, QueryDag, plan_of, query_ids
 
 
 @dataclass(frozen=True)
@@ -659,15 +659,12 @@ def execute_ids(plan: Plan, anchors: np.ndarray, relations: np.ndarray, params) 
     return _walk(plan, anchors.T, relations.T, params)[plan.answer_node]
 
 
-def execute_batch(plan: Plan, dags: list[QueryDag], params) -> list[Box]:
-    """``execute_ids`` of B query DAGs of one plan."""
-    return execute_ids(plan, *stack_ids(dags), params)
-
-
 def execute_query(dag: QueryDag, params) -> list[Box]:
     """Evaluate the DAG to its disjunct boxes (singleton for union-free
-    queries): ``execute_batch`` on a batch of one."""
-    return [Box(b.center[0], b.offset[0]) for b in execute_batch(plan_of(dag), [dag], params)]
+    queries): ``execute_ids`` on a batch of one."""
+    anchors, relations = (np.array([ids], dtype=np.int64) for ids in query_ids(dag))
+    boxes = execute_ids(plan_of(dag), anchors, relations, params)
+    return [Box(b.center[0], b.offset[0]) for b in boxes]
 
 
 def backward_through_dag(trace: ExecutionTrace, seed_grads, grads) -> None:

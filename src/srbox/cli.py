@@ -103,9 +103,6 @@ class RunConfig:
     def get_int(self, section: str, key: str) -> int:
         return _typed(section, key, self.get(section, key), int)
 
-    def get_float(self, section: str, key: str) -> float:
-        return _typed(section, key, self.get(section, key), float)
-
     def get_bool(self, section: str, key: str) -> bool:
         return _typed(section, key, self.get(section, key), bool)
 
@@ -377,11 +374,11 @@ def cmd_gen_queries(cfg: RunConfig, out: str, meta: dict) -> int:
     count = cfg.get_int("eval", "count")
     written = meta["queries"] = {}
     for qtype in _eval_types(cfg):
-        queries = evalgen.generate_queries(kg, qtype, count, split, rng)
+        block = evalgen.generate_block(kg, qtype, count, split, rng)
         path = os.path.join(out, f"queries_{qtype}.jsonl")
-        evalgen.save_queries(queries, kg, path)
-        written[qtype] = {"requested": count, "written": len(queries)}
-        print(f"{qtype}: {len(queries)} queries -> {path}")
+        evalgen.write_queries([block], kg, path)
+        written[qtype] = {"requested": count, "written": len(block)}
+        print(f"{qtype}: {len(block)} queries -> {path}")
     return 0
 
 
@@ -397,6 +394,10 @@ def _timed(timings: dict, key: str):
 
 def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
     scorer = cfg.get("eval", "scorer")
+    if scorer not in evalgen.SCORERS:
+        raise ValidationError(f"unknown scorer {scorer!r}")
+    tc = cfg.train_config()
+    raw = cfg.get_bool("eval", "raw")
     meta["distance_workers"] = boxalg.DIST_WORKERS if scorer == "box" else 1
     timings = meta["timings_s"] = {}
     with _timed(timings, "load_kg"):
@@ -404,9 +405,6 @@ def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
     with _timed(timings, "load_checkpoint"):
         ckpt = _require(cfg, "paths", "checkpoint", "to score queries")
         store = _load_checkpoint(ckpt, kg.entity_ids, kg.relation_ids, "KG")
-    raw = cfg.get_bool("eval", "raw")
-    alpha = cfg.get_float("train", "alpha")
-    norm = cfg.get("train", "norm")
 
     queries_path = cfg.get("paths", "queries")
     with _timed(timings, "queries"):
@@ -420,10 +418,9 @@ def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
             source = f"{split} split"
             blocks = []
             for qtype in _eval_types(cfg):
-                queries = evalgen.generate_queries(kg, qtype, count, split, rng)
-                if not queries:
+                blocks.append(evalgen.generate_block(kg, qtype, count, split, rng))
+                if not len(blocks[-1]):
                     raise ValidationError(f"{source}: no {qtype} queries to evaluate")
-                blocks += evalgen.query_blocks(queries)
     for block in blocks:
         if not len(block.hard.ids):
             raise ValidationError(
@@ -435,7 +432,7 @@ def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
     with open(os.path.join(out, "metrics.jsonl"), "w", encoding="utf-8") as fh:
         for block in blocks:
             with _timed(timings, "score_and_rank"):
-                ranks = evalgen.block_ranks(block, store, scorer, alpha, norm, raw, timings)
+                ranks = evalgen.block_ranks(block, store, scorer, tc.alpha, tc.norm, raw, timings)
                 report = evalgen.rank_report(block.qtype, scorer, ranks.tolist(), len(block))
             fh.write(json.dumps(report) + "\n")
             print(
@@ -536,7 +533,7 @@ def build_parser() -> _Parser:
     p.add_argument("--types", help="comma-separated query types")
     p.add_argument("--count", type=int, help="queries per type")
     p.add_argument("--split", choices=("train", "valid", "test"), help="seed split")
-    p.add_argument("--scorer", choices=("box", "ptranse"), help="ranking scorer")
+    p.add_argument("--scorer", choices=evalgen.SCORERS, help="ranking scorer")
     p.add_argument(
         "--raw", action="store_const", const="true",
         help="rank against all entities instead of the filtered pool",

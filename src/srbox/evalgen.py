@@ -52,12 +52,12 @@ from srbox.structures import (
     merge_dag,
     plan_of,
     query_ids,
-    stack_ids,
 )
 
 TRAIN_QUERY_TYPES = ("1p", "2p", "3p", "2i", "3i")
 EVAL_QUERY_TYPES = TRAIN_QUERY_TYPES + ("ip", "pi", "2u", "up")
 SPLITS = ("train", "valid", "test")
+SCORERS = ("box", "ptranse")
 
 
 @dataclass(eq=False)
@@ -424,7 +424,7 @@ def _pi_dag(h: int, r: int, r2: int, h2: int, r3: int) -> QueryDag:
 
 
 def _type_shapes() -> dict[str, tuple]:
-    """The ``dag_shape`` that ``_walk_dag`` gives each query type."""
+    """The ``dag_shape`` of each query type: the slots that ``_walk`` fills."""
     hop = (0, False)
     branch = (0, 0, False)
     dags = {
@@ -444,47 +444,21 @@ def _type_shapes() -> dict[str, tuple]:
 TYPE_SHAPES = _type_shapes()
 
 
-def _walk_dag(
-    qtype: str,
-    seed_edge: tuple[int, int, int],
-    index: EdgeIndex,
-    rng: np.random.Generator,
-) -> QueryDag | None:
-    """Grow one DAG of the requested shape around a seed edge; None = dead end."""
+def _walk(qtype: str, seed_edge: tuple[int, int, int], index: EdgeIndex,
+          rng: np.random.Generator) -> tuple[list[int], list[int]] | None:
+    """Grow one query of the requested type around a seed edge: its entity id
+    per anchor slot and relation id per edge slot of ``TYPE_SHAPES[qtype]``,
+    or None at a dead end."""
     h, r, t = seed_edge
-    if qtype == "1p":
-        return chain_dag(h, [(r, False)])
-    if qtype in ("2p", "3p"):
-        hops = [(r, False)]
-        node = t
-        for _ in range(1 if qtype == "2p" else 2):
-            nxt = index.out_adj.get(node)
-            if not nxt:
+    if qtype in ("1p", "2p", "3p"):
+        relations = [r]
+        for _ in TYPE_SHAPES[qtype][1][1:]:  # a hop per edge slot after the seed's
+            hops = index.out_adj.get(t)
+            if not hops:
                 return None
-            r2, node = _pick(nxt, rng)
-            hops.append((r2, False))
-        return chain_dag(h, hops)
-    if qtype in ("2i", "3i"):
-        others = [p for p in index.in_adj.get(t, ()) if p != (h, r)]
-        need = 1 if qtype == "2i" else 2
-        if len(others) < need:
-            return None
-        if need == 1:
-            extra = [_pick(others, rng)]
-        else:
-            picks = rng.choice(len(others), size=2, replace=False)
-            extra = [others[i] for i in picks]
-        branches = [(h, r, False)] + [(h2, r2, False) for h2, r2 in extra]
-        return intersection_dag(branches)
-    if qtype in ("ip", "up"):
-        others = [p for p in index.in_adj.get(t, ()) if p != (h, r)]
-        hops = index.out_adj.get(t)
-        if not others or not hops:
-            return None
-        h2, r2 = _pick(others, rng)
-        r3, _ = _pick(hops, rng)
-        merge = NodeKind.INTERSECTION if qtype == "ip" else NodeKind.UNION
-        return merge_dag([(h, r, False), (h2, r2, False)], merge, [(r3, False)])
+            r2, t = _pick(hops, rng)
+            relations.append(r2)
+        return [h], relations
     if qtype == "pi":
         hops = index.out_adj.get(t)
         if not hops:
@@ -494,32 +468,31 @@ def _walk_dag(
         if not others:
             return None
         h2, r3 = _pick(others, rng)
-        return _pi_dag(h, r, r2, h2, r3)
-    if qtype == "2u":
-        others = [p for p in index.in_adj.get(t, ()) if p != (h, r)]
+        return [h, h2], [r, r2, r3]
+    others = [p for p in index.in_adj.get(t, ()) if p != (h, r)]
+    if qtype == "3i":
+        if len(others) < 2:
+            return None
+        (h2, r2), (h3, r3) = (others[i] for i in rng.choice(len(others), size=2, replace=False))
+        return [h, h2, h3], [r, r2, r3]
+    if qtype in ("2i", "2u"):
         if not others:
             return None
         h2, r2 = _pick(others, rng)
-        return merge_dag([(h, r, False), (h2, r2, False)], NodeKind.UNION)
-    raise ValidationError(f"unknown query type {qtype!r}")
+        return [h, h2], [r, r2]
+    hops = index.out_adj.get(t)  # ip and up: two branches, then one hop
+    if not others or not hops:
+        return None
+    h2, r2 = _pick(others, rng)
+    r3, _ = _pick(hops, rng)
+    return [h, h2], [r, r2, r3]
 
 
-def generate_queries(
-    kg: KnowledgeGraph,
-    qtype: str,
-    count: int,
-    split: str,
-    rng: np.random.Generator,
-    retry_budget: int | None = None,
-) -> list[GeneratedQuery]:
-    """Sample ``count`` queries of one shape seeded from the given split.
-
-    Train-split queries use only the five training shapes and walk training
-    edges. Eval-split queries walk the full graph and must have at least one
-    hard answer. Runs out of retries -> partial list plus a warning.
-    """
-    if split not in SPLITS:
-        raise ValidationError(f"unknown split {split!r}")
+def _generate(kg: KnowledgeGraph, qtype: str, count: int, split: str, rng: np.random.Generator,
+              retry_budget: int | None) -> _Pending:
+    """The rows of ``generate_block``. Called only by the public entry
+    points, so its warning names their caller's line."""
+    seeds = kg.edges(split)  # rejects an unknown split
     allowed = TRAIN_QUERY_TYPES if split == "train" else EVAL_QUERY_TYPES
     if qtype not in allowed:
         raise ValidationError(
@@ -527,28 +500,25 @@ def generate_queries(
         )
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
-    seeds = kg.edges(split)
     if not seeds:
         raise ValidationError(f"{split} split has no edges to seed from")
+    shape = TYPE_SHAPES[qtype]
+    rows = _Pending(qtype, shape, compile_plan(shape))
     if count == 0:
-        return []
+        return rows
     train_index = kg.train_index
     full_index = kg.full_index
     walk_index = train_index if split == "train" else full_index
-    plan = compile_plan(TYPE_SHAPES[qtype])  # the shape ``_walk_dag`` gives every candidate
 
     budget = retry_budget if retry_budget is not None else max(100, 30 * count)
-    out: list[GeneratedQuery] = []
     attempts = 0
-    while len(out) < count and attempts < budget:
+    while len(rows.positions) < count and attempts < budget:
         attempts += 1
-        seed_edge = _pick(seeds, rng)
-        dag = _walk_dag(qtype, seed_edge, walk_index, rng)
-        if dag is None:
+        ids = _walk(qtype, _pick(seeds, rng), walk_index, rng)
+        if ids is None:
             continue
-        ids = query_ids(dag)
-        answers_train = frozenset(train_index.plan_answers(plan, *ids))
-        answers_full = frozenset(full_index.plan_answers(plan, *ids))
+        answers_train = train_index.plan_answers(rows.plan, *ids)
+        answers_full = full_index.plan_answers(rows.plan, *ids)
         if not answers_full:
             continue
         if split == "train":
@@ -556,14 +526,33 @@ def generate_queries(
                 continue
         elif not (answers_full - answers_train):
             continue
-        out.append(GeneratedQuery(qtype, dag, answers_train, answers_full))
-    if len(out) < count:
+        rows.add(*ids, answers_train, answers_full, len(rows.positions))
+    if len(rows.positions) < count:
         warnings.warn(
-            f"generated {len(out)}/{count} {qtype} queries for split {split} "
+            f"generated {len(rows.positions)}/{count} {qtype} queries for split {split} "
             f"within the retry budget of {budget}",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return out
+    return rows
+
+
+def generate_block(kg: KnowledgeGraph, qtype: str, count: int, split: str,
+                   rng: np.random.Generator, retry_budget: int | None = None) -> QueryBlock:
+    """Sample ``count`` queries of one shape seeded from the given split, as
+    one block whose positions number them in the order drawn.
+
+    Train-split queries use only the five training shapes and walk training
+    edges. Eval-split queries walk the full graph and must have at least one
+    hard answer. Runs out of retries -> a shorter block plus a warning.
+    """
+    return _generate(kg, qtype, count, split, rng, retry_budget).block()
+
+
+def generate_queries(kg: KnowledgeGraph, qtype: str, count: int, split: str,
+                     rng: np.random.Generator, retry_budget: int | None = None) -> list[GeneratedQuery]:
+    """The queries ``generate_block`` draws, as ``GeneratedQuery`` objects
+    made straight from its rows."""
+    return _generate(kg, qtype, count, split, rng, retry_budget).queries()
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +597,8 @@ class QueryBlock:
     Row i is one query: ``anchors[i]`` holds its entity id per anchor slot
     of ``plan`` and ``relations[i]`` its relation id per edge slot;
     ``train``, ``full`` and ``hard`` (full minus train) hold its answers.
-    ``positions[i]`` is the query's place in the list or file the block
-    came from.
+    ``positions[i]`` is the query's place in the list, file or draw the
+    block came from.
     """
 
     qtype: str
@@ -625,15 +614,47 @@ class QueryBlock:
     def __len__(self) -> int:
         return len(self.positions)
 
-    @classmethod
-    def build(cls, qtype: str, shape: tuple, plan: Plan, anchors, relations, answers, positions):
-        """A block of B queries from their (B, n_anchors) anchor and
-        (B, n_edges) relation ids and each one's (train, full) answer sets."""
-        ids = [np.asarray(a, dtype=np.int64) for a in (anchors, relations)]
-        train = Csr.of([sorted(t) for t, _ in answers])
-        full = Csr.of([sorted(f) for _, f in answers])
-        hard = Csr.of([sorted(f - t) for t, f in answers])
-        return cls(qtype, shape, plan, *ids, train, full, hard, np.asarray(positions, dtype=np.int64))
+
+@dataclass
+class _Pending:
+    """The rows of one ``QueryBlock``, gathered query by query."""
+
+    qtype: str
+    shape: tuple
+    plan: Plan
+    anchors: list = field(default_factory=list)  # a list of ids per row
+    relations: list = field(default_factory=list)
+    answers: list = field(default_factory=list)  # (train, full) id sets per row
+    positions: list = field(default_factory=list)
+
+    def add(self, anchors: list[int], relations: list[int], train: set[int], full: set[int],
+            position: int) -> None:
+        self.anchors.append(anchors)
+        self.relations.append(relations)
+        self.answers.append((train, full))
+        self.positions.append(position)
+
+    def block(self) -> QueryBlock:
+        anchor_nodes, edges, _, _ = self.shape
+        return QueryBlock(
+            self.qtype, self.shape, self.plan,
+            np.array(self.anchors, dtype=np.int64).reshape(-1, len(anchor_nodes)),
+            np.array(self.relations, dtype=np.int64).reshape(-1, len(edges)),
+            Csr.of([sorted(t) for t, _ in self.answers]),
+            Csr.of([sorted(f) for _, f in self.answers]),
+            Csr.of([sorted(f - t) for t, f in self.answers]),
+            np.array(self.positions, dtype=np.int64),
+        )
+
+    def queries(self) -> list[GeneratedQuery]:
+        """The rows as ``GeneratedQuery`` objects, in row order."""
+        anchor_nodes, edges, nodes, answer = self.shape
+        queries = []
+        for ents, rels, (train, full) in zip(self.anchors, self.relations, self.answers):
+            dag_edges = tuple(Edge(s, d, r, inverse) for (s, d, inverse), r in zip(edges, rels))
+            dag = QueryDag(tuple(zip(anchor_nodes, ents)), dag_edges, nodes, answer)
+            queries.append(GeneratedQuery(self.qtype, dag, frozenset(train), frozenset(full)))
+        return queries
 
 
 def query_blocks(queries: list[GeneratedQuery]) -> list[QueryBlock]:
@@ -642,33 +663,11 @@ def query_blocks(queries: list[GeneratedQuery]) -> list[QueryBlock]:
     the list."""
     groups: dict = {}
     for i, q in enumerate(queries):
-        groups.setdefault((q.qtype, dag_shape(q.dag)), []).append(i)
-    return [
-        QueryBlock.build(
-            qtype, shape, compile_plan(shape), *stack_ids([queries[i].dag for i in idxs]),
-            [(queries[i].answers_train, queries[i].answers_full) for i in idxs], idxs,
-        )
-        for (qtype, shape), idxs in groups.items()
-    ]
-
-
-def block_queries(blocks: list[QueryBlock]) -> list[GeneratedQuery]:
-    """The queries of blocks whose positions number them 0 .. N - 1, as
-    ``GeneratedQuery`` objects in that order."""
-    out: list = [None] * sum(map(len, blocks))
-    for b in blocks:
-        anchor_nodes, edges, nodes, answer = b.shape
-        rows = zip(b.positions.tolist(), b.anchors.tolist(), b.relations.tolist(),
-                   b.train.lists(), b.full.lists())
-        for pos, ents, rels, train, full in rows:
-            dag = QueryDag(
-                tuple(zip(anchor_nodes, ents)),
-                tuple(Edge(s, d, r, inverse) for (s, d, inverse), r in zip(edges, rels)),
-                nodes,
-                answer,
-            )
-            out[pos] = GeneratedQuery(b.qtype, dag, frozenset(train), frozenset(full))
-    return out
+        key = (q.qtype, dag_shape(q.dag))
+        if key not in groups:
+            groups[key] = _Pending(*key, compile_plan(key[1]))
+        groups[key].add(*query_ids(q.dag), q.answers_train, q.answers_full, i)
+    return [rows.block() for rows in groups.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -913,50 +912,46 @@ def metrics_report(
 # query (de)serialization
 
 
-def query_record(q: GeneratedQuery, kg: KnowledgeGraph) -> dict:
-    return {
-        "type": q.qtype,
-        "dag": {
-            "anchors": [[n, kg.entity_ids[e]] for n, e in q.dag.anchors],
-            "edges": [
-                [e.src, e.dst, kg.relation_ids[e.relation], e.inverse] for e in q.dag.edges
-            ],
-            "nodes": [[n, kind.value] for n, kind in q.dag.nodes],
-            "answer_node": q.dag.answer_node,
-        },
-        "answers_train": sorted(kg.entity_ids[a] for a in q.answers_train),
-        "answers_full": sorted(kg.entity_ids[a] for a in q.answers_full),
-    }
+def write_queries(blocks: list[QueryBlock], kg: KnowledgeGraph, path: str) -> None:
+    """Write the queries of blocks as the file ``read_query_blocks`` reads:
+    one JSON record per row, in order of the rows' positions (equal ones in
+    block order), with names in place of ids and each answer list sorted by
+    name."""
+    names, relation_names = kg.entity_ids, kg.relation_ids
+    lines = []
+    for b in blocks:
+        anchor_nodes, edges, nodes, answer = b.shape
+        nodes = [[n, kind.value] for n, kind in nodes]
+        rows = zip(b.positions.tolist(), b.anchors.tolist(), b.relations.tolist(),
+                   b.train.lists(), b.full.lists())
+        for pos, ents, rels, train, full in rows:
+            rec = {
+                "type": b.qtype,
+                "dag": {
+                    "anchors": [[n, names[e]] for n, e in zip(anchor_nodes, ents)],
+                    "edges": [[s, d, relation_names[r], inv] for (s, d, inv), r in zip(edges, rels)],
+                    "nodes": nodes,
+                    "answer_node": answer,
+                },
+                "answers_train": sorted([names[e] for e in train]),
+                "answers_full": sorted([names[e] for e in full]),
+            }
+            lines.append((pos, json.dumps(rec) + "\n"))
+    lines.sort(key=lambda line: line[0])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line for _, line in lines)
 
 
 def save_queries(queries: list[GeneratedQuery], kg: KnowledgeGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for q in queries:
-            fh.write(json.dumps(query_record(q, kg)) + "\n")
-
-
-@dataclass
-class _Pending:
-    """A block of one query type being read, record by record."""
-
-    qtype: str
-    shape: tuple
-    plan: Plan
-    anchors: list = field(default_factory=list)  # a list of ids per record
-    relations: list = field(default_factory=list)
-    answers: list = field(default_factory=list)  # (train, full) id sets per record
-    positions: list = field(default_factory=list)
-
-    def block(self) -> QueryBlock:
-        return QueryBlock.build(self.qtype, self.shape, self.plan, self.anchors, self.relations,
-                                self.answers, self.positions)
+    """``write_queries`` of a list of queries, in the list's order."""
+    write_queries(query_blocks(queries), kg, path)
 
 
 def _written_shape(rec) -> tuple:
     """A record's type and DAG shape fields as written: the key under which
-    the loader keeps a shape it has checked. Its fields are unpacked as
-    ``_checked_type`` unpacks them, and values that compare equal convert
-    alike, so equal keys are records of one checked shape."""
+    the loader keeps a shape it has checked. ``_checked_type`` reads the
+    shape from this key, and values that compare equal convert alike, so
+    equal keys are records of one checked shape."""
     dag = rec["dag"]
     return (
         rec["type"],
@@ -967,24 +962,17 @@ def _written_shape(rec) -> tuple:
     )
 
 
-def _checked_type(rec, kg: KnowledgeGraph, pending: dict[str, _Pending]) -> _Pending:
-    """The pending block of a record's type, once the record is a valid DAG
-    (checked once per shape) of the shape that ``generate_queries`` gives
-    its type."""
+def _checked_type(rec, pending: dict[str, _Pending]) -> _Pending:
+    """The pending block of a record's type, once the record's DAG shape is
+    valid and the shape that ``generate_block`` gives its type."""
     try:
-        dag = QueryDag(
-            anchors=tuple((int(n), kg.entity_index[e]) for n, e in rec["dag"]["anchors"]),
-            edges=tuple(
-                Edge(int(s), int(d), kg.relation_index[r], bool(i))
-                for s, d, r, i in rec["dag"]["edges"]
-            ),
-            nodes=tuple((int(n), NodeKind(k)) for n, k in rec["dag"]["nodes"]),
-            answer_node=int(rec["dag"]["answer_node"]),
+        qtype, anchor_nodes, edges, nodes, answer = _written_shape(rec)
+        shape = (
+            tuple(map(int, anchor_nodes)),
+            tuple((int(s), int(d), bool(i)) for s, d, i in edges),
+            tuple((int(n), NodeKind(k)) for n, k in nodes),
+            int(answer),
         )
-        qtype = rec["type"]
-        for e in chain(rec["answers_train"], rec["answers_full"]):
-            kg.entity_index[e]
-        shape = dag_shape(dag)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad query record: {exc}") from exc
     plan = compile_plan(shape)
@@ -1007,7 +995,7 @@ def _read_record(rec, position: int, kg: KnowledgeGraph, checked: dict,
     except (KeyError, TypeError, ValueError):
         key = target = None
     if target is None:
-        target = _checked_type(rec, kg, pending)
+        target = _checked_type(rec, pending)
         if key is not None:
             checked[key] = target
     e_idx, r_idx = kg.entity_index, kg.relation_index
@@ -1020,24 +1008,11 @@ def _read_record(rec, position: int, kg: KnowledgeGraph, checked: dict,
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad query record: {exc}") from exc
     check_answers(train, full)
-    target.anchors.append(anchors)
-    target.relations.append(relations)
-    target.answers.append((train, full))
-    target.positions.append(position)
+    target.add(anchors, relations, train, full, position)
 
 
-def read_query_blocks(path: str, kg: KnowledgeGraph) -> list[QueryBlock]:
-    """The queries of a ``save_queries`` file, one block per type in order
-    of first appearance, each row's position its record's place among the
-    file's records.
-
-    Records stream into their type's id lists. A record's DAG shape is
-    validated (``compile_plan``) and matched against its type's
-    (``TYPE_SHAPES``) the first time the file shows it; every record's
-    names must be the graph's, its full answers nonempty and its train
-    answers a subset of them. The first bad line is reported as
-    ``path:lineno``.
-    """
+def _read_rows(path: str, kg: KnowledgeGraph) -> list[_Pending]:
+    """The rows of ``read_query_blocks``."""
     checked: dict = {}
     pending: dict[str, _Pending] = {}
     position = 0
@@ -1050,13 +1025,29 @@ def read_query_blocks(path: str, kg: KnowledgeGraph) -> list[QueryBlock]:
             except (json.JSONDecodeError, ValidationError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             position += 1
-    return [p.block() for p in pending.values()]
+    return list(pending.values())
+
+
+def read_query_blocks(path: str, kg: KnowledgeGraph) -> list[QueryBlock]:
+    """The queries of a ``write_queries`` file, one block per type in order
+    of first appearance, each row's position its record's place among the
+    file's records.
+
+    Records stream into their type's rows. A record's DAG shape is
+    validated (``compile_plan``) and matched against its type's
+    (``TYPE_SHAPES``) the first time the file shows it; every record's
+    names must be the graph's, its full answers nonempty and its train
+    answers a subset of them. The first bad line is reported as
+    ``path:lineno``.
+    """
+    return [rows.block() for rows in _read_rows(path, kg)]
 
 
 def load_queries(path: str, kg: KnowledgeGraph) -> list[GeneratedQuery]:
-    """The queries of a ``save_queries`` file, in file order, read as
+    """The queries of a ``write_queries`` file, in file order, read as
     ``read_query_blocks`` reads them."""
-    return block_queries(read_query_blocks(path, kg))
+    pairs = [pq for rows in _read_rows(path, kg) for pq in zip(rows.positions, rows.queries())]
+    return [q for _, q in sorted(pairs, key=lambda pq: pq[0])]
 
 
 # ---------------------------------------------------------------------------

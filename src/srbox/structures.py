@@ -213,14 +213,6 @@ def query_ids(dag: QueryDag) -> tuple[list[int], list[int]]:
     return [e for _, e in dag.anchors], [e.relation for e in dag.edges]
 
 
-def stack_ids(dags: list[QueryDag]) -> tuple[np.ndarray, np.ndarray]:
-    """``query_ids`` of one or more DAGs of one shape, stacked: an int64
-    array of anchor entity ids (B, n_anchors) and one of relation ids
-    (B, n_edges), a row per DAG and a column per slot of their plan."""
-    ids = [query_ids(dag) for dag in dags]
-    return tuple(np.array([row[k] for row in ids], dtype=np.int64) for k in (0, 1))
-
-
 def chain_dag(anchor: int, relations: list[tuple[int, bool]]) -> QueryDag:
     """A 1p/2p/3p-style chain: anchor, then one projection per relation."""
     if not relations:

@@ -7,6 +7,7 @@ module entry point.
 
 import configparser
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -402,6 +403,43 @@ class TestGenQueries:
         ])
         assert code == 2
 
+    # sha256 of each file that gen-queries writes with --seed 5 --count 20 on
+    # build_grid_kg(20, 10): a walker or writer change that moves one byte fails
+    PINNED = {
+        "test": {
+            "1p": "19f414af3b6a4e5a8ecb3288d966a3b0b903de6318ef598d3869240b7d0be754",
+            "2p": "88f4db7a9e1a9c0d2d2c50f55af2eebb064944003e2366a384337fb974dabd3e",
+            "3p": "fd62d20f94c4c02791e88eeb0e6960d0ff6c4c521e142c873279281a9c0ee6b8",
+            "2i": "a69853ad0a9d89fa9babbbc5490e77726497cf459e9bb722ce375a9f974cdf10",
+            "3i": "64d1cba62fa68f5dac875c4a450ac75adaa1ede4ef13ef552a98f876d5ccbcde",
+            "ip": "1bc5a2d2ce4e4439792833788f30c4086f4fc760535524e367e03be58979112b",
+            "pi": "ffb43b665c5aad6d2a3ed51dcfab3e56529f6bd0d5263659c715da32c3f8014a",
+            "2u": "134aa4278297c9b36da34d3017da35449ce5fdf786a2de4e3a54d9a975835cd7",
+            "up": "709005ef356ac08944eb60a608c2f36e0349c831e70381e6da297c0ca672ad01",
+        },
+        "train": {
+            "1p": "50e560af5984677f8096d39bb4f2f7c9b1fb86249fb30a5159fea87d854b8c54",
+            "2p": "48878e22066e9da0a331b49a7fe4de21f777d677e051bdf40049371b949e32bc",
+            "3p": "9e9407eca66addfc8037336efa74a02114704d501a9360db68aa75c3b6b45e5c",
+            "2i": "666b8aed9b26be55429250d3a7deca66b531eb37f79bd92d52bde8d592ec1db7",
+            "3i": "e563bcaf3f7236b5906af8371b1562587322e591ceb9c9ab681f9427d848a8e0",
+        },
+    }
+
+    @pytest.mark.parametrize("split", ["test", "train"])
+    def test_bytes_are_pinned(self, tmp_path, split):
+        kg = tmp_path / "kg"
+        evalgen.save_kg(evalgen.build_grid_kg(20, 10), str(kg))
+        types = self.PINNED[split]
+        out = tmp_path / "o"
+        assert cli.main([
+            "gen-queries", "--kg", str(kg), "--types", ",".join(types), "--count", "20",
+            "--split", split, "--seed", "5", "--out", str(out),
+        ]) == 0
+        digests = {t: hashlib.sha256((out / f"queries_{t}.jsonl").read_bytes()).hexdigest()
+                   for t in types}
+        assert digests == types
+
     def test_eval_type_on_train_split(self, tmp_path, kg_dir):
         code = cli.main([
             "gen-queries", "--kg", kg_dir, "--types", "ip", "--split", "train",
@@ -606,7 +644,56 @@ class TestEvalCommand:
             "--out", str(tmp_path / "o"),
         ]) == 0
         assert len(lines) == 45
-        assert calls == {"compile_plan": 9, "dag_shape": 9}
+        assert calls == {"compile_plan": 9, "dag_shape": 0}
+
+    def test_generated_queries_build_no_dag(self, tmp_path, kg_dir, ckpt, monkeypatch):
+        built = []
+
+        class Counted(structures.QueryDag):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        for shape in evalgen.TYPE_SHAPES.values():
+            structures.compile_plan(shape)  # each shape's plan compiled, as at any later use
+        for module in (structures, evalgen):
+            monkeypatch.setattr(module, "QueryDag", Counted)
+        assert cli.main([
+            "gen-queries", "--kg", kg_dir, "--count", "5", "--split", "test",
+            "--out", str(tmp_path / "q"),
+        ]) == 0
+        assert cli.main([
+            "eval", "--kg", kg_dir, "--checkpoint", ckpt, "--count", "5",
+            "--out", str(tmp_path / "o"),
+        ]) == 0
+        assert built == []
+        kg = evalgen.build_grid_kg(width=6, height=5, seed=3)
+        assert len(evalgen.generate_queries(kg, "pi", 3, "test", np.random.default_rng(0))) == 3
+        assert len(built) == 3  # the list form builds one DAG per query
+
+    @pytest.mark.parametrize("ini, key", [
+        ("[eval]\nscorer = foo\n", "scorer"),
+        ("[train]\nnorm = l3\n", "norm"),
+        ("[train]\nalpha = -5\n", "alpha"),
+    ], ids=["scorer", "norm", "alpha"])
+    def test_scoring_settings_are_checked_before_loading(
+        self, tmp_path, kg_dir, ckpt, capsys, monkeypatch, ini, key
+    ):
+        def no_load(cfg):
+            raise AssertionError("the KG was loaded")
+
+        monkeypatch.setattr(cli, "_load_kg_dir", no_load)
+        config = tmp_path / "eval.ini"
+        config.write_text(ini)
+        out = tmp_path / "o"
+        assert cli.main([
+            "eval", "--config", str(config), "--kg", kg_dir, "--checkpoint", ckpt,
+            "--out", str(out),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+        assert not (out / "metrics.jsonl").exists()
 
     def test_every_generated_shape_loads_and_scores(self, tmp_path, kg_dir, ckpt):
         qdir = tmp_path / "q"

@@ -5,6 +5,8 @@ the set semantics alone (linear scans over the edge list, no indexes), and
 the ranking code against a counting oracle.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from srbox.evalgen import (
     brute_force_answers,
     build_grid_kg,
     dag_to_path,
+    generate_block,
     generate_queries,
     hits_at_k,
     load_kg,
@@ -27,9 +30,12 @@ from srbox.evalgen import (
     mrr,
     query_distances,
     rank_answers,
+    query_blocks,
     ranks_from_distances,
+    read_query_blocks,
     save_kg,
     save_queries,
+    write_queries,
 )
 from srbox.params import init_random
 from srbox.rng import STREAM_QUERY_GEN, substream
@@ -411,6 +417,15 @@ class TestGenerateQueries:
             got = generate_queries(kg, "2p", 4, "test", rng, retry_budget=20)
         assert got == []
 
+    @pytest.mark.parametrize("generate", [generate_queries, generate_block])
+    def test_budget_warning_names_the_callers_line(self, tmp_path, generate):
+        train = write_tsv(tmp_path / "train.tsv", [("A", "r", "B")])
+        test = write_tsv(tmp_path / "test.tsv", [("C", "r", "D")])
+        kg = load_kg(train, write_tsv(tmp_path / "valid.tsv", []), test)
+        with pytest.warns(UserWarning, match="0/4") as caught:
+            generate(kg, "2p", 4, "test", substream(0, STREAM_QUERY_GEN), retry_budget=20)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_one_p_is_a_test_triplet(self):
         rng = substream(11, STREAM_QUERY_GEN)
         test_edges = set(self.kg.test)
@@ -420,6 +435,60 @@ class TestGenerateQueries:
             (edge,) = q.dag.edges
             assert (anchor, edge.relation) in index_all
             assert any((anchor, edge.relation, t) in test_edges for t in q.hard_answers)
+
+
+def assert_blocks_equal(a, b):
+    assert (a.qtype, a.shape, a.plan) == (b.qtype, b.shape, b.plan)
+    for name in ("anchors", "relations", "positions"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert getattr(a, name).dtype == np.int64
+    for name in ("train", "full", "hard"):
+        np.testing.assert_array_equal(getattr(a, name).offsets, getattr(b, name).offsets)
+        np.testing.assert_array_equal(getattr(a, name).ids, getattr(b, name).ids)
+
+
+class TestGenerateBlock:
+    def setup_method(self):
+        self.kg = build_grid_kg(width=8, height=6, seed=4)
+
+    def test_a_block_holds_the_list_forms_queries(self):
+        for split, types in (("test", EVAL_QUERY_TYPES), ("train", TRAIN_QUERY_TYPES)):
+            for qtype in types:
+                block = generate_block(self.kg, qtype, 7, split, substream(2, STREAM_QUERY_GEN))
+                queries = generate_queries(self.kg, qtype, 7, split, substream(2, STREAM_QUERY_GEN))
+                assert len(block) == 7
+                assert block.shape == evalgen.TYPE_SHAPES[qtype]
+                (expected,) = query_blocks(queries)
+                assert_blocks_equal(block, expected)
+
+    def test_write_then_read_gives_the_blocks_back(self, tmp_path):
+        path = str(tmp_path / "q.jsonl")
+        block = generate_block(self.kg, "pi", 5, "test", substream(6, STREAM_QUERY_GEN))
+        write_queries([block], self.kg, path)
+        (back,) = read_query_blocks(path, self.kg)
+        assert_blocks_equal(back, block)
+
+        rng = substream(6, STREAM_QUERY_GEN)
+        queries = [q for t in EVAL_QUERY_TYPES for q in generate_queries(self.kg, t, 4, "test", rng)]
+        random.Random(0).shuffle(queries)  # the nine types interleaved
+        save_queries(queries, self.kg, path)
+        assert load_queries(path, self.kg) == queries
+        blocks = read_query_blocks(path, self.kg)
+        assert len(blocks) == len(EVAL_QUERY_TYPES)
+        for got, expected in zip(blocks, query_blocks(queries)):
+            assert_blocks_equal(got, expected)
+
+    def test_an_empty_block_keeps_its_slots(self, tmp_path):
+        train = write_tsv(tmp_path / "train.tsv", [("A", "r", "B")])
+        test = write_tsv(tmp_path / "test.tsv", [("C", "r", "D")])
+        kg = load_kg(train, write_tsv(tmp_path / "valid.tsv", []), test)
+        with pytest.warns(UserWarning, match="0/2"):
+            block = generate_block(kg, "2i", 2, "test", substream(0, STREAM_QUERY_GEN))
+        assert len(block) == 0
+        assert block.anchors.shape == (0, 2) and block.relations.shape == (0, 2)
+        path = str(tmp_path / "q.jsonl")
+        write_queries([block], kg, path)
+        assert open(path).read() == ""
 
 
 class TestDagToPath:
