@@ -601,18 +601,20 @@ class ExecutionTrace:
 
 def _walk(plan: Plan, anchors, relations, params, caches: dict | None = None):
     """Every node's disjunct boxes for ``plan`` run on one id per anchor and
-    edge slot: ints for one query, giving (d,) boxes, or (B,) arrays for B
-    queries, giving stacked (B, d) boxes. Inverse edges use the inverse
-    relation rows. Intersection caches go to ``caches`` if it is given, else
-    each is dropped at once."""
+    edge slot: lists of ints for one query, giving (d,) boxes, or (B,)
+    array rows for B queries, giving stacked (B, d) boxes. Inverse edges
+    use the inverse relation rows. Intersection caches go to ``caches`` if
+    it is given, else each is dropped at once."""
     for ids, bound, what in (
         (anchors, params.entity_centers.shape[0], "anchor entity"),
         (relations, len(params.relation_ids), "relation"),
     ):
-        ids = np.asarray(ids).T  # query-major, so the first bad id is the first query's
-        bad = ids[(ids < 0) | (ids >= bound)]
-        if bad.size:
-            raise ValidationError(f"{what} id {bad[0]} out of range")
+        if not isinstance(ids, list):  # B queries' id rows
+            ids = ids.T  # query-major, so the first bad id is the first query's
+            ids = ids[(ids < 0) | (ids >= bound)]
+        for i in ids:
+            if not 0 <= i < bound:
+                raise ValidationError(f"{what} id {i} out of range")
     nodes: dict[int, list[Box]] = {}
     for n, ent in zip(plan.anchors, anchors):
         centers = params.entity_centers[ent]

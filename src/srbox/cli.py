@@ -8,8 +8,9 @@ only timestamps any command emits live in <out>/run_meta.json, written
 when the command starts and rewritten when it returns with its finish
 time, duration, exit status and the srbox and numpy versions (gen-queries
 adds the queries requested and written per type, eval its distance worker
-count and the wall time of each phase), so repeated runs with the same seed
-produce byte-identical primary outputs.
+count, and mine, init-embeddings and eval the wall time of each phase under
+``timings_s``), so repeated runs with the same seed produce byte-identical
+primary outputs.
 
 Exit codes: 0 success, 1 usage error, 2 validation/config error, 3 runtime
 failure (I/O and the like).
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import os
 import sys
@@ -26,6 +28,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,11 +36,7 @@ from srbox import __version__, boxalg, evalgen, params as params_mod, train as t
 from srbox.corpus import load_corpus, chunk_sequences
 from srbox.errors import ValidationError
 from srbox.rng import STREAM_QUERY_GEN, substream
-from srbox.structures import (
-    StructureKind,
-    mine_structures,
-    structure_record,
-)
+from srbox.structures import StructureKind, mine_structures
 
 # every TrainConfig field but the seed, which [run] holds, is a [train] key
 _TRAIN_FIELDS = [f for f in fields(train_mod.TrainConfig) if f.name != "seed"]
@@ -242,27 +241,58 @@ def _load_or_init_params(
 # commands
 
 
+@contextmanager
+def _timed(timings: dict, key: str):
+    """Add the wall time of the ``with`` block to ``timings[key]``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
+
+
 def cmd_mine(cfg: RunConfig, out: str, meta: dict) -> int:
-    corpus = load_corpus(_require(cfg, "paths", "corpus", "to mine structures"))
+    timings = meta["timings_s"] = {}
+    with _timed(timings, "load_corpus"):
+        corpus = load_corpus(_require(cfg, "paths", "corpus", "to mine structures"))
     seq_len = cfg.get_int("run", "seq_len")
-    counts = {kind.value: 0 for kind in StructureKind}
-    n_seq = 0
+    # each record is json.dumps({"kind", "triplets", "seq"}), assembled from
+    # names encoded once per id
+    ents = [json.dumps(name) for name in corpus.entity_ids]
+    rels = [json.dumps(name) for name in corpus.relation_ids]
+    heads = {kind: f'{{"kind": {json.dumps(kind.value)}, "triplets": [' for kind in StructureKind}
+    counts = dict.fromkeys(StructureKind, 0)
+    with _timed(timings, "mine"):
+        sequences = chunk_sequences(corpus, seq_len)
     with open(os.path.join(out, "structures.jsonl"), "w", encoding="utf-8") as fh:
-        for seq in chunk_sequences(corpus, seq_len):
-            n_seq += 1
-            for structure in mine_structures(seq.triplets):
-                counts[structure.kind.value] += 1
-                rec = structure_record(structure, corpus.entity_ids, corpus.relation_ids)
-                rec["seq"] = seq.seq_id
-                fh.write(json.dumps(rec) + "\n")
-    print(f"sequences: {n_seq}")
+        for seq in sequences:
+            with _timed(timings, "mine"):
+                structures = mine_structures(seq.triplets)
+            with _timed(timings, "write"):
+                # keyed by identity: a structure holds the window's own triplets
+                cells = {
+                    id(t): f"[{ents[t.head]}, {rels[t.relation]}, {ents[t.tail]}]"
+                    for t in seq.triplets
+                }
+                tail = f'], "seq": {seq.seq_id}}}\n'
+                lines = []
+                for kind, group in itertools.groupby(structures, attrgetter("kind")):
+                    head, before = heads[kind], len(lines)
+                    lines += [
+                        head + ", ".join([cells[id(t)] for t in s.triplets]) + tail for s in group
+                    ]
+                    counts[kind] += len(lines) - before
+                fh.write("".join(lines))
+    print(f"sequences: {len(sequences)}")
     for kind in StructureKind:
-        print(f"{kind.value}: {counts[kind.value]}")
+        print(f"{kind.value}: {counts[kind]}")
     return 0
 
 
 def cmd_init_embeddings(cfg: RunConfig, out: str, meta: dict) -> int:
-    corpus = load_corpus(_require(cfg, "paths", "corpus", "to size the embedding tables"))
+    timings = meta["timings_s"] = {}
+    with _timed(timings, "load_corpus"):
+        corpus = load_corpus(_require(cfg, "paths", "corpus", "to size the embedding tables"))
     store = params_mod.init_random(
         cfg.get_int("run", "dim"),
         corpus.n_entities,
@@ -275,11 +305,14 @@ def cmd_init_embeddings(cfg: RunConfig, out: str, meta: dict) -> int:
     vectors_path = cfg.get("paths", "vectors")
     source = "random"
     if vectors_path:
-        vectors = params_mod.load_vectors(vectors_path)
-        params_mod.import_contextual(corpus, vectors, store)
+        with _timed(timings, "load_vectors"):
+            vectors = params_mod.load_vectors(vectors_path)
+        with _timed(timings, "import_contextual"):
+            params_mod.import_contextual(corpus, vectors, store)
         source = "contextual"
     ckpt = cfg.get("paths", "checkpoint_out") or os.path.join(out, "params.ckpt")
-    params_mod.save(store, ckpt)
+    with _timed(timings, "save"):
+        params_mod.save(store, ckpt)
     print(
         f"initialized {store.n_entities} entities, {store.n_relations} relations "
         f"(dim {store.dim}, {source}) -> {ckpt}"
@@ -380,16 +413,6 @@ def cmd_gen_queries(cfg: RunConfig, out: str, meta: dict) -> int:
         written[qtype] = {"requested": count, "written": len(block)}
         print(f"{qtype}: {len(block)} queries -> {path}")
     return 0
-
-
-@contextmanager
-def _timed(timings: dict, key: str):
-    """Add the wall time of the ``with`` block to ``timings[key]``."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
 
 
 def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:

@@ -133,6 +133,7 @@ def load_corpus(path: str | Path) -> Corpus:
     mentioned: set[int] = set()
     # (line, entity) pairs to verify once the whole corpus is read: a triplet
     # may legitimately reference an entity first mentioned in a later document.
+    # An entity mentioned by the time its triplet is read needs no check.
     pending: list[tuple[int, int]] = []
     seen_doc_ids: set[str] = set()
 
@@ -173,7 +174,9 @@ def load_corpus(path: str | Path) -> Corpus:
                         f"line {lineno}: mention span ({start}, {end}) outside "
                         f"document of {n_tok} tokens"
                     )
-                ent = _intern(ent_name, entity_index, entity_ids)
+                ent = entity_index.get(ent_name)
+                if ent is None:
+                    ent = _intern(ent_name, entity_index, entity_ids)
                 mentioned.add(ent)
                 mentions.append(Mention(ent, start, end))
 
@@ -190,8 +193,10 @@ def load_corpus(path: str | Path) -> Corpus:
                 head = _intern(head_name, entity_index, entity_ids)
                 tail = _intern(tail_name, entity_index, entity_ids)
                 rel = _intern(rel_name, relation_index, relation_ids)
-                pending.append((lineno, head))
-                pending.append((lineno, tail))
+                if head not in mentioned:
+                    pending.append((lineno, head))
+                if tail not in mentioned:
+                    pending.append((lineno, tail))
                 triplets.append(Triplet(head, rel, tail, doc_idx))
 
             documents.append(

@@ -753,11 +753,14 @@ def rank_block(dist: np.ndarray, hard: Csr, known: Csr | None) -> np.ndarray:
 
     Filtered ranking takes each query's ``known`` answers out of its
     competitor pool; raw ranking (``known`` None) keeps every entity. The
-    ranked entity is never its own competitor. The counts are integers,
-    made by comparing each answer's distance with its query's row in slices
-    of answers (and of entities, for rows longer than the budget), so no
-    compare array holds more than ``boxalg.DIST_TILE`` elements however
-    many answers there are. Distances must not be NaN.
+    ranked entity is never its own competitor. The counts are integers. A
+    query with more hard answers than m's bit length (about log2 m) counts
+    them from one sort of its pool (``_counts_by_sort``), in m log m
+    instead of answers x m compares; the other queries compare each
+    answer's distance with their row, in slices of answers (and of
+    entities, for rows longer than the budget), so no compare array holds
+    more than ``boxalg.DIST_TILE`` elements however many answers there are.
+    Distances must not be NaN.
     """
     m = dist.shape[1]
     pool = dist
@@ -768,15 +771,36 @@ def rank_block(dist: np.ndarray, hard: Csr, known: Csr | None) -> np.ndarray:
     da = dist[rows, answers]
     better = np.zeros(len(answers), dtype=np.intp)
     tied = -(pool[rows, answers] == da).astype(np.intp)  # an answer in the pool ties itself
+    by_sort = []
+    if len(answers) > m.bit_length():  # else no query passes the cut-over
+        by_sort = np.flatnonzero(np.diff(hard.offsets) > m.bit_length()).tolist()
+    for r in by_sort:
+        lo, hi = hard.offsets[r:r + 2].tolist()
+        closer, same = _counts_by_sort(pool[r], da[lo:hi])
+        better[lo:hi] = closer
+        tied[lo:hi] += same
+    # the other queries' answers, as one slice when no query took a sort
+    compared = np.flatnonzero(~np.isin(rows, by_sort)) if by_sort else None
     width = min(m, boxalg.DIST_TILE)
     step = max(1, boxalg.DIST_TILE // width)
-    for a0 in range(0, len(answers), step):
-        part, r, d = slice(a0, a0 + step), rows[a0:a0 + step], da[a0:a0 + step, None]
+    for a0 in range(0, len(answers if compared is None else compared), step):
+        part = slice(a0, a0 + step) if compared is None else compared[a0:a0 + step]
+        r, d = rows[part], da[part, None]
         for c0 in range(0, m, width):
             competitors = pool[r, c0:c0 + width]
             better[part] += np.count_nonzero(competitors < d, axis=1)
             tied[part] += np.count_nonzero(competitors == d, axis=1)
     return 1.0 + better + 0.5 * tied
+
+
+def _counts_by_sort(pool_row: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How many entries of one pool row are strictly less than, and equal
+    to, each of the distances ``d``: one sort, in which NaN (a known answer
+    left out of the pool) sorts last and so matches neither, and two
+    ``searchsorted`` calls."""
+    line = np.sort(pool_row)
+    closer = np.searchsorted(line, d, "left")
+    return closer, np.searchsorted(line, d, "right") - closer
 
 
 def block_ranks(block: QueryBlock, params, scorer: str = "box", alpha: float = 0.02,

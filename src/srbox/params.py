@@ -41,6 +41,8 @@ OFFSET_MODES = ("shared", "per_relation")
 # the store's own arrays, ahead of the net's in the checkpoint manifest
 ROW_TABLES = ("entity_centers", "relation_centers", "relation_offsets")
 HEADER_KEYS = ("dim", "offset_mode", "entity_ids", "relation_ids", "arrays")
+# documents whose span means the contextual import gathers and adds at once
+SPAN_DOCS = 32
 
 
 @dataclass
@@ -222,13 +224,6 @@ def entity_center_from_context(
     return total / len(mentions)
 
 
-def relation_center_from_context(
-    vectors: ContextualVectors, doc_id: str, span: tuple[int, int]
-) -> np.ndarray:
-    """Span average (h_start + h_end) / 2 for one relation occurrence."""
-    return vectors.span_mean(doc_id, span[0], span[1])
-
-
 def import_contextual(
     corpus: Corpus, vectors: ContextualVectors, store: ParamStore
 ) -> ParamStore:
@@ -236,6 +231,11 @@ def import_contextual(
     vectors; inverse relation centers become the negated forward rows.
     Offsets and network weights are untouched. Missing coverage raises with
     every uncovered id listed.
+
+    Each document's span means are gathered as one array and added to their
+    rows with ``np.add.at``, which adds in index order: every row's sum is
+    the same left fold, from zeros in corpus order, as averaging one
+    ``span_mean`` at a time (``entity_center_from_context``).
     """
     if vectors.dim != store.dim:
         raise ValidationError(
@@ -249,24 +249,28 @@ def import_contextual(
                 f"{mat.shape[0]} vector rows"
             )
 
-    mention_lists: dict[int, list[tuple[str, Mention]]] = {
-        i: [] for i in range(corpus.n_entities)
-    }
+    # (matrix, rows, starts, ends) per document, rows indexing the table
+    entity_spans = []
     for doc in corpus.documents:
-        if doc.doc_id not in vectors.matrices:
+        mat = vectors.matrices.get(doc.doc_id)
+        if mat is None:
             continue
-        rows = vectors.matrices[doc.doc_id].shape[0]
+        n_rows = mat.shape[0]
+        rows, starts, ends = [], [], []
         for m in doc.mentions:
-            if m.end < rows:
-                mention_lists[m.entity].append((doc.doc_id, m))
+            if m.end < n_rows:
+                rows.append(m.entity)
+                starts.append(m.start)
+                ends.append(m.end)
+        if rows:
+            entity_spans.append((mat, rows, starts, ends))
 
-    rel_spans: dict[int, list[tuple[str, tuple[int, int]]]] = {
-        i: [] for i in range(corpus.n_relations)
-    }
+    relation_spans = []
     for doc_id, spans in vectors.relation_spans.items():
         mat = vectors.matrices.get(doc_id)
         if mat is None:
             raise ValidationError(f"relation spans given for unknown document {doc_id!r}")
+        rows, starts, ends = [], [], []
         for rid, (start, end) in spans.items():
             idx = corpus.relation_index.get(rid)
             if idx is None:
@@ -275,27 +279,46 @@ def import_contextual(
                 raise ValidationError(
                     f"relation {rid!r} span ({start}, {end}) outside document {doc_id!r}"
                 )
-            rel_spans[idx].append((doc_id, (start, end)))
+            rows.append(idx)
+            starts.append(start)
+            ends.append(end)
+        if rows:
+            relation_spans.append((mat, rows, starts, ends))
 
-    missing = [corpus.entity_ids[i] for i, ms in mention_lists.items() if not ms]
-    missing += [corpus.relation_ids[i] for i, sp in rel_spans.items() if not sp]
+    entity_sums, entity_counts = _span_sums(entity_spans, corpus.n_entities, store.dim)
+    relation_sums, relation_counts = _span_sums(relation_spans, corpus.n_relations, store.dim)
+    missing = [corpus.entity_ids[i] for i in np.flatnonzero(entity_counts == 0)]
+    missing += [corpus.relation_ids[i] for i in np.flatnonzero(relation_counts == 0)]
     if missing:
         raise ValidationError(
             "no contextual coverage for: " + ", ".join(sorted(missing))
         )
 
-    for i in range(corpus.n_entities):
-        store.entity_centers[i] = entity_center_from_context(vectors, mention_lists[i])
-    r = store.n_relations
-    for i in range(corpus.n_relations):
-        spans = rel_spans[i]
-        total = np.zeros(store.dim, dtype=np.float64)
-        for doc_id, span in spans:
-            total += relation_center_from_context(vectors, doc_id, span)
-        forward = total / len(spans)
-        store.relation_centers[i] = forward
-        store.relation_centers[i + r] = -forward
+    n, r = corpus.n_relations, store.n_relations
+    store.entity_centers[:corpus.n_entities] = entity_sums / entity_counts[:, None]
+    forward = relation_sums / relation_counts[:, None]
+    store.relation_centers[:n] = forward
+    store.relation_centers[r:r + n] = -forward
     return store
+
+
+def _span_sums(spans, n_rows: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per table row, the sum of its span means (h_start + h_end) / 2, added
+    in the order given, and the number of spans added; ``spans`` holds one
+    (matrix, rows, starts, ends) per document. Up to ``SPAN_DOCS`` documents
+    are gathered and added at a time, which bounds the temporaries."""
+    sums = np.zeros((n_rows, dim), dtype=np.float64)
+    rows: list[int] = []
+    for lo in range(0, len(spans), SPAN_DOCS):
+        part = spans[lo:lo + SPAN_DOCS]
+        part_rows = [row for _, doc_rows, _, _ in part for row in doc_rows]
+        # one gather per document: its start rows, then its end rows
+        gathered = np.concatenate([mat[starts + ends] for mat, _, starts, ends in part])
+        per_doc = [len(doc_rows) for _, doc_rows, _, _ in part]
+        is_start = np.repeat(np.tile([True, False], len(part)), np.repeat(per_doc, 2))
+        np.add.at(sums, part_rows, 0.5 * (gathered[is_start] + gathered[~is_start]))
+        rows += part_rows
+    return sums, np.bincount(np.array(rows, dtype=np.intp), minlength=n_rows)
 
 
 def write_vectors(path: str, vectors: ContextualVectors) -> None:
@@ -340,10 +363,10 @@ def load_vectors(path: str) -> ContextualVectors:
                 raise ParseError(f"document {doc_id!r} has dim {d}, file started with {dim}")
             if doc_id in matrices:
                 raise ParseError(f"duplicate document {doc_id!r} in vector file")
-            raw = fh.read(rows * d * 8)
-            if len(raw) != rows * d * 8:
+            mat = np.empty((rows, d), dtype="<f8")
+            if fh.readinto(mat) != mat.nbytes:
                 raise ParseError(f"vector file truncated in document {doc_id!r}")
-            matrices[doc_id] = np.frombuffer(raw, dtype="<f8").reshape(rows, d).copy()
+            matrices[doc_id] = mat
             spans = header.get("relation_spans")
             if spans:
                 relation_spans[doc_id] = {

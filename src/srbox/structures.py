@@ -260,46 +260,43 @@ def mine_structures(triplets: list[Triplet] | tuple[Triplet, ...]) -> list[Knowl
     Input triplets are treated as a set keyed on (head, relation, tail).
     Output is grouped by kind (simple, path, outward, inward) and sorted by
     the constituent triplet keys within each group, so it is deterministic
-    regardless of input order.
+    regardless of input order. The facts are deduplicated and sorted first,
+    so simple triplets, paths (first fact, then the facts leaving its tail)
+    and outward pairs (head groups in order, each pair in group order) come
+    out sorted; only inward pairs need a sort, on the facts' positions.
     """
     by_key: dict[tuple[int, int, int], Triplet] = {}
     for t in triplets:
         by_key.setdefault(t.key(), t)
     facts = [by_key[k] for k in sorted(by_key)]
 
-    out: list[KnowledgeStructure] = []
-    for t in facts:
-        out.append(KnowledgeStructure(StructureKind.SIMPLE, (t,)))
+    out = [KnowledgeStructure(StructureKind.SIMPLE, (t,)) for t in facts]
 
     by_head: dict[int, list[Triplet]] = defaultdict(list)
-    by_tail: dict[int, list[Triplet]] = defaultdict(list)
-    for t in facts:
+    by_tail: dict[int, list[int]] = defaultdict(list)  # positions in ``facts``
+    for i, t in enumerate(facts):
         by_head[t.head].append(t)
-        by_tail[t.tail].append(t)
+        by_tail[t.tail].append(i)
 
-    paths = []
+    path = StructureKind.PATH
     for t1 in facts:
         for t2 in by_head.get(t1.tail, ()):
-            if t2.key() != t1.key() and t1.head != t2.tail:
-                paths.append(KnowledgeStructure(StructureKind.PATH, (t1, t2)))
-    paths.sort(key=KnowledgeStructure.keys)
-    out.extend(paths)
+            if t1.head != t2.tail:  # also rules out t2 is t1, which is a self-loop
+                out.append(KnowledgeStructure(path, (t1, t2)))
 
-    outward = []
+    outward = StructureKind.OUTWARD
     for group in by_head.values():
         for t1, t2 in itertools.combinations(group, 2):
             if t1.tail != t2.tail:
-                outward.append(KnowledgeStructure(StructureKind.OUTWARD, (t1, t2)))
-    outward.sort(key=KnowledgeStructure.keys)
-    out.extend(outward)
+                out.append(KnowledgeStructure(outward, (t1, t2)))
 
-    inward = []
-    for group in by_tail.values():
-        for t1, t2 in itertools.combinations(group, 2):
-            if t1.head != t2.head:
-                inward.append(KnowledgeStructure(StructureKind.INWARD, (t1, t2)))
-    inward.sort(key=KnowledgeStructure.keys)
-    out.extend(inward)
+    inward = sorted(
+        (i, j)
+        for group in by_tail.values()
+        for i, j in itertools.combinations(group, 2)
+        if facts[i].head != facts[j].head
+    )
+    out.extend(KnowledgeStructure(StructureKind.INWARD, (facts[i], facts[j])) for i, j in inward)
     return out
 
 
@@ -377,14 +374,3 @@ def sample_pair_from_structures(
     simple_q = build_query(simple)
     complex_q = build_query(complex_pick) if complex_pick is not None else None
     return simple_q, complex_q
-
-
-def structure_record(structure: KnowledgeStructure, entity_ids: list[str], relation_ids: list[str]) -> dict:
-    """JSON-serializable dump record for a mined structure."""
-    return {
-        "kind": structure.kind.value,
-        "triplets": [
-            [entity_ids[t.head], relation_ids[t.relation], entity_ids[t.tail]]
-            for t in structure.triplets
-        ],
-    }

@@ -470,7 +470,8 @@ def train(
     averages them over the batch, applies one Adam update, and clamps
     relation offsets. The trace records {step, loss, loss_simple,
     loss_complex, lr} every ``trace_every`` steps and at the final step,
-    with two sampling counters over the steps since the previous record:
+    with three sampling counters over the steps since the previous record:
+    ``examples`` (examples formed, each of which added its gradients),
     ``skipped_draws`` (draws that formed no example: a window with no
     query, or no free negative) and ``with_replacement_frac`` (the share of
     formed examples whose negatives were drawn with replacement, null if
@@ -566,6 +567,7 @@ def train(
                 "loss_simple": loss_simple / n_simple if n_simple else None,
                 "loss_complex": loss_complex / n_complex if n_complex else None,
                 "lr": lr,
+                "examples": n_examples,
                 "skipped_draws": n_skipped,
                 "with_replacement_frac": n_replaced / n_examples if n_examples else None,
             }

@@ -414,6 +414,24 @@ class TestExecution:
         with pytest.raises(ValidationError, match="relation id 5"):
             execute(dag, self.store)
 
+    @pytest.mark.parametrize("execute", [execute_query, execute_with_trace])
+    @pytest.mark.parametrize("anchors, relations, problem", [
+        ((5, 0), (2, 0), None),  # the last row of each table is in range
+        ((0, 6), (0, 0), "anchor entity id 6"),
+        ((-1, 6), (0, 0), "anchor entity id -1"),  # the first bad id is named
+        ((0, 1), (3, 0), "relation id 3"),
+        ((0, 1), (0, -1), "relation id -1"),
+    ])
+    def test_id_range_bounds(self, execute, anchors, relations, problem):
+        # execute_with_trace checks one query's id lists, execute_query an
+        # id array of a batch of one
+        dag = intersection_dag([(a, r, False) for a, r in zip(anchors, relations)])
+        if problem is None:
+            execute(dag, self.store)
+            return
+        with pytest.raises(ValidationError, match=f"^{problem} out of range$"):
+            execute(dag, self.store)
+
     def test_trace_rejects_projection_with_two_edges(self):
         dag = QueryDag(
             anchors=((0, 0), (1, 1)),

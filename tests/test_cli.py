@@ -47,6 +47,28 @@ def corpus_path(tmp_path):
     return str(path)
 
 
+# entity and relation names that JSON must escape or may not write as is
+MINING_ENTITIES = ["plain", "Ålesund", 'say "hi"', "back\\slash", "東京", "tab\tname", "e6"]
+MINING_RELATIONS = ["r1", "rél", 'r"q']
+
+
+def write_mining_corpus(path) -> str:
+    """Four 10-token documents over seven entities; 16-token windows hold
+    simple triplets, paths and both intersections, some across documents."""
+    r1, r2, r3 = MINING_RELATIONS
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in range(4):
+            a, b, c, e, f = (MINING_ENTITIES[(2 * d + i) % 7] for i in range(5))
+            record = doc(
+                f"d{d}",
+                [f"w{i}" for i in range(10)],
+                mentions=[(name, 2 * i, 2 * i) for i, name in enumerate((a, b, c, e, f))],
+                triplets=[(a, r1, b), (b, r2, c), (a, r3, c), (e, r1, c), (b, r3, f)],
+            )
+            fh.write(json.dumps(record) + "\n")
+    return str(path)
+
+
 @pytest.fixture
 def kg_dir(tmp_path):
     kg = evalgen.build_grid_kg(width=6, height=5, seed=3)
@@ -168,6 +190,35 @@ class TestConfigResolution:
         assert "finished" in meta
 
 
+class TestPhaseTimings:
+    """mine and init-embeddings time their phases in run_meta.json, as eval does."""
+
+    def test_keys_and_total(self, tmp_path, corpus_path):
+        vectors = params_mod.ContextualVectors(
+            4, {"d0": np.ones((12, 4))}, {"d0": {"r1": (1, 1), "r2": (3, 3), "r3": (5, 5)}}
+        )
+        params_mod.write_vectors(str(tmp_path / "v.bin"), vectors)
+        runs = {
+            "mine": (["mine", "--corpus", corpus_path], ["load_corpus", "mine", "write"]),
+            "random": (
+                ["init-embeddings", "--corpus", corpus_path, "--dim", "4"],
+                ["load_corpus", "save"],
+            ),
+            "contextual": (
+                ["init-embeddings", "--corpus", corpus_path, "--dim", "4",
+                 "--vectors", str(tmp_path / "v.bin")],
+                ["load_corpus", "load_vectors", "import_contextual", "save"],
+            ),
+        }
+        for name, (argv, keys) in runs.items():
+            out = tmp_path / name
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            meta = json.loads((out / "run_meta.json").read_text())
+            assert list(meta["timings_s"]) == keys
+            assert all(v >= 0.0 for v in meta["timings_s"].values())
+            assert sum(meta["timings_s"].values()) <= meta["duration_s"]
+
+
 class TestMine:
     def test_writes_structures_and_counts(self, tmp_path, corpus_path, capsys):
         out = tmp_path / "o"
@@ -189,6 +240,24 @@ class TestMine:
         first = (out / "structures.jsonl").read_bytes()
         assert cli.main(["mine", "--corpus", corpus_path, "--out", str(out)]) == 0
         assert (out / "structures.jsonl").read_bytes() == first
+
+    # sha256 of structures.jsonl and the stdout of mine --seq-len 16 on
+    # write_mining_corpus: a miner or writer change that moves one byte fails
+    PINNED = "d110360e889a5d1daefbf991a61d4532184577b84d55fd7212dc4b0970637785"
+    PINNED_STDOUT = "sequences: 3\nsimple: 20\npath: 17\noutward: 11\ninward: 13\n"
+
+    def test_bytes_are_pinned(self, tmp_path, capsys):
+        corpus = write_mining_corpus(tmp_path / "corpus.jsonl")
+        out = tmp_path / "o"
+        assert cli.main(["mine", "--corpus", corpus, "--seq-len", "16", "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "structures.jsonl").read_bytes()).hexdigest() == self.PINNED
+        assert capsys.readouterr().out == self.PINNED_STDOUT
+        # every kind is mined, and the records are json.dumps of the names
+        recs = [json.loads(line) for line in (out / "structures.jsonl").read_text().splitlines()]
+        assert {rec["kind"] for rec in recs} == {"simple", "path", "outward", "inward"}
+        assert (out / "structures.jsonl").read_text() == "".join(
+            json.dumps(rec) + "\n" for rec in recs
+        )
 
     def test_corpus_required(self, tmp_path):
         assert cli.main(["mine", "--out", str(tmp_path / "o")]) == 2

@@ -2,11 +2,15 @@
 
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from srbox.corpus import load_corpus
+from srbox.corpus import Corpus, Document, Mention, load_corpus
+from srbox import params as params_mod
 from srbox.errors import ParseError, ValidationError
 from srbox.params import (
     CHECKPOINT_MAGIC,
@@ -240,6 +244,148 @@ class TestImportContextual:
         store = init_random(3, corpus.n_entities, corpus.n_relations, seed=1)
         with pytest.raises(ValidationError, match="r"):
             import_contextual(corpus, vectors, store)
+
+
+def per_mention_import(corpus, vectors, store):
+    """Reference for import_contextual: the same checks, then one
+    ``span_mean`` at a time, summed per entity and per relation in corpus
+    (and vector-file) order."""
+    if vectors.dim != store.dim:
+        raise ValidationError(f"vectors have dim {vectors.dim} but the store has dim {store.dim}")
+    for doc in corpus.documents:
+        mat = vectors.matrices.get(doc.doc_id)
+        if mat is not None and mat.shape[0] != len(doc.tokens):
+            raise ValidationError(
+                f"document {doc.doc_id!r} has {len(doc.tokens)} tokens but "
+                f"{mat.shape[0]} vector rows"
+            )
+    mentions = {i: [] for i in range(corpus.n_entities)}
+    for doc in corpus.documents:
+        if doc.doc_id in vectors.matrices:
+            rows = vectors.matrices[doc.doc_id].shape[0]
+            for m in doc.mentions:
+                if m.end < rows:
+                    mentions[m.entity].append((doc.doc_id, m))
+    spans = {i: [] for i in range(corpus.n_relations)}
+    for doc_id, doc_spans in vectors.relation_spans.items():
+        mat = vectors.matrices.get(doc_id)
+        if mat is None:
+            raise ValidationError(f"relation spans given for unknown document {doc_id!r}")
+        for rid, (start, end) in doc_spans.items():
+            idx = corpus.relation_index.get(rid)
+            if idx is None:
+                continue
+            if not 0 <= start <= end < mat.shape[0]:
+                raise ValidationError(
+                    f"relation {rid!r} span ({start}, {end}) outside document {doc_id!r}"
+                )
+            spans[idx].append((doc_id, start, end))
+    missing = [corpus.entity_ids[i] for i, ms in mentions.items() if not ms]
+    missing += [corpus.relation_ids[i] for i, sp in spans.items() if not sp]
+    if missing:
+        raise ValidationError("no contextual coverage for: " + ", ".join(sorted(missing)))
+    for i in range(corpus.n_entities):
+        store.entity_centers[i] = entity_center_from_context(vectors, mentions[i])
+    r = store.n_relations
+    for i in range(corpus.n_relations):
+        total = np.zeros(store.dim)
+        for doc_id, start, end in spans[i]:
+            total += vectors.span_mean(doc_id, start, end)
+        forward = total / len(spans[i])
+        store.relation_centers[i] = forward
+        store.relation_centers[i + r] = -forward
+    return store
+
+
+@st.composite
+def contextual_cases(draw):
+    """An in-memory corpus and vectors: documents with or without a matrix,
+    mentions that may end past their document (and matrix), relation spans
+    that may name unknown relations or leave their document, values with
+    ties, signed zeros and large magnitudes."""
+    n_ent, n_rel, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # sums of these depend on their order: 1e16 + 1 - 1e16 is 0, 1 + 1e16 - 1e16 is 1
+    value = st.sampled_from([0.0, -0.0, 1.0, 1e16, -1e16, 0.1, 1 / 3, 3e307])
+    docs, matrices, relation_spans = [], {}, {}
+    for d in range(draw(st.integers(1, 6))):
+        n_tok = draw(st.integers(1, 5))
+        mentions = []
+        for _ in range(draw(st.integers(0, 4))):
+            start = draw(st.integers(0, n_tok))
+            end = draw(st.integers(start, n_tok + 1))
+            mentions.append(Mention(draw(st.integers(0, n_ent - 1)), start, end))
+        docs.append(Document(f"d{d}", ("w",) * n_tok, tuple(mentions), ()))
+        if draw(st.integers(0, 4)):  # most documents have vectors
+            flat = draw(st.lists(value, min_size=n_tok * dim, max_size=n_tok * dim))
+            matrices[f"d{d}"] = np.array(flat, dtype=np.float64).reshape(n_tok, dim)
+            rids = st.sampled_from([f"r{i}" for i in range(n_rel)] + ["unknown"])
+            spans = {}
+            for rid in draw(st.lists(rids, max_size=3, unique=True)):
+                start = draw(st.integers(0, n_tok - 1))
+                end = draw(st.integers(start, n_tok - (draw(st.integers(0, 9)) > 0)))
+                spans[rid] = (start, end)
+            if spans:
+                relation_spans[f"d{d}"] = spans
+    entity_ids = [f"e{i}" for i in range(n_ent)]
+    relation_ids = [f"r{i}" for i in range(n_rel)]
+    corpus = Corpus(docs, entity_ids, relation_ids, {e: i for i, e in enumerate(entity_ids)},
+                    {r: i for i, r in enumerate(relation_ids)})
+    return corpus, ContextualVectors(dim, matrices, relation_spans)
+
+
+class TestImportContextualMatchesThePerMentionLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(contextual_cases())
+    def test_bit_for_bit(self, case):
+        corpus, vectors = case
+        fresh = lambda: init_random(vectors.dim, corpus.n_entities, corpus.n_relations, seed=3)
+        try:
+            want = per_mention_import(corpus, vectors, fresh())
+        except ValidationError as exc:
+            want = str(exc)
+        for span_docs in (2, params_mod.SPAN_DOCS):  # several gathers, one gather
+            with mock.patch.object(params_mod, "SPAN_DOCS", span_docs):
+                if isinstance(want, str):
+                    with pytest.raises(ValidationError) as got:
+                        import_contextual(corpus, vectors, fresh())
+                    assert str(got.value) == want
+                    continue
+                got = import_contextual(corpus, vectors, fresh())
+            for name, arr in want.arrays().items():
+                assert arr.tobytes() == got.arrays()[name].tobytes(), name
+
+    def test_sums_run_in_corpus_order(self):
+        # (1 + 1e16) - 1e16 is 0 in float64, while 1 + (1e16 - 1e16) is 1: a
+        # center is the left fold over its mentions in corpus order
+        values = [1.0, 1e16, -1e16]
+        docs = [Document(f"d{i}", ("w",), (Mention(0, 0, 0),), ()) for i in range(3)]
+        corpus = Corpus(docs, ["e"], ["r"], {"e": 0}, {"r": 0})
+        vectors = ContextualVectors(
+            1, {f"d{i}": np.array([[v]]) for i, v in enumerate(values)}, {"d2": {"r": (0, 0)}}
+        )
+        for span_docs in (1, 2, 32):
+            with mock.patch.object(params_mod, "SPAN_DOCS", span_docs):
+                store = import_contextual(corpus, vectors, init_random(1, 1, 1, seed=0))
+            assert store.entity_centers[0, 0] == 0.0
+
+    def test_the_cases_cover_every_outcome(self):
+        outcomes = set()
+
+        @settings(max_examples=400, deadline=None, database=None)
+        @given(contextual_cases())
+        def run(case):
+            corpus, vectors = case
+            store = init_random(vectors.dim, corpus.n_entities, corpus.n_relations, seed=3)
+            try:
+                import_contextual(corpus, vectors, store)
+                outcomes.add("imported")
+                if any(m.end >= len(d.tokens) for d in corpus.documents for m in d.mentions):
+                    outcomes.add("imported past a matrix")
+            except ValidationError as exc:
+                outcomes.add(str(exc).split(" ")[0])
+
+        run()
+        assert {"imported", "imported past a matrix", "no", "relation"} <= outcomes
 
 
 class TestVectorsFile:

@@ -296,6 +296,9 @@ class TestBlockRanker:
         assert evalgen.block_ranks(block, store).tolist() == ref
 
     def test_half_the_entities_as_hard_answers_stay_in_bounds(self):
+        # one query with 25 000 hard answers ranks from a sort of its row and
+        # compares no array; queries at the cut-over (as many answers as the
+        # entity count's bit length) compare in slices of at most DIST_TILE
         n = 50_000
         rng = np.random.default_rng(0)
         dist = rng.integers(0, 1000, size=(1, n)).astype(np.float64)
@@ -316,12 +319,74 @@ class TestBlockRanker:
         finally:
             tracemalloc.stop()
         # a compare of every answer against the row would hold 1.25e9 elements
-        assert 0 < largest[0] <= boxalg.DIST_TILE
+        assert largest[0] == 0
         assert peak < 2_500_000
         pool = np.delete(dist[0], answers)
         for i in rng.choice(len(answers), 20, replace=False):
             d = dist[0, answers[i]]
             assert ranks[i] == 1.0 + np.count_nonzero(pool < d) + 0.5 * np.count_nonzero(pool == d)
+
+        dist = rng.integers(0, 1000, size=(4, n)).astype(np.float64)
+        few = [frozenset(rng.choice(n, n.bit_length(), replace=False).tolist()) for _ in range(4)]
+        with mock.patch.object(evalgen.np, "count_nonzero", recorded):
+            ranks = evalgen.rank_block(dist, _csr(few), _csr(few))
+        assert 0 < largest[0] <= boxalg.DIST_TILE
+        ref = [r for row, h in zip(dist, few) for r in _ref_ranks_from_distances(row, h, h).values()]
+        assert ranks.tolist() == ref
+
+    def test_a_thousand_hard_answers_among_15000_entities_take_the_sorted_route(self):
+        n, c = 15_000, 3
+        rng = np.random.default_rng(1)
+        dist = rng.integers(0, 200, size=(c, n)).astype(np.float64)
+        hard = [frozenset(rng.choice(n, k, replace=False).tolist()) for k in (1000, 3, 14)]
+        known = [h | frozenset(rng.choice(n, 50).tolist()) for h in hard]
+        for raw in (False, True):
+            sorted_rows, compared = [], [0]
+            by_sort, count_nonzero = evalgen._counts_by_sort, np.count_nonzero
+
+            def spied_sort(row, d):
+                sorted_rows.append(len(d))
+                return by_sort(row, d)
+
+            def spied_compare(a, axis=None):
+                compared[0] += a.size
+                return count_nonzero(a, axis=axis)
+
+            with mock.patch.object(evalgen, "_counts_by_sort", spied_sort), \
+                    mock.patch.object(evalgen.np, "count_nonzero", spied_compare):
+                got = evalgen.rank_block(dist, _csr(hard), None if raw else _csr(known))
+            # 14 hard answers is 15 000's bit length, the last count that compares
+            assert sorted_rows == [1000]
+            assert compared[0] == 2 * (3 + 14) * n
+            ref = [
+                r for row, h, k in zip(dist, hard, known)
+                for r in _ref_ranks_from_distances(row, h, k, raw).values()
+            ]
+            assert got.tolist() == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sorted_route_matches_the_reference_bit_for_bit(self, data):
+        m = data.draw(st.integers(1, 40))
+        c = data.draw(st.integers(1, 4))
+        values = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 1e300])  # ties, signed zeros
+        dist = np.array(data.draw(st.lists(
+            st.lists(values, min_size=m, max_size=m), min_size=c, max_size=c
+        )), dtype=np.float64)
+        ent = st.integers(0, m - 1)
+        hard = [data.draw(st.frozensets(ent, min_size=min(m, m.bit_length() + 1))) for _ in range(c)]
+        known = [h | data.draw(st.frozensets(ent)) for h in hard]
+        raw = data.draw(st.booleans())
+        calls = []
+        by_sort = evalgen._counts_by_sort
+        with mock.patch.object(evalgen, "_counts_by_sort", lambda *a: calls.append(1) or by_sort(*a)):
+            got = evalgen.rank_block(dist, _csr(hard), None if raw else _csr(known))
+        assert len(calls) == sum(len(h) > m.bit_length() for h in hard)
+        ref = [
+            r for row, h, k in zip(dist, hard, known)
+            for r in _ref_ranks_from_distances(row, h, k, raw).values()
+        ]
+        assert _same_bits(got, np.array(ref, dtype=np.float64))
 
 
 class TestEvalMatchesThePerQueryReference:

@@ -1,9 +1,11 @@
 """Tests for structure mining, query construction, and pair sampling.
 
 Mining is checked against an independent brute-force enumerator that loops
-over all ordered triplet pairs, written from the structure definitions alone.
+over all ordered triplet pairs, written from the structure definitions alone,
+and its order against a reference that sorts each kind after enumerating it.
 """
 
+import itertools
 from collections import defaultdict, deque
 
 import numpy as np
@@ -17,6 +19,7 @@ from srbox.evalgen import brute_force_answers
 from srbox.structures import (
     COMPLEX_KINDS,
     Edge,
+    KnowledgeStructure,
     NodeKind,
     QueryDag,
     StructureKind,
@@ -85,6 +88,50 @@ def random_triplets(rng, n, n_entities, n_relations):
 FIXTURE = [trip(0, 0, 1), trip(1, 1, 2), trip(0, 2, 2)]  # A->B, B->C, A->C
 
 
+def sorting_mine(triplets):
+    """Reference order: each kind enumerated as mine_structures once did,
+    then sorted on its triplets' keys (``KnowledgeStructure.keys``)."""
+    by_key = {}
+    for t in triplets:
+        by_key.setdefault(t.key(), t)
+    facts = [by_key[k] for k in sorted(by_key)]
+    out = [KnowledgeStructure(StructureKind.SIMPLE, (t,)) for t in facts]
+    by_head, by_tail = defaultdict(list), defaultdict(list)
+    for t in facts:
+        by_head[t.head].append(t)
+        by_tail[t.tail].append(t)
+    paths = [
+        KnowledgeStructure(StructureKind.PATH, (t1, t2))
+        for t1 in facts for t2 in by_head.get(t1.tail, ())
+        if t2.key() != t1.key() and t1.head != t2.tail
+    ]
+    outward = [
+        KnowledgeStructure(StructureKind.OUTWARD, (t1, t2))
+        for group in by_head.values() for t1, t2 in itertools.combinations(group, 2)
+        if t1.tail != t2.tail
+    ]
+    inward = [
+        KnowledgeStructure(StructureKind.INWARD, (t1, t2))
+        for group in by_tail.values() for t1, t2 in itertools.combinations(group, 2)
+        if t1.head != t2.head
+    ]
+    for kind in (paths, outward, inward):
+        out += sorted(kind, key=KnowledgeStructure.keys)
+    return out
+
+
+@st.composite
+def triplet_lists(draw):
+    """Triplets over a few ids in any order, with repeated keys (from
+    different documents) and self-loops, which only a corpus file rules out."""
+    n_entities = draw(st.integers(1, 8))
+    ent = st.integers(0, n_entities - 1)
+    one = st.builds(Triplet, ent, st.integers(0, 2), ent, st.integers(0, 2))
+    return draw(st.lists(one, max_size=40))
+
+
+
+
 class TestMineStructures:
     def test_empty(self):
         assert mine_structures([]) == []
@@ -130,6 +177,15 @@ class TestMineStructures:
         a = mine_structures(ts)
         b = mine_structures(list(reversed(ts)))
         assert [(s.kind, s.keys()) for s in a] == [(s.kind, s.keys()) for s in b]
+
+    @settings(max_examples=300, deadline=None)
+    @given(triplet_lists())
+    def test_same_kinds_members_and_order_as_the_sorting_reference(self, triplets):
+        got, want = mine_structures(triplets), sorting_mine(triplets)
+        assert [s.kind for s in got] == [s.kind for s in want]
+        assert [s.triplets for s in got] == [s.triplets for s in want]
+        # the very triplet objects first given for each key
+        assert all(a is b for s, r in zip(got, want) for a, b in zip(s.triplets, r.triplets))
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(123)

@@ -786,6 +786,7 @@ class TestTrainLoop:
             assert r["lr"] == lr_at(cfg, r["step"])
         # draws since the previous record: step 0, steps 1-3, step 4
         assert [r["skipped_draws"] for r in trace] == [3, 9, 3]
+        assert [r["examples"] for r in trace] == [0, 0, 0]
 
     def test_empty_kg_source_rejected(self):
         store = init_random(4, 5, 2, seed=0)
@@ -895,7 +896,9 @@ class TestNoKnownAnswerAmongNegatives:
 
 
 class TestTraceSamplingCounters:
-    """Each record counts the negative draws made since the previous one."""
+    """Each record counts the negative draws made since the previous one,
+    and the examples they formed (the formed-example count that can stand in
+    for counting calls of the per-example loss)."""
 
     def run_counted(self, monkeypatch, source, store, cfg):
         draws = []  # per negative draw: its with-replacement flag, None when skipped
@@ -913,6 +916,7 @@ class TestTraceSamplingCounters:
         for rec, end in marks:
             covered = draws[start:end]
             formed = [flag for flag in covered if flag is not None]
+            assert rec["examples"] == len(formed)
             assert rec["skipped_draws"] == len(covered) - len(formed)
             assert rec["with_replacement_frac"] == sum(formed) / len(formed)
             start = end
