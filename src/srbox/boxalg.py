@@ -14,15 +14,17 @@ and a shrunken offset:
 where all three MLPs are two-layer ReLU networks of hidden width d and the
 softmax is taken per dimension across the n boxes.
 
-The entity-to-box distance has an outer part (L1 gap to the nearest box
-face, zero inside the box) and an inner part (L1 gap from the clamped point
-to the center), combined as d_out + alpha * d_in. The norm is configurable
-to L2. One kernel computes it for a single entity (d,) or for every row of
-a batch (m, d) against one box: ``distance`` and ``distance_batch`` keep
-only the distances, ``distance_with_cache`` also keeps the gaps and hinge
-sides, and ``distance_backward`` turns them into gradients for all rows at
-once. Evaluation ranks stacked query boxes against every entity through
-``min_distance_tiles``, which runs ``distance_batch`` on cache-sized tiles
+The entity-to-box distance clamps the entity into the box, p = min(bmax,
+max(bmin, e)), and combines an outer part (the L1 norm of e - p, zero
+inside the box) and an inner part (the L1 norm of center - p) as d_out +
+alpha * d_in; the defaults for alpha and the norm, which may be L2, are
+``DEFAULT_ALPHA`` and ``DEFAULT_NORM``. One kernel computes it for a single
+entity (d,) or for every row of a batch (m, d) against one box:
+``distance`` and ``distance_batch`` keep only the distances,
+``distance_with_cache`` also keeps the two gaps, and ``distance_backward``
+turns them into gradients for all rows at once, reading each coordinate's
+hinge side from the sign of e - p. Evaluation ranks stacked query boxes
+against every entity through ``min_distance_tiles``, which runs ``distance_batch`` on cache-sized tiles
 split across worker threads, one CPU each (at most two); every tile writes
 its own slice of the result, so its distances have the same bits for any
 worker count.
@@ -49,7 +51,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partialmethod
 from typing import NamedTuple
 
 import numpy as np
@@ -311,24 +312,22 @@ class Distance(NamedTuple):
     d_in: float | np.ndarray
 
 
+# the distance's alpha and norm wherever a caller gives none
+DEFAULT_ALPHA = 0.02
+DEFAULT_NORM = "l1"
+
+
 class DistanceCache(NamedTuple):
     """What ``distance_backward`` needs, for one entity (d,) or a batch (m, d)."""
 
-    above: np.ndarray  # e strictly above the top face
-    below: np.ndarray  # e strictly below the bottom face
-    v_out: np.ndarray  # per-dim outer gap
+    v_out: np.ndarray  # e - clamped point: > 0 above the box, < 0 below, 0 inside
     u_in: np.ndarray  # center - clamped point
     alpha: float
     norm: str
 
     def signature(self) -> bytes:
-        return b"".join(
-            (
-                self.above.tobytes(),
-                self.below.tobytes(),
-                np.sign(self.u_in).tobytes(),
-            )
-        )
+        """The hinge side and the side of the center of every coordinate."""
+        return np.sign(self.v_out).tobytes() + np.sign(self.u_in).tobytes()
 
 
 def _norm(v: np.ndarray, norm: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -352,26 +351,19 @@ def _norm_grad(v: np.ndarray, norm: str) -> np.ndarray:
 
 
 def _gaps(e: np.ndarray, b: Box, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Outer gap (to the nearest face, zero inside) and inner gap (center
-    minus the clamped point) of an entity (d,) or of each row of (m, d); a
+    """Outer gap e - p (signed: the gap to the nearest face, zero inside)
+    and inner gap center - p of an entity (d,) or of each row of (m, d),
+    where p = min(bmax, max(bmin, e)) is the entity clamped into the box; a
     box of stacked (q, 1, d) arrays gives every row's gaps to each of the q
     boxes, (q, m, d). ``out`` is an optional pair of buffers of the result
     shape to write the two gaps into."""
     if e.shape[-1:] != b.center.shape[-1:]:
         raise ValidationError(f"entity shape {e.shape} does not match box dim {b.dim}")
-    bmax, bmin = b.bmax, b.bmin
     v_out, u_in = (None, None) if out is None else out
-    # v_out = max(e - bmax, 0) + max(bmin - e, 0)
-    v_out = np.subtract(e, bmax, out=v_out)
-    np.maximum(v_out, 0.0, out=v_out)
-    u_in = np.subtract(bmin, e, out=u_in)
-    np.maximum(u_in, 0.0, out=u_in)
-    v_out += u_in
-    # u_in = center - min(bmax, max(bmin, e))
-    np.maximum(bmin, e, out=u_in)
-    np.minimum(bmax, u_in, out=u_in)
-    np.subtract(b.center, u_in, out=u_in)
-    return v_out, u_in
+    clamped = np.maximum(b.bmin, e, out=u_in)
+    np.minimum(b.bmax, clamped, out=clamped)
+    v_out = np.subtract(e, clamped, out=v_out)
+    return v_out, np.subtract(b.center, clamped, out=clamped)
 
 
 def _combine(
@@ -386,14 +378,17 @@ def _combine(
     return Distance(np.add(d_out, np.multiply(alpha, d_in, out=out[1]), out=out[0]), d_out, d_in)
 
 
-def distance(e: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1") -> Distance:
+def distance(
+    e: np.ndarray, b: Box, alpha: float = DEFAULT_ALPHA, norm: str = DEFAULT_NORM
+) -> Distance:
     """Two-part entity-to-box distance d_out + alpha * d_in, for one entity
     (d,) or for every row of (m, d)."""
     return _combine(*_gaps(e, b), alpha, norm)
 
 
 def distance_batch(
-    entities: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1", out=(None,) * 4
+    entities: np.ndarray, b: Box, alpha: float = DEFAULT_ALPHA, norm: str = DEFAULT_NORM,
+    out=(None,) * 4,
 ) -> np.ndarray:
     """Distance from every row of ``entities`` (m, d) to one box, (m,), or to
     each box of a stacked (q, 1, d) box, (q, m). ``out`` may hold four work
@@ -511,11 +506,10 @@ def min_distance_tiles(
 
 
 def distance_with_cache(
-    e: np.ndarray, b: Box, alpha: float = 0.02, norm: str = "l1"
+    e: np.ndarray, b: Box, alpha: float = DEFAULT_ALPHA, norm: str = DEFAULT_NORM
 ) -> tuple[Distance, DistanceCache]:
     v_out, u_in = _gaps(e, b)
-    cache = DistanceCache(e > b.bmax, e < b.bmin, v_out, u_in, alpha, norm)
-    return _combine(v_out, u_in, alpha, norm), cache
+    return _combine(v_out, u_in, alpha, norm), DistanceCache(v_out, u_in, alpha, norm)
 
 
 def distance_backward(
@@ -527,27 +521,33 @@ def distance_backward(
     batch; every gradient has the entity's shape. Hinge points (entity
     exactly on a box face, or exactly at the center) take the zero
     subgradient.
-    """
-    above = cache.above.astype(np.float64)
-    below = cache.below.astype(np.float64)
-    dd = np.asarray(dd, dtype=np.float64)[..., None]
-    g_out = _norm_grad(cache.v_out, cache.norm)
-    g_in = _norm_grad(cache.u_in, cache.norm)
 
-    # outer part: v = max(e - bmax, 0) + max(bmin - e, 0)
-    w = dd * g_out
-    de = w * (above - below)
+    A coordinate lies above the box where v_out = e - clamp(e) > 0, below it
+    where v_out < 0, and inside where v_out == 0, which is exact: the
+    rounded e - p is zero only where e == p.
+    """
+    dd = np.asarray(dd, dtype=np.float64)[..., None]
+    side = np.sign(cache.v_out)  # 1 above the box, -1 below, 0 inside
+
+    # outer part: v = e - clamp(e), where the clamp is center + offset above
+    # the box and center - offset below it, so dv/doffset = -side. The
+    # norm's gradient g enters as |g| * side: the two differ only in the
+    # sign of a zero, where an L2 row's squared gaps underflow to a zero
+    # norm, and |g| * side keeps the signed zeros of the hinge form
+    # max(e - bmax, 0) + max(bmin - e, 0)
+    w = dd * np.abs(_norm_grad(cache.v_out, cache.norm))
+    de = w * side
     dc = -de
-    doff = -w * (above + below)
+    doff = -w * np.abs(side)
 
     # inner part: u = center - clamp(e); outside the box the clamp lands on a
     # face, whose center dependence cancels the leading center term
-    w_in = dd * cache.alpha * g_in
-    inside = ~(cache.above | cache.below)
+    w_in = dd * cache.alpha * _norm_grad(cache.u_in, cache.norm)
+    inside = side == 0
     de -= w_in * inside
     dc += w_in * inside
-    doff -= w_in * above
-    doff += w_in * below
+    doff -= w_in * (side > 0)
+    doff += w_in * (side < 0)
     return de, dc, doff
 
 
@@ -569,8 +569,8 @@ def min_distance_with_cache(
     all_d = np.stack([dist.d for dist, _ in per_box])  # (n_boxes, m)
     argmins = np.argmin(all_d, axis=0)
     rows = np.arange(all_d.shape[1])
-    # the per-row cache fields (above, below, v_out, u_in), each from the argmin box
-    picked = [np.stack(part)[argmins, rows] for part in zip(*(c[:4] for _, c in per_box))]
+    # the per-row gaps (v_out, u_in), each from the argmin box
+    picked = [np.stack(part)[argmins, rows] for part in zip(*(c[:2] for _, c in per_box))]
     return all_d[argmins, rows], argmins, DistanceCache(*picked, alpha, norm)
 
 
@@ -747,20 +747,3 @@ class Grads:
             slots[key] = g.copy()
         else:
             slot += g
-
-    add_entity = partialmethod(add, "entity")
-    add_rel_center = partialmethod(add, "rel_center")
-    add_rel_offset = partialmethod(add, "rel_offset")
-    add_net = partialmethod(add, "net")
-
-    def scale(self, s: float) -> "Grads":
-        for slots in self.tables().values():
-            for g in slots.values():
-                g *= s
-        return self
-
-    def iadd(self, other: "Grads") -> "Grads":
-        for table, slots in other.tables().items():
-            for key, g in slots.items():
-                self.add(table, key, g)
-        return self

@@ -38,6 +38,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from srbox import boxalg
+from srbox.boxalg import DEFAULT_ALPHA, DEFAULT_NORM
 from srbox.errors import ParseError, ValidationError
 from srbox.rng import substream
 from srbox.structures import (
@@ -719,8 +720,8 @@ def ptranse_distances(anchor: int, path: list[tuple[int, bool]], params) -> np.n
 FORWARD_TILE = 1 << 12
 
 
-def block_distances(block: QueryBlock, params, scorer: str = "box", alpha: float = 0.02,
-                    norm: str = "l1"):
+def block_distances(block: QueryBlock, params, scorer: str = "box",
+                    alpha: float = DEFAULT_ALPHA, norm: str = DEFAULT_NORM):
     """Distances from every entity to the queries of a block under the
     chosen scorer (lower is better).
 
@@ -803,8 +804,9 @@ def _counts_by_sort(pool_row: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np
     return closer, np.searchsorted(line, d, "right") - closer
 
 
-def block_ranks(block: QueryBlock, params, scorer: str = "box", alpha: float = 0.02,
-                norm: str = "l1", raw: bool = False, timings: dict | None = None) -> np.ndarray:
+def block_ranks(block: QueryBlock, params, scorer: str = "box", alpha: float = DEFAULT_ALPHA,
+                norm: str = DEFAULT_NORM, raw: bool = False,
+                timings: dict | None = None) -> np.ndarray:
     """``rank_block`` of each chunk of ``block_distances``: the filtered (or
     raw) rank of every hard answer of the block, in the order of
     ``block.hard.ids`` (rows in order, each row's answers by id). Adds the
@@ -822,7 +824,8 @@ def block_ranks(block: QueryBlock, params, scorer: str = "box", alpha: float = 0
     return np.concatenate(ranks)
 
 
-def box_distances(queries: list[GeneratedQuery], params, alpha: float = 0.02, norm: str = "l1"):
+def box_distances(queries: list[GeneratedQuery], params, alpha: float = DEFAULT_ALPHA,
+                  norm: str = DEFAULT_NORM):
     """Box-scorer distances of a list of queries: ``block_distances`` of its
     ``query_blocks``. Yields (indices into ``queries``, distances
     (len(indices), n_entities)) one chunk at a time, block by block."""
@@ -835,8 +838,8 @@ def query_distances(
     query: GeneratedQuery,
     params,
     scorer: str = "box",
-    alpha: float = 0.02,
-    norm: str = "l1",
+    alpha: float = DEFAULT_ALPHA,
+    norm: str = DEFAULT_NORM,
 ) -> np.ndarray:
     """Per-entity distance vector under the chosen scorer (lower is better)."""
     [block] = query_blocks([query])
@@ -859,8 +862,8 @@ def query_ranks(
     queries: list[GeneratedQuery],
     params,
     scorer: str = "box",
-    alpha: float = 0.02,
-    norm: str = "l1",
+    alpha: float = DEFAULT_ALPHA,
+    norm: str = DEFAULT_NORM,
     raw: bool = False,
 ) -> list[dict[int, float]]:
     """Filtered (or raw) ranks of every query's hard answers, in the list's
@@ -878,8 +881,8 @@ def rank_answers(
     query: GeneratedQuery,
     params,
     scorer: str = "box",
-    alpha: float = 0.02,
-    norm: str = "l1",
+    alpha: float = DEFAULT_ALPHA,
+    norm: str = DEFAULT_NORM,
     raw: bool = False,
 ) -> dict[int, float]:
     """Filtered (or raw) ranks of the query's hard answers."""
@@ -920,8 +923,8 @@ def metrics_report(
     queries: list[GeneratedQuery],
     params,
     scorer: str = "box",
-    alpha: float = 0.02,
-    norm: str = "l1",
+    alpha: float = DEFAULT_ALPHA,
+    norm: str = DEFAULT_NORM,
     raw: bool = False,
 ) -> dict:
     """Aggregate H@1/3/10 and MRR over every hard answer of one query batch."""

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from srbox import boxalg, evalgen
-from srbox.boxalg import Box, Grads, execute_with_trace
+from srbox.boxalg import DEFAULT_ALPHA, DEFAULT_NORM, Box, Grads, execute_with_trace
 from srbox.corpus import Corpus, Sequence, chunk_sequences
 from srbox.errors import ValidationError
 from srbox.params import OFFSET_MODES, ParamStore
@@ -58,7 +58,7 @@ NEGATIVE_POOLS = ("same_sequence", "global")
 @dataclass
 class TrainConfig:
     gamma: float = 24.0
-    alpha: float = 0.02
+    alpha: float = DEFAULT_ALPHA
     lambda1: float = 1.0
     lambda2: float = 0.1
     k_negatives: int = 16
@@ -71,7 +71,7 @@ class TrainConfig:
     seed: int = 0
     offset_mode: str = "shared"
     negative_pool: str = "same_sequence"
-    norm: str = "l1"
+    norm: str = DEFAULT_NORM
     warmup: bool = True  # 10% linear warmup, then linear decay to zero
     trace_every: int = 100
 
@@ -340,7 +340,7 @@ def adam_step(
     Each table's touched rows are gathered in sorted key order, with their
     moments, and updated as one array; rows no gradient touches keep their
     parameters and moments. The gradients are multiplied by ``scale`` first,
-    the same product ``grads.scale(scale)`` gives, without touching
+    the same product as scaling each gradient in place, without touching
     ``grads``. Bias correction uses the global step count.
     Every update is computed, with overflow and invalid operations trapped,
     before anything is written: a non-finite gradient or update raises
@@ -628,7 +628,7 @@ def _random_example(
 GRAD_CHECK_SHAPES = ("1p", "2p", "2i", "2i_inverse", "2u")
 
 
-def grad_check_config(alpha: float = 0.02, norm: str = "l1") -> TrainConfig:
+def grad_check_config(alpha: float = DEFAULT_ALPHA, norm: str = DEFAULT_NORM) -> TrainConfig:
     """The config ``grad_check`` runs under: the given distance settings, two
     negatives and a small margin (see ``grad_check``)."""
     return replace(TrainConfig(), k_negatives=2, alpha=alpha, gamma=2.0, norm=norm)

@@ -231,24 +231,28 @@ def _ref_backward(above, below, v_out, u_in, alpha, norm, dd):
 
 @st.composite
 def kernel_cases(draw):
-    """A box, m entities with some coordinates exactly on a face or at the
-    center and some rows exactly at the center, and per-row upstream grads."""
+    """A stack of q boxes (q, d) with some offsets 0.0 or -0.0, m entities
+    with some coordinates exactly on a face or at the center of one of the
+    boxes and some rows exactly at the first box's center, and per-row
+    upstream grads."""
     d = draw(st.integers(1, 6))
     m = draw(st.integers(1, 40))
+    q = draw(st.integers(1, 4))
     coord = st.floats(-4.0, 4.0, width=64)
-    center = draw(hnp.arrays(np.float64, d, elements=coord))
-    offset = draw(hnp.arrays(np.float64, d, elements=st.floats(0.0, 3.0, width=64)))
+    offset = st.floats(0.0, 3.0, width=64) | st.sampled_from((0.0, -0.0))
+    centers = draw(hnp.arrays(np.float64, (q, d), elements=coord))
+    offsets = draw(hnp.arrays(np.float64, (q, d), elements=offset))
     ents = draw(hnp.arrays(np.float64, (m, d), elements=coord))
     snap = draw(hnp.arrays(np.int8, (m, d), elements=st.integers(0, 3)))
-    ents = np.select(
-        [snap == 1, snap == 2, snap == 3], [center + offset, center - offset, center], ents
-    )
+    which = draw(hnp.arrays(np.intp, (m, d), elements=st.integers(0, q - 1)))
+    center, off = centers[which, np.arange(d)], offsets[which, np.arange(d)]
+    ents = np.select([snap == 1, snap == 2, snap == 3], [center + off, center - off, center], ents)
     at_center = draw(hnp.arrays(np.bool_, m))
-    ents[at_center] = center
+    ents[at_center] = centers[0]
     dd = draw(hnp.arrays(np.float64, m, elements=st.floats(-3.0, 3.0, width=64)))
     alpha = draw(st.floats(0.0, 1.0, width=64))
     norm = draw(st.sampled_from(("l1", "l2")))
-    return Box(center, offset), ents, dd, alpha, norm
+    return Box(centers, offsets), ents, dd, alpha, norm
 
 
 def _same_bits(a, b):
@@ -259,7 +263,8 @@ class TestKernelMatchesScalarReference:
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
     def test_rows_match_bit_for_bit(self, case):
-        box, ents, dd, alpha, norm = case
+        boxes, ents, dd, alpha, norm = case
+        box = Box(boxes.center[0], boxes.offset[0])
         dist, cache = distance_with_cache(ents, box, alpha, norm)
         grads = distance_backward(cache, dd)
         assert _same_bits(distance_batch(ents, box, alpha, norm), dist.d)
@@ -272,6 +277,22 @@ class TestKernelMatchesScalarReference:
                 assert _same_bits(got[i], ref) and _same_bits(one, ref)
             for got, one, ref in zip(grads, one_grads, ref_grads):
                 assert _same_bits(got[i], ref) and _same_bits(one, ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_stacked_boxes_match_bit_for_bit(self, case):
+        # as the tiled distance pass calls it: a box of stacked (q, 1, d)
+        # arrays and four work buffers, filled with NaN beforehand
+        boxes, ents, _, alpha, norm = case
+        (q, d), m = boxes.center.shape, len(ents)
+        out = [np.full(shape, np.nan) for shape in [(q, m, d)] * 2 + [(q, m)] * 2]
+        stacked = Box(boxes.center[:, None], boxes.offset[:, None])
+        got = distance_batch(ents, stacked, alpha, norm, out)
+        assert got is out[2]
+        for k in range(q):
+            box = Box(boxes.center[k], boxes.offset[k])
+            for i in range(m):
+                assert _same_bits(got[k, i], _ref_distance(ents[i], box, alpha, norm)[0][0])
 
 
 class TestIntersection:
@@ -672,19 +693,16 @@ class TestExecutionMatchesReference:
 
 
 class TestGrads:
-    def test_accumulate_scale_merge(self):
+    def test_accumulate(self):
         store = init_random(dim=3, n_entities=4, n_relations=2, seed=0)
         g = boxalg.Grads(store)
-        g.add_entity(1, np.ones(3))
-        g.add_entity(1, np.ones(3))
-        g.add_rel_center(0, np.full(3, 2.0))
-        g.add_net("att_w2", np.ones_like(store.net.att_w2))
-        g.scale(0.5)
-        np.testing.assert_array_equal(g.entity[1], 1.0)
-        np.testing.assert_array_equal(g.rel_center[0], 1.0)
-        other = boxalg.Grads(store)
-        other.add_entity(1, np.ones(3))
-        other.add_entity(2, np.ones(3))
-        g.iadd(other)
+        first = np.ones(3)
+        g.add("entity", 1, first)
+        g.add("entity", 1, np.ones(3))
+        g.add("rel_center", 0, np.full(3, 2.0))
+        g.add("net", "att_w2", np.ones_like(store.net.att_w2))
         np.testing.assert_array_equal(g.entity[1], 2.0)
-        np.testing.assert_array_equal(g.entity[2], 1.0)
+        np.testing.assert_array_equal(first, 1.0)  # the first gradient is copied
+        np.testing.assert_array_equal(g.rel_center[0], 2.0)
+        np.testing.assert_array_equal(g.net["att_w2"], 1.0)
+        assert list(g.entity) == [1] and not g.rel_offset

@@ -845,6 +845,52 @@ class TestEvalCommand:
         assert problem in capsys.readouterr().err
 
 
+class TestTrainAndEvalBytes:
+    # sha256 of params.ckpt and train_trace.jsonl from kg-mode training with
+    # --complex-pool 0 on the kg_dir grid, and of metrics.jsonl from eval of
+    # that checkpoint on chains and unions, filtered and --raw. No
+    # intersection runs, so no matmul: the bytes rest on elementwise numpy
+    # and the seeded RNG alone (digests taken under numpy 2.4.6). A distance,
+    # loss, Adam or ranking change that moves one bit fails.
+    PINNED = {
+        "l1": {
+            "params.ckpt": "64bdc55c78caebc826776df64c290e2b4f5451534ddc3fff5f43dc33e5a7a307",
+            "train_trace.jsonl": "36d1bedd21888869296996541f077ad0417cd51caeff9e38afcf51c9f82aea3d",
+            "metrics.jsonl": "94c535b880f1a52ff82b47e9e85993601b5a1fd92e55c119d84b6f9739f398c5",
+            "metrics.jsonl --raw": "c65329646e64a27efa4d12f7a38c0d86fa0e507d2b9b2a92528b2532fad71606",
+        },
+        "l2": {
+            "params.ckpt": "144317cb239138004b129a552cc4118a05cede0a5fc5f3ff9aadc69e3f8100c8",
+            "train_trace.jsonl": "d9c1992ed15bcf46301dc66a981ecc90df37260497248f8920790a2315cae6c9",
+            "metrics.jsonl": "526f853147b100f651e01853c3b37cc2862a086e911cfcce0dcb117f52033585",
+            "metrics.jsonl --raw": "ba5166e75e72871ee8b164874637be8153701fef7bbe2ee5f92f339ca2c75e4a",
+        },
+    }
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_bytes_are_pinned(self, tmp_path, kg_dir, norm):
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[train]\nnorm = {norm}\ntrace_every = 5\n")
+        trained = tmp_path / "train"
+        assert cli.main([
+            "train", "--config", str(ini), "--mode", "kg", "--kg", kg_dir, "--dim", "8",
+            "--steps", "200", "--batch-size", "8", "--k-negatives", "4", "--complex-pool", "0",
+            "--seed", "11", "--out", str(trained),
+        ]) == 0
+        files = {name: trained / name for name in ("params.ckpt", "train_trace.jsonl")}
+        for flags in ([], ["--raw"]):
+            out = tmp_path / f"eval{len(flags)}"
+            assert cli.main([
+                "eval", "--config", str(ini), "--kg", kg_dir,
+                "--checkpoint", str(trained / "params.ckpt"), "--types", "1p,2p,3p,2u,up",
+                "--count", "20", "--seed", "11", *flags, "--out", str(out),
+            ]) == 0
+            files[" ".join(["metrics.jsonl", *flags])] = out / "metrics.jsonl"
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for name, path in files.items()}
+        assert digests == self.PINNED[norm]
+
+
 def test_module_entry_point(tmp_path, corpus_path):
     out = tmp_path / "o"
     proc = subprocess.run(
