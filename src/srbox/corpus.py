@@ -116,13 +116,35 @@ def _intern(name: str, index: dict[str, int], names: list[str]) -> int:
     return idx
 
 
+# the fields of a mention and of a triplet, each with its JSON type
+MENTION_FIELDS = {"entity": str, "start": int, "end": int}
+TRIPLET_FIELDS = {"head": str, "relation": str, "tail": str}
+_TYPE_NAMES = {str: "a string", int: "an int"}
+
+
+def _field_error(item, kind: str, types: dict[str, type], where: str) -> ParseError:
+    """What is wrong with a mention or triplet that is not an object holding
+    each field of ``types`` with a value of its type (a bool is not an int)."""
+    if not isinstance(item, dict):
+        return ParseError(f"{where}: {kind} {item!r} is not an object")
+    for key, typ in types.items():
+        if key not in item:
+            return ParseError(f"{where}: {kind} {item!r} misses {key!r}")
+        if type(item[key]) is not typ:
+            return ParseError(
+                f"{where}: {kind} field {key!r} is {item[key]!r}, not {_TYPE_NAMES[typ]}"
+            )
+    return ParseError(f"{where}: malformed {kind} {item!r}")
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Parse and validate a corpus file.
 
-    Raises ParseError for malformed records and ValidationError for records
-    that parse but violate an invariant (span out of range, self-loop
-    triplet, triplet referencing an entity never mentioned anywhere in the
-    corpus). Messages name the 1-based line number.
+    Raises ParseError for malformed records (bad JSON, a missing field, a
+    field of the wrong type) and ValidationError for records that parse but
+    violate an invariant (span out of range, self-loop triplet, triplet
+    referencing an entity never mentioned anywhere in the corpus). Messages
+    name the file and the 1-based line number.
     """
     path = Path(path)
     entity_index: dict[str, int] = {}
@@ -145,20 +167,24 @@ def load_corpus(path: str | Path) -> Corpus:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: malformed record: {exc}") from exc
+                raise ParseError(f"{path}: line {lineno}: malformed record: {exc}") from exc
             if not isinstance(record, dict):
-                raise ParseError(f"line {lineno}: record is not an object")
+                raise ParseError(f"{path}: line {lineno}: record is not an object")
             try:
                 doc_id = record["id"]
                 tokens = record["tokens"]
                 raw_mentions = record.get("mentions", [])
                 raw_triplets = record.get("triplets", [])
             except KeyError as exc:
-                raise ParseError(f"line {lineno}: missing field {exc}") from exc
+                raise ParseError(f"{path}: line {lineno}: missing field {exc}") from exc
             if not isinstance(doc_id, str) or not isinstance(tokens, list):
-                raise ParseError(f"line {lineno}: 'id' must be a string and 'tokens' a list")
+                raise ParseError(
+                    f"{path}: line {lineno}: 'id' must be a string and 'tokens' a list"
+                )
+            if not isinstance(raw_mentions, list) or not isinstance(raw_triplets, list):
+                raise ParseError(f"{path}: line {lineno}: 'mentions' and 'triplets' must be lists")
             if doc_id in seen_doc_ids:
-                raise ValidationError(f"line {lineno}: duplicate document id {doc_id!r}")
+                raise ValidationError(f"{path}: line {lineno}: duplicate document id {doc_id!r}")
             seen_doc_ids.add(doc_id)
 
             n_tok = len(tokens)
@@ -167,11 +193,14 @@ def load_corpus(path: str | Path) -> Corpus:
             for m in raw_mentions:
                 try:
                     ent_name, start, end = m["entity"], m["start"], m["end"]
-                except (KeyError, TypeError) as exc:
-                    raise ParseError(f"line {lineno}: malformed mention {m!r}") from exc
+                except (KeyError, TypeError):
+                    ent_name = None
+                # the checks run inline: a corpus has tens of thousands of mentions
+                if type(ent_name) is not str or type(start) is not int or type(end) is not int:
+                    raise _field_error(m, "mention", MENTION_FIELDS, f"{path}: line {lineno}")
                 if not (0 <= start <= end < n_tok):
                     raise ValidationError(
-                        f"line {lineno}: mention span ({start}, {end}) outside "
+                        f"{path}: line {lineno}: mention span ({start}, {end}) outside "
                         f"document of {n_tok} tokens"
                     )
                 ent = entity_index.get(ent_name)
@@ -184,11 +213,14 @@ def load_corpus(path: str | Path) -> Corpus:
             for t in raw_triplets:
                 try:
                     head_name, rel_name, tail_name = t["head"], t["relation"], t["tail"]
-                except (KeyError, TypeError) as exc:
-                    raise ParseError(f"line {lineno}: malformed triplet {t!r}") from exc
+                except (KeyError, TypeError):
+                    head_name = None
+                if (type(head_name) is not str or type(rel_name) is not str
+                        or type(tail_name) is not str):
+                    raise _field_error(t, "triplet", TRIPLET_FIELDS, f"{path}: line {lineno}")
                 if head_name == tail_name:
                     raise ValidationError(
-                        f"line {lineno}: self-loop triplet on {head_name!r} rejected"
+                        f"{path}: line {lineno}: self-loop triplet on {head_name!r} rejected"
                     )
                 head = _intern(head_name, entity_index, entity_ids)
                 tail = _intern(tail_name, entity_index, entity_ids)
@@ -206,7 +238,7 @@ def load_corpus(path: str | Path) -> Corpus:
     for lineno, ent in pending:
         if ent not in mentioned:
             raise ValidationError(
-                f"line {lineno}: triplet references entity {entity_ids[ent]!r} "
+                f"{path}: line {lineno}: triplet references entity {entity_ids[ent]!r} "
                 f"with no mention anywhere in the corpus"
             )
 

@@ -30,7 +30,7 @@ import os
 import time
 import warnings
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -243,16 +243,16 @@ def _last_pairs_reversed(c1, c2, lo: int, hi: int) -> tuple:
     return tuple(sorted(zip(c2[lo:hi], c1[lo:hi])))
 
 
-class _Groups(Mapping):
-    """One read-only map of an ``EdgeIndex``: a key (the first column, or the
+class _Groups:
+    """One lazy lookup of an ``EdgeIndex``: a key (the first column, or the
     first two, of distinct edges sorted by their columns) to the sorted
     tuple of what its rows hold after the key. A group is cut from the
     columns by binary search on its first lookup and kept, and an absent
-    key is kept as an empty group. The search reads the columns through
-    memoryviews, whose items are Python ints."""
+    key is kept as an empty group, which ``get`` reports as its default.
+    The search reads the columns through memoryviews, whose items are
+    Python ints."""
 
     def __init__(self, columns: np.ndarray, width: int, group: Callable) -> None:
-        self._columns = columns
         self._views = tuple(map(memoryview, columns))
         self._width = width
         self._group = group
@@ -266,7 +266,7 @@ class _Groups(Mapping):
 
     def image(self, firsts, second: int) -> set:
         """The union of the groups of the keys ``(e, second)``, e in
-        ``firsts``, of a two-column map; an absent key adds nothing."""
+        ``firsts``, of a two-column lookup; an absent key adds nothing."""
         out: set = set()
         built = self._built
         for e in firsts:
@@ -288,47 +288,21 @@ class _Groups(Mapping):
         found = self._built[key] = self._group(c1, c2, lo, hi)
         return found
 
-    def __getitem__(self, key):
-        found = self.get(key)
-        if found is None:
-            raise KeyError(key)
-        return found
-
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
-
-    @cached_property
-    def _starts(self) -> np.ndarray:
-        keys = self._columns[: self._width]
-        change = np.ones(keys.shape[1], dtype=bool)
-        change[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-        return np.flatnonzero(change)
-
-    def __len__(self) -> int:
-        return len(self._starts)
-
-    def __iter__(self):
-        keys = self._columns[: self._width, self._starts].tolist()
-        return iter(keys[0]) if self._width == 1 else zip(*keys)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _Groups) and (other._width, other._group) == (self._width, self._group):
-            return np.array_equal(self._columns, other._columns)
-        return super().__eq__(other)
-
 
 class EdgeIndex:
-    """Adjacency maps for fast forward/inverse traversal, all sorted:
-    ``fwd`` (head, relation) -> tails, ``rev`` (tail, relation) -> heads,
+    """Sorted adjacency lookups for forward/inverse traversal: ``fwd``
+    (head, relation) -> tails, ``rev`` (tail, relation) -> heads,
     ``out_adj`` head -> (relation, tail) pairs and ``in_adj`` tail ->
-    (head, relation) pairs.
+    (head, relation) pairs. Each answers ``get(key, default)``; ``fwd``
+    and ``rev`` also give the ``image`` of a set of entities along one
+    relation, which the answer oracle walks.
 
     The distinct edges are held as int arrays, sorted twice: by (head,
     relation, tail) for ``fwd`` and ``out_adj``, and by (tail, relation,
-    head) for ``rev`` and ``in_adj``. Each map is a view that builds a key's
-    group on its first lookup, so set-up costs the two sorts, not a pass over
-    every edge per map, and only the groups looked up are ever built. Ids
-    must be >= 0.
+    head) for ``rev`` and ``in_adj``. Each lookup builds a key's group on
+    its first use, so set-up costs the two sorts, not a pass over every
+    edge per lookup, and only the groups looked up are ever built. Ids must
+    be >= 0.
     """
 
     def __init__(self, edges) -> None:
@@ -343,12 +317,6 @@ class EdgeIndex:
         self.out_adj = _Groups(heads, 1, _last_pairs)
         self.rev = _Groups(tails, 2, _last_column)
         self.in_adj = _Groups(tails, 1, _last_pairs_reversed)
-
-    def map_forward(self, sources: set[int], rel: int) -> set[int]:
-        return self.fwd.image(sources, rel)
-
-    def map_inverse(self, sources: set[int], rel: int) -> set[int]:
-        return self.rev.image(sources, rel)
 
     def answers(self, dag: QueryDag) -> set[int]:
         """Answer set of a query DAG over this index's edges: ``plan_answers``
@@ -695,13 +663,6 @@ def _chain_hops(plan: Plan) -> list[tuple[int, bool]]:
     return hops
 
 
-def dag_to_path(dag: QueryDag) -> tuple[int, list[tuple[int, bool]]]:
-    """Anchor and (relation, inverse) hops of a pure chain DAG."""
-    hops = _chain_hops(plan_of(dag))
-    (anchor,), relations = query_ids(dag)
-    return anchor, [(relations[slot], inverse) for slot, inverse in hops]
-
-
 def ptranse_distances(anchor: int, path: list[tuple[int, bool]], params) -> np.ndarray:
     """PTransE path-sum distance of every entity to a chain query:
     |Cen(anchor) + sum of signed relation centers - Cen(e)|_1, inverse hops
@@ -824,16 +785,6 @@ def block_ranks(block: QueryBlock, params, scorer: str = "box", alpha: float = D
     return np.concatenate(ranks)
 
 
-def box_distances(queries: list[GeneratedQuery], params, alpha: float = DEFAULT_ALPHA,
-                  norm: str = DEFAULT_NORM):
-    """Box-scorer distances of a list of queries: ``block_distances`` of its
-    ``query_blocks``. Yields (indices into ``queries``, distances
-    (len(indices), n_entities)) one chunk at a time, block by block."""
-    for block in query_blocks(queries):
-        for start, dist in block_distances(block, params, "box", alpha, norm):
-            yield block.positions[start:start + len(dist)].tolist(), dist
-
-
 def query_distances(
     query: GeneratedQuery,
     params,
@@ -858,25 +809,6 @@ def ranks_from_distances(
     return dict(zip(answers, rank_block(dist[None], Csr.of([answers]), known).tolist()))
 
 
-def query_ranks(
-    queries: list[GeneratedQuery],
-    params,
-    scorer: str = "box",
-    alpha: float = DEFAULT_ALPHA,
-    norm: str = DEFAULT_NORM,
-    raw: bool = False,
-) -> list[dict[int, float]]:
-    """Filtered (or raw) ranks of every query's hard answers, in the list's
-    order: ``block_ranks`` of its ``query_blocks``."""
-    out: list = [None] * len(queries)
-    for block in query_blocks(queries):
-        ranks = block_ranks(block, params, scorer, alpha, norm, raw).tolist()
-        answers, offsets = block.hard.ids.tolist(), block.hard.offsets.tolist()
-        for pos, lo, hi in zip(block.positions.tolist(), offsets, offsets[1:]):
-            out[pos] = dict(zip(answers[lo:hi], ranks[lo:hi]))
-    return out
-
-
 def rank_answers(
     query: GeneratedQuery,
     params,
@@ -885,8 +817,11 @@ def rank_answers(
     norm: str = DEFAULT_NORM,
     raw: bool = False,
 ) -> dict[int, float]:
-    """Filtered (or raw) ranks of the query's hard answers."""
-    return query_ranks([query], params, scorer, alpha, norm, raw)[0]
+    """Filtered (or raw) ranks of the query's hard answers: ``block_ranks``
+    of its block of one."""
+    [block] = query_blocks([query])
+    ranks = block_ranks(block, params, scorer, alpha, norm, raw)
+    return dict(zip(block.hard.ids.tolist(), ranks.tolist()))
 
 
 def hits_at_k(ranks, k: int) -> float:
@@ -927,11 +862,15 @@ def metrics_report(
     norm: str = DEFAULT_NORM,
     raw: bool = False,
 ) -> dict:
-    """Aggregate H@1/3/10 and MRR over every hard answer of one query batch."""
+    """Aggregate H@1/3/10 and MRR over every hard answer of one query batch:
+    ``block_ranks`` of its ``query_blocks``, put back in the list's order."""
     if not queries:
         raise ValidationError("no queries to evaluate")
     qtypes = {q.qtype for q in queries}
-    ranks = [r for rk in query_ranks(queries, params, scorer, alpha, norm, raw) for r in rk.values()]
+    blocks = query_blocks(queries)
+    ranks = np.concatenate([block_ranks(b, params, scorer, alpha, norm, raw) for b in blocks])
+    positions = np.concatenate([b.positions[b.hard.row_of_ids()] for b in blocks])
+    ranks = ranks[np.argsort(positions, kind="stable")].tolist()
     return rank_report(qtypes.pop() if len(qtypes) == 1 else "mixed", scorer, ranks, len(queries))
 
 
@@ -967,11 +906,6 @@ def write_queries(blocks: list[QueryBlock], kg: KnowledgeGraph, path: str) -> No
     lines.sort(key=lambda line: line[0])
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line for _, line in lines)
-
-
-def save_queries(queries: list[GeneratedQuery], kg: KnowledgeGraph, path: str) -> None:
-    """``write_queries`` of a list of queries, in the list's order."""
-    write_queries(query_blocks(queries), kg, path)
 
 
 def _written_shape(rec) -> tuple:

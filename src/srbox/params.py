@@ -40,7 +40,6 @@ CHECKPOINT_VERSION = 1
 OFFSET_MODES = ("shared", "per_relation")
 # the store's own arrays, ahead of the net's in the checkpoint manifest
 ROW_TABLES = ("entity_centers", "relation_centers", "relation_offsets")
-HEADER_KEYS = ("dim", "offset_mode", "entity_ids", "relation_ids", "arrays")
 # documents whose span means the contextual import gathers and adds at once
 SPAN_DOCS = 32
 
@@ -182,6 +181,58 @@ def init_random(
         offset_mode,
         net,
     )
+
+
+# ---------------------------------------------------------------------------
+# file headers
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # a bool is not an int
+
+
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+def _is_names(value) -> bool:
+    return type(value) is list and all(map(_is_str, value))
+
+
+def _is_spans(value) -> bool:
+    return type(value) is dict and all(
+        type(se) is list and len(se) == 2 and type(se[0]) is int and type(se[1]) is int
+        for se in value.values()
+    )
+
+
+# each field a header must hold: a test of its value, and what the test asks
+CHECKPOINT_FIELDS = {
+    "dim": (_is_int, "an int"),
+    "offset_mode": (_is_str, "a string"),
+    "entity_ids": (_is_names, "a list of strings"),
+    "relation_ids": (_is_names, "a list of strings"),
+    "arrays": (lambda value: type(value) is list, "a list"),
+}
+VECTOR_FIELDS = {
+    "id": (_is_str, "a string"),
+    "rows": (_is_int, "an int"),
+    "dim": (_is_int, "an int"),
+}
+
+
+def _check_header(header, fields: dict, what: str) -> None:
+    """ParseError unless ``header`` is a JSON object that holds every key
+    of ``fields`` with a value that passes the key's test; the message
+    names the keys missing or the first field that fails."""
+    if not isinstance(header, dict):
+        raise ParseError(f"{what} is not a JSON object")
+    if not header.keys() >= fields.keys():
+        missing = [key for key in fields if key not in header]
+        raise ParseError(f"{what} misses {', '.join(map(repr, missing))}")
+    for key, (fits, kind) in fields.items():
+        if not fits(header[key]):
+            raise ParseError(f"{what} field {key!r} is not {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +387,15 @@ def write_vectors(path: str, vectors: ContextualVectors) -> None:
 
 
 def load_vectors(path: str) -> ContextualVectors:
+    """The vectors of a ``write_vectors`` file. A malformed file raises
+    ParseError, whose message names the file."""
+    try:
+        return _read_vectors(path)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _read_vectors(path: str) -> ContextualVectors:
     matrices: dict[str, np.ndarray] = {}
     relation_spans: dict[str, dict[str, tuple[int, int]]] = {}
     dim: int | None = None
@@ -350,11 +410,14 @@ def load_vectors(path: str) -> ContextualVectors:
                 header = json.loads(line.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ParseError(f"bad vector-file header: {exc}") from exc
-            for key in ("id", "rows", "dim"):
-                if key not in header:
-                    raise ParseError(f"vector-file header missing {key!r}")
-            doc_id = header["id"]
-            rows, d = int(header["rows"]), int(header["dim"])
+            _check_header(header, VECTOR_FIELDS, "vector-file header")
+            doc_id, rows, d = header["id"], header["rows"], header["dim"]
+            spans = header.get("relation_spans", {})
+            if not _is_spans(spans):
+                raise ParseError(
+                    f"vector-file header field 'relation_spans' of document {doc_id!r} "
+                    "is not a map of [int, int] pairs"
+                )
             if rows < 0 or d < 1:
                 raise ParseError(f"bad vector-file shape ({rows}, {d})")
             if dim is None:
@@ -367,11 +430,8 @@ def load_vectors(path: str) -> ContextualVectors:
             if fh.readinto(mat) != mat.nbytes:
                 raise ParseError(f"vector file truncated in document {doc_id!r}")
             matrices[doc_id] = mat
-            spans = header.get("relation_spans")
             if spans:
-                relation_spans[doc_id] = {
-                    rid: (int(se[0]), int(se[1])) for rid, se in spans.items()
-                }
+                relation_spans[doc_id] = {rid: (start, end) for rid, (start, end) in spans.items()}
     if dim is None:
         raise ParseError("vector file holds no documents")
     return ContextualVectors(dim, matrices, relation_spans)
@@ -428,6 +488,16 @@ def _manifest(entries) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def load(path: str, expected_dim: int | None = None) -> ParamStore:
+    """The store of a ``save`` file. A malformed file raises ParseError,
+    whose message names the file; a dim other than ``expected_dim`` (when
+    given) raises ValidationError."""
+    try:
+        return _read_checkpoint(path, expected_dim)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _read_checkpoint(path: str, expected_dim: int | None) -> ParamStore:
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -447,12 +517,8 @@ def load(path: str, expected_dim: int | None = None) -> ParamStore:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"bad checkpoint header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise ParseError("checkpoint header is not a JSON object")
-        missing = [key for key in HEADER_KEYS if key not in header]
-        if missing:
-            raise ParseError(f"checkpoint header misses {', '.join(map(repr, missing))}")
-        dim = int(header["dim"])
+        _check_header(header, CHECKPOINT_FIELDS, "checkpoint header")
+        dim = header["dim"]
         if expected_dim is not None and dim != expected_dim:
             raise ValidationError(
                 f"checkpoint has dim {dim} but the configuration expects dim {expected_dim}"

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -406,6 +406,13 @@ class TextSource:
     seq_len: int = 512
 
 
+class AnswerLookup(Protocol):
+    """(head, relation) -> every known tail, sorted; ``default`` for a key
+    with none. An ``EdgeIndex``'s ``fwd`` lookup is one, and so is a dict."""
+
+    def get(self, key: tuple[int, int], default=None) -> tuple[int, ...] | None: ...
+
+
 @dataclass
 class KgSource:
     """Pre-assembled KG training material.
@@ -413,11 +420,11 @@ class KgSource:
     ``triplets`` are dense-id train edges used as simple (1p) examples;
     ``complex_queries`` are pre-generated (dag, train-answer tuple) pairs of
     any mix of shapes; negatives are drawn by rejection from the global
-    entity range, at O(K) cost per draw. ``answer_sets`` maps (head,
-    relation) to every known tail, sorted; it is an ``EdgeIndex``'s ``fwd``
-    view, which cuts a key's tails from the sorted edges on first lookup,
-    built from ``triplets`` when not given, or any mapping of the same
-    content. All of a query's known answers, its tails or a complex query's
+    entity range, at O(K) cost per draw. ``answer_sets`` gives each (head,
+    relation) key its known tails through ``get``, the only call made on
+    it; when not given it is the ``fwd`` lookup of an ``EdgeIndex`` of
+    ``triplets``, which cuts a key's tails from the sorted edges on first
+    use. All of a query's known answers, its tails or a complex query's
     train answers, are excluded from its negatives, not just the sampled
     one; otherwise co-answers of multi-answer queries get pushed away as
     false negatives.
@@ -426,17 +433,15 @@ class KgSource:
     triplets: list[tuple[int, int, int]]
     complex_queries: list[tuple[QueryDag, tuple[int, ...]]]
     n_entities: int
-    answer_sets: Mapping[tuple[int, int], tuple[int, ...]] | None = None
+    answer_sets: AnswerLookup | None = None
 
     def __post_init__(self) -> None:
         if self.answer_sets is None:
             self.answer_sets = self.build_answer_sets(self.triplets)
 
     @staticmethod
-    def build_answer_sets(
-        triplets: list[tuple[int, int, int]],
-    ) -> Mapping[tuple[int, int], tuple[int, ...]]:
-        """(head, relation) -> sorted tails, the ``fwd`` view of an ``EdgeIndex``."""
+    def build_answer_sets(triplets: list[tuple[int, int, int]]) -> AnswerLookup:
+        """(head, relation) -> sorted tails, the ``fwd`` lookup of an ``EdgeIndex``."""
         return evalgen.EdgeIndex(triplets).fwd
 
 

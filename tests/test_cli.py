@@ -9,6 +9,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 import threading
@@ -269,6 +270,23 @@ class TestMine:
         assert code == 3
 
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.update(mentions=5), "'mentions'"),
+        (lambda d: d["mentions"][0].update(start="0"), "'start'"),
+        (lambda d: d["mentions"][0].update(entity=["x"]), "'entity'"),
+        (lambda d: d["triplets"][0].update(relation=["r"]), "'relation'"),
+    ], ids=["mentions-int", "start-string", "entity-list", "relation-list"])
+    def test_a_wrongly_typed_corpus_field_exits_2(self, tmp_path, capsys, edit, field):
+        record = doc("d0", ["w0", "w1"], mentions=[("A", 0, 0), ("B", 1, 1)],
+                     triplets=[("A", "r1", "B")])
+        edit(record)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert cli.main(["mine", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: line 1: " in err and field in err
+
+
 class TestInitEmbeddings:
     def test_random_checkpoint(self, tmp_path, corpus_path, capsys):
         out = tmp_path / "o"
@@ -309,6 +327,53 @@ class TestInitEmbeddings:
         np.testing.assert_allclose(fwd, mat[1], atol=1e-12)
         np.testing.assert_allclose(inv, -mat[1], atol=1e-12)
         assert "contextual" in capsys.readouterr().out
+
+
+    def test_a_wrongly_typed_vectors_header_exits_2(self, tmp_path, corpus_path, capsys):
+        vec_path = tmp_path / "v.bin"
+        header = {"id": "d0", "rows": "two", "dim": 4}
+        vec_path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(12 * 4 * 8))
+        code = cli.main([
+            "init-embeddings", "--corpus", corpus_path, "--vectors", str(vec_path),
+            "--dim", "4", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {vec_path}: vector-file header field 'rows' is not an int" in err
+
+
+def set_header_field(path, key, value) -> None:
+    """Set one field of a saved checkpoint's JSON header, in place."""
+    data = open(path, "rb").read()
+    start = len(params_mod.CHECKPOINT_MAGIC)
+    version, n = struct.unpack("<IQ", data[start:start + 12])
+    header = json.loads(data[start + 12:start + 12 + n])
+    header[key] = value
+    blob = json.dumps(header).encode()
+    with open(path, "wb") as fh:
+        fh.write(data[:start] + struct.pack("<IQ", version, len(blob)) + blob + data[start + 12 + n:])
+
+
+class TestMalformedCheckpointHeader:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("key, value, kind", [
+        ("dim", "two", "an int"), ("entity_ids", 5, "a list of strings"),
+    ], ids=["dim-string", "entity-ids-int"])
+    def test_exits_2_naming_the_file_and_field(self, tmp_path, kg_dir, capsys, command, key, value, kind):
+        kg = evalgen.load_kg(f"{kg_dir}/train.tsv", f"{kg_dir}/valid.tsv", f"{kg_dir}/test.tsv")
+        path = str(tmp_path / "p.ckpt")
+        params_mod.save(params_mod.init_random(8, kg.n_entities, kg.n_relations, 0,
+                                               entity_ids=kg.entity_ids,
+                                               relation_ids=kg.relation_ids), path)
+        set_header_field(path, key, value)
+        args = {
+            "train": ["--mode", "kg", "--dim", "8", "--steps", "1"],
+            "eval": ["--types", "1p", "--count", "2"],
+        }[command]
+        code = cli.main([command, "--kg", kg_dir, "--checkpoint", path, *args,
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {path}: checkpoint header field {key!r} is not {kind}" in capsys.readouterr().err
 
 
 class TestTrainCommand:

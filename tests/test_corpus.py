@@ -128,6 +128,29 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="line 1"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda d: d.update(mentions=5), "'mentions' and 'triplets' must be lists"),
+        (lambda d: d.update(triplets={"head": "E"}), "'mentions' and 'triplets' must be lists"),
+        (lambda d: d["mentions"].append(["E", 0, 0]), "mention ['E', 0, 0] is not an object"),
+        (lambda d: d["triplets"].append("E r F"), "triplet 'E r F' is not an object"),
+        (lambda d: d["mentions"][0].update(entity=["x"]), "mention field 'entity' is ['x'], not a string"),
+        (lambda d: d["triplets"][0].update(relation=["r"]), "triplet field 'relation' is ['r'], not a string"),
+        (lambda d: d["triplets"][0].update(tail=7), "triplet field 'tail' is 7, not a string"),
+        (lambda d: d["mentions"][0].update(start="0"), "mention field 'start' is '0', not an int"),
+        (lambda d: d["mentions"][0].update(end=True), "mention field 'end' is True, not an int"),
+        (lambda d: d["mentions"][0].update(start=0.0), "mention field 'start' is 0.0, not an int"),
+        (lambda d: d["mentions"][1].pop("end"), "misses 'end'"),
+    ], ids=["mentions-int", "triplets-object", "mention-list", "triplet-string", "entity-list",
+            "relation-list", "tail-int", "start-string", "end-bool", "start-float", "end-missing"])
+    def test_a_wrongly_typed_field_names_file_line_and_field(self, tmp_path, edit, problem):
+        record = doc("b", ["x", "y"], mentions=[("E", 0, 0), ("F", 1, 1)], triplets=[("E", "r", "F")])
+        edit(record)
+        path = write_corpus(tmp_path / "c.jsonl", [doc("a", ["x"]), record])
+        with pytest.raises(ParseError) as exc:
+            load_corpus(path)
+        assert str(exc.value).startswith(f"{path}: line 2: ")
+        assert problem in str(exc.value)
+
     def test_duplicate_doc_id(self, tmp_path):
         path = write_corpus(tmp_path / "c.jsonl", [doc("a", ["x"]), doc("a", ["y"])])
         with pytest.raises(ValidationError, match="line 2.*duplicate"):

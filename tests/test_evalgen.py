@@ -6,6 +6,7 @@ the ranking code against a counting oracle.
 """
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from srbox.evalgen import (
     KnowledgeGraph,
     brute_force_answers,
     build_grid_kg,
-    dag_to_path,
     generate_block,
     generate_queries,
     hits_at_k,
@@ -28,13 +28,13 @@ from srbox.evalgen import (
     load_queries,
     metrics_report,
     mrr,
+    ptranse_distances,
     query_distances,
     rank_answers,
     query_blocks,
     ranks_from_distances,
     read_query_blocks,
     save_kg,
-    save_queries,
     write_queries,
 )
 from srbox.params import init_random
@@ -221,10 +221,10 @@ class TestLoadKgFormat:
 class TestEdgeIndex:
     def test_forward_and_inverse(self):
         idx = EdgeIndex([(0, 0, 1), (0, 0, 2), (3, 0, 1), (0, 1, 3)])
-        assert idx.map_forward({0}, 0) == {1, 2}
-        assert idx.map_forward({0, 3}, 0) == {1, 2}
-        assert idx.map_inverse({1}, 0) == {0, 3}
-        assert idx.map_forward({0}, 5) == set()
+        assert idx.fwd.image({0}, 0) == {1, 2}
+        assert idx.fwd.image({0, 3}, 0) == {1, 2}
+        assert idx.rev.image({1}, 0) == {0, 3}
+        assert idx.fwd.image({0}, 5) == set()
 
 
 class TestBruteForce:
@@ -389,8 +389,11 @@ class TestGenerateQueries:
         for qtype in TRAIN_QUERY_TYPES:
             assert generate_queries(self.kg, qtype, 3, "train", rng)
         assert len(built) == 2
-        assert self.kg.train_index.fwd == EdgeIndex(self.kg.train).fwd
-        assert self.kg.full_index.fwd == EdgeIndex(self.kg.all_edges()).fwd
+        keys = list(product(range(self.kg.n_entities + 1), range(self.kg.n_relations + 1)))
+        for index, edges in ((self.kg.train_index, self.kg.train),
+                             (self.kg.full_index, self.kg.all_edges())):
+            fresh = EdgeIndex(edges)
+            assert [index.fwd.get(k) for k in keys] == [fresh.fwd.get(k) for k in keys]
 
     def test_warm_indexes_give_the_same_queries(self):
         generate_queries(self.kg, "2p", 5, "train", substream(1, STREAM_QUERY_GEN))
@@ -471,7 +474,7 @@ class TestGenerateBlock:
         rng = substream(6, STREAM_QUERY_GEN)
         queries = [q for t in EVAL_QUERY_TYPES for q in generate_queries(self.kg, t, 4, "test", rng)]
         random.Random(0).shuffle(queries)  # the nine types interleaved
-        save_queries(queries, self.kg, path)
+        write_queries(query_blocks(queries), self.kg, path)
         assert load_queries(path, self.kg) == queries
         blocks = read_query_blocks(path, self.kg)
         assert len(blocks) == len(EVAL_QUERY_TYPES)
@@ -492,14 +495,25 @@ class TestGenerateBlock:
 
 
 class TestDagToPath:
+    """The path the PTransE scorer reads from a query's DAG: a chain scores
+    as ``ptranse_distances`` of its anchor and hops, anything else is
+    rejected."""
+
+    store = init_random(4, 6, 3, seed=0)
+
+    def path_distances(self, dag):
+        return query_distances(GeneratedQuery("2p", dag, frozenset(), frozenset({0})),
+                               self.store, "ptranse")
+
     def test_chain_ok(self):
         dag = chain_dag(4, [(1, False), (0, True)])
-        assert dag_to_path(dag) == (4, [(1, False), (0, True)])
+        expected = ptranse_distances(4, [(1, False), (0, True)], self.store)
+        assert self.path_distances(dag).tobytes() == expected.tobytes()
 
     def test_intersection_rejected(self):
         dag = intersection_dag([(0, 0, False), (1, 1, False)])
         with pytest.raises(ValidationError, match="unsupported"):
-            dag_to_path(dag)
+            self.path_distances(dag)
 
     def test_chain_with_unordered_node_ids(self):
         dag = QueryDag(
@@ -508,7 +522,8 @@ class TestDagToPath:
             nodes=((9, NodeKind.PROJECTION), (2, NodeKind.PROJECTION)),
             answer_node=9,
         )
-        assert dag_to_path(dag) == (4, [(1, False), (0, True)])
+        expected = ptranse_distances(4, [(1, False), (0, True)], self.store)
+        assert self.path_distances(dag).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dag", [
         QueryDag(  # one anchor feeding two projections
@@ -528,7 +543,7 @@ class TestDagToPath:
     ], ids=["branching-anchor", "2u", "pi", "two-anchors"])
     def test_non_chains_rejected(self, dag):
         with pytest.raises(ValidationError, match=r"^unsupported query shape for the path scorer \(chains only\)$"):
-            dag_to_path(dag)
+            self.path_distances(dag)
 
 
 class TestRanking:
@@ -648,7 +663,7 @@ class TestQueryDump:
         for qtype in EVAL_QUERY_TYPES:
             queries.extend(generate_queries(kg, qtype, 3, "test", rng))
         path = str(tmp_path / "q.jsonl")
-        save_queries(queries, kg, path)
+        write_queries(query_blocks(queries), kg, path)
         back = load_queries(path, kg)
         assert back == queries
 
@@ -657,7 +672,7 @@ class TestQueryDump:
         rng = substream(8, STREAM_QUERY_GEN)
         (q,) = generate_queries(kg, "1p", 1, "test", rng)
         path = str(tmp_path / "q.jsonl")
-        save_queries([q], kg, path)
+        write_queries(query_blocks([q]), kg, path)
         text = open(path).read().replace(kg.entity_ids[q.dag.anchors[0][1]], "c99_99")
         open(path, "w").write(text)
         with pytest.raises((ValidationError, ParseError)):

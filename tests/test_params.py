@@ -438,6 +438,29 @@ class TestVectorsFile:
             load_vectors(path)
 
 
+    @pytest.mark.parametrize("header, problem", [
+        ([1, 2], "vector-file header is not a JSON object"),
+        ({"id": "a", "rows": "two", "dim": 2}, "field 'rows' is not an int"),
+        ({"id": "a", "rows": 1, "dim": 2.0}, "field 'dim' is not an int"),
+        ({"id": "a", "rows": True, "dim": 2}, "field 'rows' is not an int"),
+        ({"id": 5, "rows": 1, "dim": 2}, "field 'id' is not a string"),
+        ({"id": "a", "rows": 1}, "misses 'dim'"),
+        ({"id": "a", "rows": 1, "dim": 2, "relation_spans": {"r": [0]}}, "'relation_spans'"),
+        ({"id": "a", "rows": 1, "dim": 2, "relation_spans": {"r": ["0", 0]}}, "'relation_spans'"),
+        ({"id": "a", "rows": 1, "dim": 2, "relation_spans": [[0, 0]]}, "'relation_spans'"),
+    ], ids=["list", "rows-string", "dim-float", "rows-bool", "id-int", "dim-missing",
+            "span-short", "span-string", "spans-list"])
+    def test_a_bad_header_names_the_file_and_field(self, tmp_path, header, problem):
+        path = str(tmp_path / "v.ctx")
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n")
+            fh.write(np.zeros((1, 2)).astype("<f8").tobytes())
+        with pytest.raises(ParseError) as exc:
+            load_vectors(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert problem in str(exc.value)
+
+
 class TestCheckpoint:
     def test_round_trip_shared(self, tmp_path):
         store = init_random(6, 9, 4, seed=2)
@@ -516,6 +539,22 @@ class TestCheckpoint:
         self.rewrite_header(path, lambda h: h.pop("offset_mode"))
         with pytest.raises(ParseError, match="offset_mode"):
             load(path)
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("dim", "two", "an int"),
+        ("dim", True, "an int"),
+        ("entity_ids", 5, "a list of strings"),
+        ("entity_ids", ["e0", 1, "e2", "e3"], "a list of strings"),
+        ("relation_ids", "r0", "a list of strings"),
+        ("offset_mode", 3, "a string"),
+    ], ids=["dim-string", "dim-bool", "entity-ids-int", "entity-id-int", "relation-ids-string",
+            "offset-mode-int"])
+    def test_a_wrongly_typed_header_field_names_the_file_and_field(self, tmp_path, key, value, kind):
+        path = self.saved(tmp_path)
+        self.rewrite_header(path, lambda h: h.update({key: value}))
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: checkpoint header field {key!r} is not {kind}"
 
     def test_manifest_missing_a_table(self, tmp_path):
         path = self.saved(tmp_path)

@@ -198,16 +198,20 @@ class TestBatchedScoringMatchesReference:
         ]
         with mock.patch.object(boxalg, "DIST_TILE", tile), \
                 mock.patch.object(evalgen, "FORWARD_TILE", block * store.dim):
-            seen = []
-            for idxs, dists in evalgen.box_distances(queries, store, alpha, norm):
-                assert len(idxs) == len(dists)
-                for i, dist in zip(idxs, dists):
-                    assert _same_bits(dist, ref_dists[i])
-                    seen.append(i)
-            ranks = evalgen.query_ranks(queries, store, "box", alpha, norm, raw)
+            seen, ranks = [], {}
+            for block in evalgen.query_blocks(queries):
+                positions = block.positions.tolist()
+                for start, dists in evalgen.block_distances(block, store, "box", alpha, norm):
+                    for i, dist in zip(positions[start:start + len(dists)], dists):
+                        assert _same_bits(dist, ref_dists[i])
+                        seen.append(i)
+                flat = iter(evalgen.block_ranks(block, store, "box", alpha, norm, raw).tolist())
+                for i, hard in zip(positions, block.hard.lists()):
+                    ranks[i] = dict(zip(hard, flat))
+                assert next(flat, None) is None
             report = evalgen.metrics_report(queries, store, "box", alpha, norm, raw)
         assert sorted(seen) == list(range(len(queries)))
-        assert ranks == ref_ranks
+        assert [ranks[i] for i in range(len(queries))] == ref_ranks
         flat = [r for rk in ref_ranks for r in rk.values()]
         assert report["MRR"] == evalgen.mrr(flat)
         assert [report[f"H@{k}"] for k in (1, 3, 10)] == [evalgen.hits_at_k(flat, k) for k in (1, 3, 10)]
@@ -276,7 +280,7 @@ class TestBlockRanker:
         kg = evalgen.build_grid_kg(width=6, height=5, seed=1)
         queries = evalgen.generate_queries(kg, "2u", 4, "test", substream(3, "queries"))
         path = tmp_path / "q.jsonl"
-        evalgen.save_queries(queries, kg, str(path))
+        evalgen.write_queries(evalgen.query_blocks(queries), kg, str(path))
         recs = [json.loads(line) for line in path.read_text().splitlines()]
         for rec in recs:
             rec["answers_full"] = rec["answers_full"] * 2
@@ -399,7 +403,7 @@ class TestEvalMatchesThePerQueryReference:
         queries = [q for t in EVAL_QUERY_TYPES for q in evalgen.generate_queries(kg, t, 6, "test", rng)]
         random.Random(1).shuffle(queries)  # the nine types interleaved
         path = tmp_path / "mixed.jsonl"
-        evalgen.save_queries(queries, kg, str(path))
+        evalgen.write_queries(evalgen.query_blocks(queries), kg, str(path))
         ckpt = tmp_path / "params.ckpt"
         params_mod.save(init_random(8, kg.n_entities, kg.n_relations, 3, entity_ids=kg.entity_ids,
                                     relation_ids=kg.relation_ids), str(ckpt))
@@ -449,14 +453,14 @@ class TestScoringMemory:
         return out
 
     def _peak(self, store, queries) -> int:
-        """Peak traced bytes while every query is scored and ranked, each
-        chunk's results dropped once ranked."""
+        """Peak traced bytes while every block of the queries is scored and
+        ranked by ``block_ranks``, the path eval runs, each block's ranks
+        dropped once made."""
+        blocks = evalgen.query_blocks(queries)
         tracemalloc.start()
         try:
-            for idxs, dists in evalgen.box_distances(queries, store):
-                for i, dist in zip(idxs, dists):
-                    q = queries[i]
-                    evalgen.ranks_from_distances(dist, q.hard_answers, q.answers_full)
+            for block in blocks:
+                evalgen.block_ranks(block, store)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -529,10 +533,12 @@ class TestDistanceWorkers:
         with mock.patch.object(boxalg, "DIST_WORKERS", workers):
             seen = []
             dists = {}
-            for idxs, chunk in evalgen.box_distances(queries, store, alpha, norm):
-                assert len(idxs) == len(chunk)
-                seen += list(idxs)
-                dists.update(zip(idxs, chunk))
+            for block in evalgen.query_blocks(queries):
+                for start, chunk in evalgen.block_distances(block, store, "box", alpha, norm):
+                    idxs = block.positions[start:start + len(chunk)].tolist()
+                    assert len(idxs) == len(chunk)
+                    seen += idxs
+                    dists.update(zip(idxs, chunk))
         assert sorted(seen) == list(range(len(queries)))
         return dists
 
@@ -553,6 +559,7 @@ class TestDistanceWorkers:
             assert _same_bits(one[i], dist)
 
     def _store_and_queries(self):
+        """A store and one block of six 2u queries, and the queries."""
         store = init_random(4, 100, 3, seed=5)
         shape = TYPE_SHAPES["2u"]
         queries = [
@@ -560,7 +567,8 @@ class TestDistanceWorkers:
                            frozenset(), frozenset({i}))
             for i in range(6)
         ]
-        return store, queries
+        [block] = evalgen.query_blocks(queries)
+        return store, block, queries
 
     def _failing_in(self, fails):
         """``distance_batch`` run on a tile one column short, so ``_gaps``
@@ -582,40 +590,41 @@ class TestDistanceWorkers:
         return patched, calls, done
 
     def test_a_worker_error_reaches_the_caller_unchanged(self):
-        store, queries = self._store_and_queries()
+        store, block, _ = self._store_and_queries()
         main = threading.main_thread()
         patched, calls, done = self._failing_in(lambda t: t is not main)
         with mock.patch.object(boxalg, "DIST_WORKERS", 2), \
                 mock.patch.object(boxalg, "DIST_TILE", 40), \
                 mock.patch.object(boxalg, "distance_batch", patched):
             with pytest.raises(ValidationError) as exc:
-                list(evalgen.box_distances(queries, store))
+                list(evalgen.block_distances(block, store))
         assert str(exc.value) == "entity shape (10, 3) does not match box dim 4"
         assert any(t is not main for t in calls)
         assert main in done  # the caller's own share ran to its end
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_the_caller_error_waits_for_every_worker(self, workers):
-        store, queries = self._store_and_queries()
+        store, block, _ = self._store_and_queries()
         main = threading.main_thread()
         patched, calls, done = self._failing_in(lambda t: t is main)
         with mock.patch.object(boxalg, "DIST_WORKERS", workers), \
                 mock.patch.object(boxalg, "DIST_TILE", 40), \
                 mock.patch.object(boxalg, "distance_batch", patched):
             with pytest.raises(ValidationError, match="does not match box dim 4"):
-                list(evalgen.box_distances(queries, store))
+                list(evalgen.block_distances(block, store))
             finished = len(done)
         # every worker call that started had finished before the error surfaced
         assert finished == len(done) == len([t for t in calls if t is not main])
         assert finished > 0
 
     def test_a_single_tile_starts_no_thread(self):
-        store, queries = self._store_and_queries()
+        store, _, queries = self._store_and_queries()
+        [block] = evalgen.query_blocks(queries[:1])
         before = threading.active_count()
         with mock.patch.object(boxalg, "DIST_WORKERS", 7), \
                 mock.patch.object(boxalg.ThreadPoolExecutor, "submit",
                                   side_effect=AssertionError("pool used")):
-            [(_, dist)] = evalgen.box_distances(queries[:1], store)
+            [(_, dist)] = evalgen.block_distances(block, store)
         assert threading.active_count() == before
         assert _same_bits(dist[0], _ref_query_distances(queries[0], store, 0.02, "l1"))
 
@@ -626,11 +635,11 @@ class TestDistanceWorkers:
             assert boxalg._distance_workers() == workers
 
     def test_the_pool_threads_end_with_the_pass(self):
-        store, queries = self._store_and_queries()
+        store, block, _ = self._store_and_queries()
         before = threading.active_count()
         with mock.patch.object(boxalg, "DIST_WORKERS", 2), \
                 mock.patch.object(boxalg, "DIST_TILE", 40):
-            chunks = list(evalgen.box_distances(queries, store))
+            chunks = list(evalgen.block_distances(block, store))
         assert len(chunks) > 1
         assert threading.active_count() == before
 

@@ -860,7 +860,7 @@ class TestNoKnownAnswerAmongNegatives:
                 known = complex_answers[ex.query]
             else:
                 (_, h), = ex.query.anchors
-                known = answer_sets[(h, ex.query.edges[0].relation)]
+                known = answer_sets.get((h, ex.query.edges[0].relation))
             assert ex.answer in known
             assert not set(ex.negatives) & set(known)
             co_answers += len(known) > 1
@@ -875,7 +875,7 @@ class TestNoKnownAnswerAmongNegatives:
         co_answers = 0
         for ex, _ in seen:
             (_, h), = ex.query.anchors
-            known = kg.train_index.fwd[(h, ex.query.edges[0].relation)]
+            known = kg.train_index.fwd.get((h, ex.query.edges[0].relation))
             assert not set(ex.negatives) & set(known)
             co_answers += len(known) > 1
         assert len(seen) == 160 and co_answers > 20
