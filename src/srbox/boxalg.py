@@ -113,12 +113,6 @@ class IntersectionNet:
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in NET_FIELDS}
 
-    def copy(self) -> "IntersectionNet":
-        return IntersectionNet(**{name: arr.copy() for name, arr in self.arrays().items()})
-
-    def validate(self, dim: int) -> None:
-        check_arrays(self.arrays(), self.shapes(dim))
-
 
 def check_arrays(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
     """Every named array has its expected shape and only finite entries."""
@@ -154,14 +148,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # elementary operators
-
-
-def entity_box(center: np.ndarray) -> Box:
-    """An entity as the degenerate box at its own center."""
-    center = np.asarray(center, dtype=np.float64)
-    if not np.all(np.isfinite(center)):
-        raise ValidationError("entity center must be finite")
-    return Box(center, np.zeros_like(center))
 
 
 def project(b: Box, rel: tuple[np.ndarray, np.ndarray]) -> Box:

@@ -40,6 +40,10 @@ from srbox.structures import StructureKind, mine_structures
 
 # every TrainConfig field but the seed, which [run] holds, is a [train] key
 _TRAIN_FIELDS = [f for f in fields(train_mod.TrainConfig) if f.name != "seed"]
+# what ``train`` learns from: a corpus's text windows or a KG's train edges
+MODES = ("text", "kg")
+# gradient checking stays fast and well conditioned up to this dim
+GRADCHECK_MAX_DIM = 8
 
 
 def _ini_value(value) -> str:
@@ -47,7 +51,8 @@ def _ini_value(value) -> str:
 
 
 CONFIG_DEFAULTS: dict[str, dict[str, str]] = {
-    "run": {"mode": "text", "seed": "0", "out": "out", "dim": "32", "seq_len": "512"},
+    "run": {"mode": "text", "seed": "0", "out": "out", "dim": "32",
+            "seq_len": str(train_mod.TextSource.seq_len)},
     "paths": {
         "corpus": "",
         "vectors": "",
@@ -61,7 +66,7 @@ CONFIG_DEFAULTS: dict[str, dict[str, str]] = {
         "complex_pool": "0",
     },
     "eval": {
-        "types": "1p,2p,3p,2i,3i,ip,pi,2u,up",
+        "types": ",".join(evalgen.EVAL_QUERY_TYPES),
         "count": "200",
         "split": "test",
         "scorer": "box",
@@ -219,22 +224,22 @@ def _load_checkpoint(
     return store
 
 
+def _fresh_store(cfg: RunConfig, entity_ids: list[str], relation_ids: list[str]):
+    """A random ``ParamStore`` of [run] dim over the given ids, from the run seed."""
+    return params_mod.init_random(
+        cfg.get_int("run", "dim"), len(entity_ids), len(relation_ids), cfg.seed,
+        offset_mode=cfg.get("train", "offset_mode"),
+        entity_ids=entity_ids, relation_ids=relation_ids,
+    )
+
+
 def _load_or_init_params(
     cfg: RunConfig, entity_ids: list[str], relation_ids: list[str], data: str
 ) -> params_mod.ParamStore:
     ckpt = cfg.get("paths", "checkpoint")
-    dim = cfg.get_int("run", "dim")
-    if ckpt:
-        return _load_checkpoint(ckpt, entity_ids, relation_ids, data, expected_dim=dim)
-    return params_mod.init_random(
-        dim,
-        len(entity_ids),
-        len(relation_ids),
-        cfg.seed,
-        offset_mode=cfg.get("train", "offset_mode"),
-        entity_ids=entity_ids,
-        relation_ids=relation_ids,
-    )
+    if not ckpt:
+        return _fresh_store(cfg, entity_ids, relation_ids)
+    return _load_checkpoint(ckpt, entity_ids, relation_ids, data, cfg.get_int("run", "dim"))
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +298,7 @@ def cmd_init_embeddings(cfg: RunConfig, out: str, meta: dict) -> int:
     timings = meta["timings_s"] = {}
     with _timed(timings, "load_corpus"):
         corpus = load_corpus(_require(cfg, "paths", "corpus", "to size the embedding tables"))
-    store = params_mod.init_random(
-        cfg.get_int("run", "dim"),
-        corpus.n_entities,
-        corpus.n_relations,
-        cfg.seed,
-        offset_mode=cfg.get("train", "offset_mode"),
-        entity_ids=corpus.entity_ids,
-        relation_ids=corpus.relation_ids,
-    )
+    store = _fresh_store(cfg, corpus.entity_ids, corpus.relation_ids)
     vectors_path = cfg.get("paths", "vectors")
     source = "random"
     if vectors_path:
@@ -361,16 +358,13 @@ def cmd_train(cfg: RunConfig, out: str, meta: dict) -> int:
 def cmd_gradcheck(cfg: RunConfig, out: str, meta: dict) -> int:
     ckpt = cfg.get("paths", "checkpoint")
     gc_dim = cfg.get_int("gradcheck", "dim")
-    if gc_dim > 8:
-        raise ValidationError(
-            f"gradient checking is restricted to dim <= 8, got {gc_dim}"
-        )
+    limit = f"gradient checking is restricted to dim <= {GRADCHECK_MAX_DIM}"
+    if gc_dim > GRADCHECK_MAX_DIM:
+        raise ValidationError(f"{limit}, got {gc_dim}")
     if ckpt:
         store = params_mod.load(ckpt)
-        if store.dim > 8:
-            raise ValidationError(
-                f"gradient checking is restricted to dim <= 8, got checkpoint dim {store.dim}"
-            )
+        if store.dim > GRADCHECK_MAX_DIM:
+            raise ValidationError(f"{limit}, got checkpoint dim {store.dim}")
     else:
         store = params_mod.init_random(
             gc_dim,
@@ -390,28 +384,32 @@ def cmd_gradcheck(cfg: RunConfig, out: str, meta: dict) -> int:
     return 0 if err <= 1e-4 else 2
 
 
-def _eval_types(cfg: RunConfig) -> list[str]:
+def _fresh_blocks(cfg: RunConfig, kg: evalgen.KnowledgeGraph):
+    """A block of [eval] count queries seeded from the [eval] split for each
+    [eval] types entry in turn, all drawn from the run seed's one
+    query-generation stream."""
+    rng = substream(cfg.seed, STREAM_QUERY_GEN)
+    split = cfg.get("eval", "split")
+    count = cfg.get_int("eval", "count")
     types = [t.strip() for t in cfg.get("eval", "types").split(",") if t.strip()]
     if not types:
         raise ValidationError("no query types requested")
     for t in types:
         if t not in evalgen.EVAL_QUERY_TYPES:
             raise ValidationError(f"unknown query type {t!r}")
-    return types
+    for qtype in types:
+        yield evalgen.generate_block(kg, qtype, count, split, rng)
 
 
 def cmd_gen_queries(cfg: RunConfig, out: str, meta: dict) -> int:
     kg = _load_kg_dir(cfg)
-    rng = substream(cfg.seed, STREAM_QUERY_GEN)
-    split = cfg.get("eval", "split")
     count = cfg.get_int("eval", "count")
     written = meta["queries"] = {}
-    for qtype in _eval_types(cfg):
-        block = evalgen.generate_block(kg, qtype, count, split, rng)
-        path = os.path.join(out, f"queries_{qtype}.jsonl")
+    for block in _fresh_blocks(cfg, kg):
+        path = os.path.join(out, f"queries_{block.qtype}.jsonl")
         evalgen.write_queries([block], kg, path)
-        written[qtype] = {"requested": count, "written": len(block)}
-        print(f"{qtype}: {len(block)} queries -> {path}")
+        written[block.qtype] = {"requested": count, "written": len(block)}
+        print(f"{block.qtype}: {len(block)} queries -> {path}")
     return 0
 
 
@@ -435,15 +433,12 @@ def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
             source = queries_path
             blocks = sorted(evalgen.read_query_blocks(queries_path, kg), key=lambda b: b.qtype)
         else:
-            rng = substream(cfg.seed, STREAM_QUERY_GEN)
-            split = cfg.get("eval", "split")
-            count = cfg.get_int("eval", "count")
-            source = f"{split} split"
+            source = f"{cfg.get('eval', 'split')} split"
             blocks = []
-            for qtype in _eval_types(cfg):
-                blocks.append(evalgen.generate_block(kg, qtype, count, split, rng))
-                if not len(blocks[-1]):
-                    raise ValidationError(f"{source}: no {qtype} queries to evaluate")
+            for block in _fresh_blocks(cfg, kg):
+                if not len(block):
+                    raise ValidationError(f"{source}: no {block.qtype} queries to evaluate")
+                blocks.append(block)
     for block in blocks:
         if not len(block.hard.ids):
             raise ValidationError(
@@ -513,7 +508,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="run the training loop")
     common(p)
-    p.add_argument("--mode", choices=("text", "kg"), help="training source kind")
+    p.add_argument("--mode", choices=MODES, help="training source kind")
     p.add_argument("--corpus", help="corpus JSONL path (text mode)")
     p.add_argument("--kg", help="directory with train/valid/test TSV files (kg mode)")
     p.add_argument("--checkpoint", help="checkpoint to start from")
@@ -524,10 +519,8 @@ def build_parser() -> _Parser:
     p.add_argument("--batch-size", dest="batch_size", type=int, help="examples per step")
     p.add_argument("--k-negatives", dest="k_negatives", type=int, help="negatives per query")
     p.add_argument("--seq-len", dest="seq_len", type=int, help="sequence window length")
-    p.add_argument("--offset-mode", dest="offset_mode", choices=("shared", "per_relation"))
-    p.add_argument(
-        "--negative-pool", dest="negative_pool", choices=("same_sequence", "global")
-    )
+    p.add_argument("--offset-mode", dest="offset_mode", choices=params_mod.OFFSET_MODES)
+    p.add_argument("--negative-pool", dest="negative_pool", choices=train_mod.NEGATIVE_POOLS)
     p.add_argument(
         "--complex-pool", dest="complex_pool", type=int,
         help="complex training queries to pre-generate per shape (kg mode)",
@@ -546,7 +539,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kg", help="directory with train/valid/test TSV files")
     p.add_argument("--types", help="comma-separated query types")
     p.add_argument("--count", type=int, help="queries per type")
-    p.add_argument("--split", choices=("train", "valid", "test"), help="seed split")
+    p.add_argument("--split", choices=evalgen.SPLITS, help="seed split")
 
     p = sub.add_parser("eval", help="rank hard answers and report H@k / MRR")
     common(p)
@@ -555,7 +548,7 @@ def build_parser() -> _Parser:
     p.add_argument("--queries", help="pre-generated query file (else sampled fresh)")
     p.add_argument("--types", help="comma-separated query types")
     p.add_argument("--count", type=int, help="queries per type")
-    p.add_argument("--split", choices=("train", "valid", "test"), help="seed split")
+    p.add_argument("--split", choices=evalgen.SPLITS, help="seed split")
     p.add_argument("--scorer", choices=evalgen.SCORERS, help="ranking scorer")
     p.add_argument(
         "--raw", action="store_const", const="true",

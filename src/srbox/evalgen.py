@@ -361,9 +361,6 @@ class GeneratedQuery:
     def hard_answers(self) -> frozenset[int]:
         return self.answers_full - self.answers_train
 
-    def validate(self) -> None:
-        check_answers(self.answers_train, self.answers_full)
-
 
 def check_answers(train: set[int], full: set[int]) -> None:
     """A query needs answers over the full graph, and its train answers

@@ -15,7 +15,8 @@ Offsets and network weights are left alone.
 Files:
   * checkpoint: magic ``SRBXCKPT``, u32 version, u64 header length, a JSON
     header (dim, counts, offset mode, id lists, array manifest), then the
-    arrays row-major as little-endian float64 in manifest order.
+    arrays row-major as little-endian float64 in manifest order. The
+    manifest must be ``layout``'s for the header's dim, counts and mode.
   * vectors file: per document one JSON header line {"id", "rows", "dim",
     optional "relation_spans"} followed by rows*dim little-endian float64
     bytes. relation_spans maps relation id -> [start, end] token span.
@@ -23,8 +24,10 @@ Files:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -112,15 +115,8 @@ class ParamStore:
         }
 
     def validate(self) -> None:
-        if self.offset_mode not in OFFSET_MODES:
-            raise ValidationError(f"unknown offset mode {self.offset_mode!r}")
-        d, r = self.dim, self.n_relations
-        check_arrays(self.arrays(), {
-            "entity_centers": (self.n_entities, d),
-            "relation_centers": (2 * r, d),
-            "relation_offsets": (1 if self.offset_mode == "shared" else 2 * r, d),
-            **IntersectionNet.shapes(d),
-        })
+        shapes = layout(self.dim, self.n_entities, self.n_relations, self.offset_mode)
+        check_arrays(self.arrays(), shapes)
         if np.any(self.relation_offsets < 0):
             raise ValidationError("relation_offsets must be nonnegative")
 
@@ -143,6 +139,22 @@ class ParamStore:
         return all(np.array_equal(arr, theirs[name]) for name, arr in self.arrays().items())
 
 
+def layout(
+    dim: int, n_entities: int, n_relations: int, offset_mode: str
+) -> dict[str, tuple[int, ...]]:
+    """Every parameter table's shape by name, in checkpoint-manifest order:
+    the row tables, whose offsets hold one shared row or a row per relation
+    center, then the intersection net's fields."""
+    if offset_mode not in OFFSET_MODES:
+        raise ValidationError(f"unknown offset mode {offset_mode!r}")
+    return {
+        "entity_centers": (n_entities, dim),
+        "relation_centers": (2 * n_relations, dim),
+        "relation_offsets": (1 if offset_mode == "shared" else 2 * n_relations, dim),
+        **IntersectionNet.shapes(dim),
+    }
+
+
 def init_random(
     dim: int,
     n_entities: int,
@@ -156,8 +168,7 @@ def init_random(
     net weights fan-in-scaled uniform. Deterministic for a given seed."""
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
-    if offset_mode not in OFFSET_MODES:
-        raise ValidationError(f"unknown offset mode {offset_mode!r}")
+    shapes = layout(dim, n_entities, n_relations, offset_mode)
     if entity_ids is None:
         entity_ids = [str(i) for i in range(n_entities)]
     if relation_ids is None:
@@ -166,10 +177,9 @@ def init_random(
         raise ValidationError("id list lengths do not match entity/relation counts")
     rng = substream(seed, STREAM_INIT)
     bound = 0.5 / np.sqrt(dim)
-    entity_centers = rng.uniform(-bound, bound, size=(n_entities, dim))
-    relation_centers = rng.uniform(-bound, bound, size=(2 * n_relations, dim))
-    rows = 1 if offset_mode == "shared" else 2 * n_relations
-    relation_offsets = np.full((rows, dim), 0.1, dtype=np.float64)
+    entity_centers = rng.uniform(-bound, bound, size=shapes["entity_centers"])
+    relation_centers = rng.uniform(-bound, bound, size=shapes["relation_centers"])
+    relation_offsets = np.full(shapes["relation_offsets"], 0.1, dtype=np.float64)
     net = net_random(dim, rng)
     return ParamStore(
         dim,
@@ -209,6 +219,8 @@ def _is_spans(value) -> bool:
 # each field a header must hold: a test of its value, and what the test asks
 CHECKPOINT_FIELDS = {
     "dim": (_is_int, "an int"),
+    "n_entities": (_is_int, "an int"),
+    "n_relations": (_is_int, "an int"),
     "offset_mode": (_is_str, "a string"),
     "entity_ids": (_is_names, "a list of strings"),
     "relation_ids": (_is_names, "a list of strings"),
@@ -400,6 +412,7 @@ def _read_vectors(path: str) -> ContextualVectors:
     relation_spans: dict[str, dict[str, tuple[int, int]]] = {}
     dim: int | None = None
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         while True:
             line = fh.readline()
             if not line:
@@ -426,9 +439,14 @@ def _read_vectors(path: str) -> ContextualVectors:
                 raise ParseError(f"document {doc_id!r} has dim {d}, file started with {dim}")
             if doc_id in matrices:
                 raise ParseError(f"duplicate document {doc_id!r} in vector file")
+            left = size - fh.tell()
+            if rows * d * 8 > left:
+                raise ParseError(
+                    f"vector file truncated in document {doc_id!r}: its {rows} x {d} vectors "
+                    f"take {rows * d * 8} bytes, {left} remain"
+                )
             mat = np.empty((rows, d), dtype="<f8")
-            if fh.readinto(mat) != mat.nbytes:
-                raise ParseError(f"vector file truncated in document {doc_id!r}")
+            fh.readinto(mat)
             matrices[doc_id] = mat
             if spans:
                 relation_spans[doc_id] = {rid: (start, end) for rid, (start, end) in spans.items()}
@@ -462,29 +480,33 @@ def save(store: ParamStore, path: str) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _manifest(entries) -> list[tuple[str, tuple[int, ...]]]:
-    """The header's array manifest as (name, shape) pairs, after checking
-    that it names every parameter table once and every shape is a list of
-    non-negative ints."""
-    if not isinstance(entries, list) or not all(
-        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) for e in entries
-    ):
-        raise ParseError("checkpoint array manifest is not a list of [name, shape] pairs")
-    names = [name for name, _ in entries]
-    expected = ROW_TABLES + NET_FIELDS
-    if sorted(names) != sorted(expected):
-        missing = [n for n in expected if n not in names]
-        extra = [n for n in names if n not in expected or names.count(n) > 1]
-        raise ParseError(
-            f"checkpoint arrays do not match the parameter tables: missing {missing}, "
-            f"unexpected or repeated {extra}"
-        )
-    for name, shape in entries:
-        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+def _header_layout(header: dict) -> dict[str, tuple[int, ...]]:
+    """The ``layout`` a checkpoint header's fields give, after checking that
+    its counts are its id lists' lengths and that its manifest lists that
+    layout, entry by entry, as ``save`` writes it."""
+    for count, ids in (("n_entities", "entity_ids"), ("n_relations", "relation_ids")):
+        if header[count] != len(header[ids]):
             raise ParseError(
-                f"checkpoint array {name!r} has shape {shape!r}, not a list of non-negative ints"
+                f"checkpoint header field {count!r} is {header[count]}, "
+                f"but {ids!r} holds {len(header[ids])} ids"
             )
-    return [(name, tuple(shape)) for name, shape in entries]
+    if header["dim"] < 1:
+        raise ParseError(f"checkpoint header field 'dim' is {header['dim']}, not >= 1")
+    if header["offset_mode"] not in OFFSET_MODES:
+        raise ParseError(
+            f"checkpoint header field 'offset_mode' is {header['offset_mode']!r}, "
+            f"not one of {', '.join(OFFSET_MODES)}"
+        )
+    shapes = layout(header["dim"], header["n_entities"], header["n_relations"],
+                    header["offset_mode"])
+    manifest = [[name, list(shape)] for name, shape in shapes.items()]
+    for i, (theirs, ours) in enumerate(itertools.zip_longest(header["arrays"], manifest)):
+        if json.dumps(theirs) != json.dumps(ours):
+            raise ParseError(
+                f"checkpoint array manifest entry {i} is {json.dumps(theirs)} "
+                f"where the layout has {json.dumps(ours)}"
+            )
+    return shapes
 
 
 def load(path: str, expected_dim: int | None = None) -> ParamStore:
@@ -523,16 +545,23 @@ def _read_checkpoint(path: str, expected_dim: int | None) -> ParamStore:
             raise ValidationError(
                 f"checkpoint has dim {dim} but the configuration expects dim {expected_dim}"
             )
-        loaded: dict[str, np.ndarray] = {}
-        for name, shape in _manifest(header["arrays"]):
-            count = math.prod(shape)
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ParseError(f"checkpoint truncated inside array {name!r}")
-            loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        trailing = len(fh.read())
-        if trailing:
-            raise ParseError(f"checkpoint has {trailing} trailing byte(s) after its last array")
+        shapes = _header_layout(header)
+        sizes = {name: 8 * math.prod(shape) for name, shape in shapes.items()}
+        need = sum(sizes.values())
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < need:
+            ends = zip(sizes, itertools.accumulate(sizes.values()))
+            short = next(name for name, end in ends if end > left)
+            raise ParseError(
+                f"checkpoint truncated inside array {short!r}: its arrays take {need} bytes, "
+                f"{left} follow the header"
+            )
+        if left > need:
+            raise ParseError(f"checkpoint has {left - need} trailing byte(s) after its last array")
+        loaded = {
+            name: np.frombuffer(fh.read(sizes[name]), dtype="<f8").reshape(shape).copy()
+            for name, shape in shapes.items()
+        }
     store = ParamStore.from_arrays(
         dim, header["entity_ids"], header["relation_ids"], header["offset_mode"], loaded
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 # Canonical stream names used by the CLI; components accept any name.
-STREAM_MINING = "mining"
 STREAM_NEGATIVES = "negatives"
 STREAM_INIT = "init"
 STREAM_QUERY_GEN = "query-gen"

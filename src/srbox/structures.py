@@ -41,9 +41,6 @@ class StructureKind(str, Enum):
     INWARD = "inward"
 
 
-COMPLEX_KINDS = (StructureKind.PATH, StructureKind.OUTWARD, StructureKind.INWARD)
-
-
 @dataclass(frozen=True)
 class KnowledgeStructure:
     kind: StructureKind
@@ -75,12 +72,6 @@ class QueryDag:
     edges: tuple[Edge, ...]
     nodes: tuple[tuple[int, NodeKind], ...]  # non-anchor nodes
     answer_node: int
-
-    def node_kinds(self) -> dict[int, NodeKind]:
-        return dict(self.nodes)
-
-    def anchor_entities(self) -> dict[int, int]:
-        return dict(self.anchors)
 
     def incoming(self) -> dict[int, list[Edge]]:
         by_dst: dict[int, list[Edge]] = defaultdict(list)

@@ -223,14 +223,12 @@ def sr_loss(
     complex_example: TrainExample | None,
     params: ParamStore,
     cfg: TrainConfig,
-    aux_loss: float = 0.0,
 ) -> float:
-    """Weighted objective: lambda1 * simple + lambda2 * complex (+ optional
-    additive auxiliary term supplied by the caller)."""
+    """Weighted objective: lambda1 * simple + lambda2 * complex."""
     total = _loss_and_grads(simple, params, cfg, cfg.lambda1, None)[0]
     if complex_example is not None:
         total += _loss_and_grads(complex_example, params, cfg, cfg.lambda2, None)[0]
-    return total + aux_loss
+    return total
 
 
 def _loss_and_grads(
@@ -287,16 +285,6 @@ def _loss_and_grads(
     return loss, b"".join(
         (trace.signature(), argmins.astype("<u4").tobytes(), cache.signature())
     )
-
-
-def backward(
-    example: TrainExample, params: ParamStore, cfg: TrainConfig, weight: float = 1.0
-) -> Grads:
-    """Exact gradients of the weighted qa loss for one example. Parameters
-    never touched by the example do not appear in the result."""
-    grads = Grads(params)
-    _loss_and_grads(example, params, cfg, weight, grads)
-    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from hypothesis.extra import numpy as hnp
 from srbox import boxalg
 from srbox.boxalg import (
     Box,
+    IntersectionNet,
+    check_arrays,
     distance,
     distance_backward,
     distance_batch,
     distance_with_cache,
-    entity_box,
     execute_query,
     execute_with_trace,
     intersect,
@@ -66,12 +67,6 @@ class TestBoxBasics:
         np.testing.assert_array_equal(b.bmax, [1.5, -1.0])
         np.testing.assert_array_equal(b.bmin, [0.5, -3.0])
         assert b.dim == 2
-
-    def test_entity_box_is_a_point(self):
-        e = np.array([0.3, -1.2, 4.0])
-        b = entity_box(e)
-        np.testing.assert_array_equal(b.offset, 0.0)
-        assert distance(e, b).d == 0.0
 
     def test_projection_translates_and_dilates(self):
         b = Box(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
@@ -339,16 +334,16 @@ class TestIntersection:
         np.testing.assert_allclose(out.center, b.center, atol=1e-12)
 
     def test_net_validate_catches_shape_drift(self):
-        bad = self.net.copy()
-        bad.att_w1 = bad.att_w1[:, :-1]
-        with pytest.raises(ValidationError):
-            bad.validate(5)
+        bad = init_random(5, 3, 2, seed=0)
+        bad.net.att_w1 = bad.net.att_w1[:, :-1]
+        with pytest.raises(ValidationError, match="att_w1"):
+            bad.validate()
 
     def test_net_random_fan_in_bounds(self):
         net = net_random(16, np.random.default_rng(0))
         assert np.all(np.abs(net.att_w1) <= 1.0 / np.sqrt(16))
         assert np.all(np.abs(net.inner_w1) <= 1.0 / np.sqrt(32))
-        net.validate(16)
+        check_arrays(net.arrays(), IntersectionNet.shapes(16))
 
 
 class TestExecution:
@@ -391,11 +386,11 @@ class TestExecution:
         dag = intersection_dag([(0, 0, False), (1, 1, False)])
         boxes = execute_query(dag, self.store)
         b0 = project(
-            entity_box(self.store.entity_centers[0]),
+            Box(self.store.entity_centers[0], np.zeros(4)),
             (self.store.relation_centers[0], self.store.relation_offsets[0]),
         )
         b1 = project(
-            entity_box(self.store.entity_centers[1]),
+            Box(self.store.entity_centers[1], np.zeros(4)),
             (self.store.relation_centers[1], self.store.relation_offsets[0]),
         )
         direct = intersect([b0, b1], self.store.net)
@@ -508,14 +503,15 @@ class _RefTrace:
 
 def _ref_execute_with_trace(dag, params):
     order = topological_order(dag)
-    anchor_ent = dag.anchor_entities()
-    kinds = dag.node_kinds()
+    anchor_ent = dict(dag.anchors)
+    kinds = dict(dag.nodes)
     incoming = dag.incoming()
     traces = {}
     for n in order:
         if n in anchor_ent:
             ent = anchor_ent[n]
-            box = entity_box(params.entity_centers[ent])
+            center = params.entity_centers[ent]
+            box = Box(center, np.zeros_like(center))
             traces[n] = _RefNodeTrace(n, "anchor", entity=ent, boxes=[box])
             continue
         edges = tuple(incoming.get(n, ()))

@@ -342,6 +342,21 @@ class TestInitEmbeddings:
         assert f"error: {vec_path}: vector-file header field 'rows' is not an int" in err
 
 
+    def test_a_vectors_header_claiming_more_than_the_file_holds_exits_2(
+        self, tmp_path, corpus_path, capsys
+    ):
+        vec_path = tmp_path / "v.bin"
+        header = {"id": "d0", "rows": 1125899906842624, "dim": 1}
+        vec_path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(12 * 4 * 8))
+        code = cli.main([
+            "init-embeddings", "--corpus", corpus_path, "--vectors", str(vec_path),
+            "--dim", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {vec_path}: vector file truncated in document 'd0'" in err
+
+
 def set_header_field(path, key, value) -> None:
     """Set one field of a saved checkpoint's JSON header, in place."""
     data = open(path, "rb").read()
@@ -358,7 +373,8 @@ class TestMalformedCheckpointHeader:
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("key, value, kind", [
         ("dim", "two", "an int"), ("entity_ids", 5, "a list of strings"),
-    ], ids=["dim-string", "entity-ids-int"])
+        ("n_relations", "x", "an int"),
+    ], ids=["dim-string", "entity-ids-int", "relations-count-string"])
     def test_exits_2_naming_the_file_and_field(self, tmp_path, kg_dir, capsys, command, key, value, kind):
         kg = evalgen.load_kg(f"{kg_dir}/train.tsv", f"{kg_dir}/valid.tsv", f"{kg_dir}/test.tsv")
         path = str(tmp_path / "p.ckpt")
@@ -374,6 +390,33 @@ class TestMalformedCheckpointHeader:
                          "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"error: {path}: checkpoint header field {key!r} is not {kind}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("key, value, problem", [
+        ("n_entities", 999, "checkpoint header field 'n_entities' is 999, but 'entity_ids' holds"),
+        ("arrays", [["entity_centers", [2**62]]], "checkpoint array manifest entry 0 is "),
+        ("dim", 2**50, "checkpoint truncated inside array 'entity_centers'"),
+    ], ids=["entities-count", "huge-shape", "huge-dim"])
+    def test_a_header_that_contradicts_its_layout_exits_2(
+        self, tmp_path, kg_dir, capsys, command, key, value, problem
+    ):
+        kg = evalgen.load_kg(f"{kg_dir}/train.tsv", f"{kg_dir}/valid.tsv", f"{kg_dir}/test.tsv")
+        path = str(tmp_path / "p.ckpt")
+        params_mod.save(params_mod.init_random(8, kg.n_entities, kg.n_relations, 0,
+                                               entity_ids=kg.entity_ids,
+                                               relation_ids=kg.relation_ids), path)
+        set_header_field(path, key, value)
+        if key == "dim":  # the manifest that a store of this dim would have
+            shapes = params_mod.layout(value, kg.n_entities, kg.n_relations, "shared")
+            set_header_field(path, "arrays", [[n, list(shape)] for n, shape in shapes.items()])
+        dim = value if key == "dim" else 8  # train checks the dim first
+        args = {"train": ["--mode", "kg", "--dim", dim, "--steps", "1"],
+                "eval": ["--types", "1p", "--count", "2"]}
+        code = cli.main([command, "--kg", kg_dir, "--checkpoint", path,
+                         *map(str, args[command]), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {path}: {problem}" in capsys.readouterr().err
 
 
 class TestTrainCommand:

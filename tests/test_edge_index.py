@@ -58,7 +58,7 @@ class RefEdgeIndex:
 
     def answers(self, dag):
         return self._answers_at(
-            dag.answer_node, dag.anchor_entities(), dag.node_kinds(), dag.incoming()
+            dag.answer_node, dict(dag.anchors), dict(dag.nodes), dag.incoming()
         )
 
     def _answers_at(self, n, anchors, kinds, incoming):

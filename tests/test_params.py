@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -158,7 +159,7 @@ class TestImportContextual:
         vectors = vectors_fixture(rng)
         store = init_random(3, corpus.n_entities, corpus.n_relations, seed=1)
         before_off = store.relation_offsets.copy()
-        before_net = store.net.copy()
+        before_net = store.copy().net
         import_contextual(corpus, vectors, store)
 
         a, b = vectors.matrices["a"], vectors.matrices["b"]
@@ -438,6 +439,24 @@ class TestVectorsFile:
             load_vectors(path)
 
 
+    def test_a_header_claiming_more_rows_than_the_file_holds_allocates_nothing(self, tmp_path):
+        path = str(tmp_path / "v.ctx")
+        with open(path, "wb") as fh:
+            fh.write(json.dumps({"id": "d", "rows": 1125899906842624, "dim": 1}).encode() + b"\n")
+            fh.write(np.zeros(4).astype("<f8").tobytes())
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                load_vectors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            f"{path}: vector file truncated in document 'd': its 1125899906842624 x 1 vectors "
+            "take 9007199254740992 bytes, 32 remain"
+        )
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("header, problem", [
         ([1, 2], "vector-file header is not a JSON object"),
         ({"id": "a", "rows": "two", "dim": 2}, "field 'rows' is not an int"),
@@ -547,8 +566,10 @@ class TestCheckpoint:
         ("entity_ids", ["e0", 1, "e2", "e3"], "a list of strings"),
         ("relation_ids", "r0", "a list of strings"),
         ("offset_mode", 3, "a string"),
+        ("n_entities", "four", "an int"),
+        ("n_relations", "x", "an int"),
     ], ids=["dim-string", "dim-bool", "entity-ids-int", "entity-id-int", "relation-ids-string",
-            "offset-mode-int"])
+            "offset-mode-int", "entities-count-string", "relations-count-string"])
     def test_a_wrongly_typed_header_field_names_the_file_and_field(self, tmp_path, key, value, kind):
         path = self.saved(tmp_path)
         self.rewrite_header(path, lambda h: h.update({key: value}))
@@ -575,6 +596,65 @@ class TestCheckpoint:
         self.rewrite_header(path, corrupt)
         with pytest.raises(ParseError, match="entity_centers"):
             load(path)
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("n_entities", 999, "field 'n_entities' is 999, but 'entity_ids' holds 4 ids"),
+        ("n_relations", 1, "field 'n_relations' is 1, but 'relation_ids' holds 2 ids"),
+        ("dim", 0, "field 'dim' is 0, not >= 1"),
+        ("offset_mode", "fused", "field 'offset_mode' is 'fused', not one of shared, per_relation"),
+    ], ids=["entities-count", "relations-count", "dim-zero", "offset-mode-unknown"])
+    def test_a_header_that_contradicts_the_format_names_the_file_and_field(
+        self, tmp_path, key, value, problem
+    ):
+        path = self.saved(tmp_path)
+        self.rewrite_header(path, lambda h: h.update({key: value}))
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: checkpoint header {problem}"
+
+    @pytest.mark.parametrize("edit, entry", [
+        (lambda arrays: arrays[0].__setitem__(1, [2**62, 3]), 0),
+        (lambda arrays: arrays[2].__setitem__(1, [8, 3]), 2),
+        (lambda arrays: arrays.insert(1, arrays.pop(2)), 1),
+        (lambda arrays: arrays.append(["extra", [1]]), 15),
+        (lambda arrays: arrays[4].__setitem__(1, [3.0, 3]), 4),
+    ], ids=["huge", "per-relation-rows", "reordered", "extra", "float"])
+    def test_a_manifest_other_than_the_layout_names_the_first_entry_that_differs(
+        self, tmp_path, edit, entry
+    ):
+        path = self.saved(tmp_path)
+        self.rewrite_header(path, lambda h: edit(h["arrays"]))
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value).startswith(f"{path}: checkpoint array manifest entry {entry} is ")
+
+    def test_the_layout_is_checked_against_the_file_size_before_any_array_is_read(self, tmp_path):
+        path = self.saved(tmp_path)
+        dim = 2**50  # representable, and its entity table alone would take 2**55 bytes
+
+        def huge(header):
+            header["dim"] = dim
+            shapes = params_mod.layout(dim, 4, 2, "shared")
+            header["arrays"] = [[name, list(shape)] for name, shape in shapes.items()]
+
+        self.rewrite_header(path, huge)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value).startswith(
+            f"{path}: checkpoint truncated inside array 'entity_centers': its arrays take "
+        )
+        assert peak < 1 << 20
+
+    def test_layout_is_the_manifest_save_writes(self, tmp_path):
+        for mode in ("shared", "per_relation"):
+            store = init_random(3, 4, 2, seed=0, offset_mode=mode)
+            shapes = params_mod.layout(3, 4, 2, mode)
+            assert list(shapes.items()) == [(n, a.shape) for n, a in store.arrays().items()]
 
     def test_trailing_bytes(self, tmp_path):
         path = self.saved(tmp_path)

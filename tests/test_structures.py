@@ -17,7 +17,6 @@ from srbox.corpus import Sequence, Triplet
 from srbox.errors import ValidationError
 from srbox.evalgen import brute_force_answers
 from srbox.structures import (
-    COMPLEX_KINDS,
     Edge,
     KnowledgeStructure,
     NodeKind,
@@ -198,7 +197,7 @@ class TestBuildQuery:
     def test_simple(self):
         dag, answer = build_query(mine_structures([trip(4, 2, 9)])[0])
         assert answer == 9
-        assert dag.anchor_entities() == {0: 4}
+        assert dict(dag.anchors) == {0: 4}
         (edge,) = dag.edges
         assert (edge.relation, edge.inverse) == (2, False)
         validate_dag(dag)
@@ -208,9 +207,9 @@ class TestBuildQuery:
         (path,) = [s for s in structures if s.kind is StructureKind.PATH]
         dag, answer = build_query(path)
         assert answer == 2
-        assert dag.anchor_entities() == {0: 0}
+        assert dict(dag.anchors) == {0: 0}
         # Entity B (id 1) appears nowhere in the DAG.
-        assert 1 not in dag.anchor_entities().values()
+        assert 1 not in dict(dag.anchors).values()
         assert [e.relation for e in sorted(dag.edges, key=lambda e: e.dst)] == [0, 1]
 
     def test_inward_forward_edges(self):
@@ -218,9 +217,9 @@ class TestBuildQuery:
         (inward,) = [s for s in structures if s.kind is StructureKind.INWARD]
         dag, answer = build_query(inward)
         assert answer == 2
-        assert set(dag.anchor_entities().values()) == {0, 1}
+        assert set(dict(dag.anchors).values()) == {0, 1}
         assert all(not e.inverse for e in dag.edges)
-        kinds = dag.node_kinds()
+        kinds = dict(dag.nodes)
         assert kinds[dag.answer_node] is NodeKind.INTERSECTION
 
     def test_outward_inverse_edges(self):
@@ -228,7 +227,7 @@ class TestBuildQuery:
         (outward,) = [s for s in structures if s.kind is StructureKind.OUTWARD]
         dag, answer = build_query(outward)
         assert answer == 0
-        assert set(dag.anchor_entities().values()) == {1, 2}
+        assert set(dict(dag.anchors).values()) == {1, 2}
         assert all(e.inverse for e in dag.edges)
 
     def test_pure_function(self):
@@ -372,7 +371,7 @@ def _prev_topological_order(dag):
 
 def _prev_validate_dag(dag):
     anchor_ids = {n for n, _ in dag.anchors}
-    kinds = dag.node_kinds()
+    kinds = dict(dag.nodes)
     if anchor_ids & kinds.keys():
         raise ValidationError("a node cannot be both anchor and operator")
     if dag.answer_node not in kinds and dag.answer_node not in anchor_ids:
@@ -411,13 +410,6 @@ class TestDagValidation:
         )
         with pytest.raises(ValidationError):
             validate_dag(dag)
-
-    def test_complex_kinds_exhaustive(self):
-        assert set(COMPLEX_KINDS) == {
-            StructureKind.PATH,
-            StructureKind.OUTWARD,
-            StructureKind.INWARD,
-        }
 
     @pytest.mark.parametrize("anchors, nodes, repeated", [
         (((0, 5), (0, 6)), ((1, NodeKind.INTERSECTION),), 0),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from srbox import boxalg, evalgen, train
-from srbox.boxalg import Box, entity_box
+from srbox.boxalg import Box
 from srbox.corpus import load_corpus
 from srbox.evalgen import build_grid_kg, generate_queries
 from srbox.errors import ValidationError
@@ -25,7 +25,6 @@ from srbox.train import (
     TrainConfig,
     TrainExample,
     adam_step,
-    backward,
     grad_check,
     lr_at,
     ptranse_score,
@@ -194,7 +193,7 @@ class TestQaLoss:
     def setup_method(self):
         # alpha=0 makes D equal the exactly representable outer distance.
         self.cfg = TrainConfig(gamma=24.0, alpha=0.0, k_negatives=2)
-        self.boxes = [entity_box(np.zeros(2))]
+        self.boxes = [Box(np.zeros(2), np.zeros(2))]
 
     def test_symmetric_point_constant(self):
         ans = np.array([24.0, 0.0])
@@ -227,8 +226,8 @@ class TestQaLoss:
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_min_over_disjuncts(self):
-        far = entity_box(np.array([100.0, 0.0]))
-        near = entity_box(np.array([24.0, 0.0]))
+        far = Box(np.array([100.0, 0.0]), np.zeros(2))
+        near = Box(np.array([24.0, 0.0]), np.zeros(2))
         ans = np.array([24.0, 0.0])
         negs = [np.array([0.0, 24.0])]
         got = qa_loss([far, near], ans, negs, self.cfg)
@@ -279,17 +278,13 @@ class TestSrLoss:
         b = sr_loss(self.simple, self.complex, self.store, cfg2)
         assert b == pytest.approx(3.0 * a, rel=1e-12)
 
-    def test_aux_term_added_exactly(self):
-        a = sr_loss(self.simple, None, self.store, self.cfg)
-        b = sr_loss(self.simple, None, self.store, self.cfg, aux_loss=0.625)
-        assert b == a + 0.625
-
 
 class TestBackward:
     def test_gradients_sparse(self):
         store = init_random(4, 10, 3, seed=1)
         ex = TrainExample(chain_dag(2, [(1, False)]), 5, (7, 8))
-        grads = backward(ex, store, TrainConfig(k_negatives=2))
+        grads = boxalg.Grads(store)
+        train._loss_and_grads(ex, store, TrainConfig(k_negatives=2), 1.0, grads)
         assert set(grads.entity) <= {2, 5, 7, 8}
         assert set(grads.rel_center) == {1}
         assert set(grads.rel_offset) == {0}
@@ -299,15 +294,17 @@ class TestBackward:
         store = init_random(4, 10, 3, seed=1)
         dag = intersection_dag([(0, 0, False), (1, 1, False)])
         ex = TrainExample(dag, 5, (7,))
-        grads = backward(ex, store, TrainConfig(k_negatives=1))
+        grads = boxalg.Grads(store)
+        train._loss_and_grads(ex, store, TrainConfig(k_negatives=1), 1.0, grads)
         assert set(grads.net) == set(boxalg.NET_FIELDS)
 
     def test_weight_scales_gradients(self):
         store = init_random(4, 10, 3, seed=1)
         ex = TrainExample(chain_dag(2, [(1, False)]), 5, (7, 8))
         cfg = TrainConfig(k_negatives=2)
-        g1 = backward(ex, store, cfg, weight=1.0)
-        g2 = backward(ex, store, cfg, weight=2.5)
+        g1, g2 = boxalg.Grads(store), boxalg.Grads(store)
+        train._loss_and_grads(ex, store, cfg, 1.0, g1)
+        train._loss_and_grads(ex, store, cfg, 2.5, g2)
         for ent, g in g1.entity.items():
             np.testing.assert_allclose(g2.entity[ent], 2.5 * g, rtol=1e-12)
 
