@@ -24,10 +24,13 @@ entity (d,) or for every row of a batch (m, d) against one box:
 ``distance_with_cache`` also keeps the two gaps, and ``distance_backward``
 turns them into gradients for all rows at once, reading each coordinate's
 hinge side from the sign of e - p. Evaluation ranks stacked query boxes
-against every entity through ``min_distance_tiles``, which runs ``distance_batch`` on cache-sized tiles
-split across worker threads, one CPU each (at most two); every tile writes
-its own slice of the result, so its distances have the same bits for any
-worker count.
+against every entity through ``min_distance_tiles``, which runs
+``distance_batch`` on cache-sized tiles split across worker threads, one
+CPU each (at most two); every tile writes its own slice of the result, so
+its distances have the same bits for any worker count. The same pass runs
+in float32 as eval's screen: ``screen_error`` bounds each query's float32
+error, and ``pair_distances`` recounts single pairs in float64 with the
+tiled pass's bits.
 
 Every operation here has a matching hand-written backward; forward variants
 with ``_with_cache`` record exactly what the backward needs, plus the branch
@@ -47,6 +50,7 @@ layouts in reverse; evaluation drops the caches.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -75,6 +79,25 @@ class Box:
     @property
     def dim(self) -> int:
         return self.center.shape[-1]
+
+
+class Bounds(NamedTuple):
+    """A box as what ``_gaps`` reads of it, its center and its two corners,
+    each made once: a ``Box`` computes its corners on every read."""
+
+    center: np.ndarray
+    bmin: np.ndarray
+    bmax: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.center.shape[-1]
+
+    @classmethod
+    def of(cls, center: np.ndarray, offset: np.ndarray, dtype) -> Bounds:
+        """The bounds of the box (center, offset), corners computed in float64
+        and then, like the center, rounded to ``dtype``."""
+        return cls(*(np.asarray(a, dtype) for a in (center, center - offset, center + offset)))
 
 
 def _weight(fan_in: int = 1):
@@ -319,13 +342,30 @@ class DistanceCache(NamedTuple):
 def _norm(v: np.ndarray, norm: str, out: np.ndarray | None = None) -> np.ndarray:
     """Norm of each row (last axis). ``out``, a buffer of the result shape,
     takes the norms, and then ``v`` is overwritten with the elementwise
-    terms, so the call allocates nothing."""
+    terms, so the call allocates nothing. A float64 row sums its terms with
+    ``np.sum``; any other, the float32 screen's, sums them as a product
+    with a vector of ones, several times faster over a short last axis, in
+    an order that only the screen's error bound (``screen_error``) has to
+    allow for."""
     terms = None if out is None else v
     if norm == "l1":
-        return np.abs(v, out=terms).sum(axis=-1, out=out)
-    if norm == "l2":
-        return np.sqrt(np.multiply(v, v, out=terms).sum(axis=-1, out=out), out=out)
-    raise ValidationError(f"unknown norm {norm!r}")
+        terms = np.abs(v, out=terms)
+    elif norm == "l2":
+        terms = np.multiply(v, v, out=terms)
+    else:
+        raise ValidationError(f"unknown norm {norm!r}")
+    if v.dtype == np.float64:
+        total = terms.sum(axis=-1, out=out)
+    else:
+        total = np.matmul(terms, _ones(v.shape[-1], v.dtype), out=out)
+    return total if norm == "l1" else np.sqrt(total, out=out)
+
+
+@functools.cache
+def _ones(d: int, dtype: np.dtype) -> np.ndarray:
+    ones = np.ones(d, dtype)
+    ones.flags.writeable = False
+    return ones
 
 
 def _norm_grad(v: np.ndarray, norm: str) -> np.ndarray:
@@ -341,8 +381,9 @@ def _gaps(e: np.ndarray, b: Box, out=None) -> tuple[np.ndarray, np.ndarray]:
     and inner gap center - p of an entity (d,) or of each row of (m, d),
     where p = min(bmax, max(bmin, e)) is the entity clamped into the box; a
     box of stacked (q, 1, d) arrays gives every row's gaps to each of the q
-    boxes, (q, m, d). ``out`` is an optional pair of buffers of the result
-    shape to write the two gaps into."""
+    boxes, (q, m, d). ``b`` may be a Box or its ``Bounds``. ``out`` is an
+    optional pair of buffers of the result shape to write the two gaps
+    into."""
     if e.shape[-1:] != b.center.shape[-1:]:
         raise ValidationError(f"entity shape {e.shape} does not match box dim {b.dim}")
     v_out, u_in = (None, None) if out is None else out
@@ -385,7 +426,8 @@ def distance_batch(
 
 
 # elements of one gap buffer in the tiled distance pass: both buffers of a
-# tile, 512 KB at this size, stay in a core's L2 cache
+# tile, 512 KB at this size in float64 (and in the float32 screen, whose
+# tiles take twice the queries), stay in a core's L2 cache
 DIST_TILE = 1 << 15
 
 # most threads of the tiled distance pass, the calling thread included: two
@@ -408,6 +450,10 @@ DIST_WORKERS = _distance_workers()
 # distance rows alive
 TILES_PER_WORKER = 4
 
+# numpy's error handling in the float32 screen: a magnitude beyond float32's
+# range turns into inf or NaN there, which the screen's callers recount
+_SCREEN_ERRORS = {"over": "ignore", "invalid": "ignore"}
+
 
 def _in_parallel(pool: ThreadPoolExecutor, work, shares: list) -> None:
     """``work(*share)`` for every share: the first in the calling thread,
@@ -423,72 +469,175 @@ def _in_parallel(pool: ThreadPoolExecutor, work, shares: list) -> None:
             raise exc
 
 
-def _tile_pass(tiles, gaps: np.ndarray, sums: np.ndarray, alpha: float, norm: str) -> None:
+def _tile_pass(tiles, gaps: np.ndarray, sums: np.ndarray, cast, alpha, norm: str) -> None:
     """Write the distances of each tile taken from the iterator ``tiles``,
     the minimum over its disjuncts, into its target. Every tile reuses the
-    one pair of gap buffers ``gaps`` and the pair of result buffers
-    ``sums``, so the pass allocates no array."""
-    for tile, stacked, target in tiles:
-        shape = (*target.shape, tile.shape[1])
-        out = [buf[: math.prod(shape)].reshape(shape) for buf in gaps]
-        out += [buf[: target.size].reshape(target.shape) for buf in sums]
-        for k, box in enumerate(stacked):
-            part = distance_batch(tile, box, alpha, norm, out)
-            if k == 0:
-                target[...] = part
-            else:
-                np.minimum(target, part, out=target)
+    one pair of gap buffers ``gaps``, the three result buffers ``sums`` (the
+    first keeps the minimum, the third takes each later disjunct) and, in
+    the float32 screen, the buffer ``cast`` that takes the tile's entity
+    rows in float32, so the pass allocates no array."""
+    with np.errstate(**(_SCREEN_ERRORS if cast is not None else {})):
+        for tile, stacked, target in tiles:
+            shape = (*target.shape, tile.shape[1])
+            out = [buf[: math.prod(shape)].reshape(shape) for buf in gaps]
+            out += [buf[: target.size].reshape(target.shape) for buf in sums]
+            if cast is not None:
+                rows = cast[: tile.size].reshape(tile.shape)
+                np.copyto(rows, tile, casting="same_kind")
+                tile = rows
+            low = out[2]
+            for k, bounds in enumerate(stacked):
+                work = [*out[:2], out[4] if k else low, out[3]]
+                part = distance_batch(tile, bounds, alpha, norm, work)
+                if k:
+                    np.minimum(low, part, out=low)
+            target[...] = low
 
 
 def min_distance_tiles(
-    entities: np.ndarray, boxes: list[Box], alpha: float, norm: str
+    entities: np.ndarray, boxes: list[Box], alpha: float, norm: str, dtype=np.float64
 ):
     """Distances from every row of ``entities`` (m, d) to a batch of B
     queries, each the minimum over its disjuncts: ``boxes`` holds one Box of
     stacked (B, d) arrays per disjunct.
 
-    Yields (start, D) for consecutive chunks of queries, D (c, m) for
-    queries start .. start + c - 1, so only one chunk's distances are alive
-    at a time. A chunk is computed in tiles of q queries by as many entity
-    rows as keep a tile's gaps within ``DIST_TILE`` elements; every
-    distance is the one ``distance_batch`` gives for one query's box.
+    Yields (start, D) for consecutive chunks of queries, D (c, m) float64
+    for queries start .. start + c - 1, so only one chunk's distances are
+    alive at a time. A chunk is computed in tiles of q queries by as many
+    entity rows as keep a tile's gaps within ``DIST_TILE`` elements.
+    ``dtype`` is the precision of the computation. In float64 every
+    distance is the one ``distance_batch`` gives for one query's box. In
+    float32, the screen, it lies within ``screen_error`` of that if it is
+    finite. A float32 tile takes the same entity rows for twice the
+    queries, as long as 2 ``DIST_TILE`` distances hold that many rows, so
+    its buffers take as many bytes and each numpy call does twice the work
+    (calls as short as one query's leave two workers no faster than one);
+    its entity rows are cast once into a worker buffer for all of its
+    queries, so no float32 copy of the table is made.
 
-    A chunk holds at least ``TILES_PER_WORKER`` tiles per worker, and up to
-    ``DIST_WORKERS`` workers compute them: the calling thread and the
+    A chunk holds at least ``TILES_PER_WORKER`` tiles per worker and, if
+    that makes fewer, about ``DIST_TILE`` distances, so that what its
+    caller does once per chunk costs little; up to ``DIST_WORKERS`` workers
+    compute its tiles: the calling thread and the
     threads of a pool that ends with the call, each with its own gap and
     result buffers, each taking the chunk's next tile whenever it is free
-    and writing the tile's disjoint (queries, entity rows) slice of D.
-    Since a tile gets the same operands whichever thread runs it, every
-    distance has the same bits for any worker count and tile size. With one
-    worker, or a chunk of one tile, no thread is started.
+    and writing the tile's disjoint (queries, entity rows) slice of D. The
+    calling thread makes each chunk's box bounds in ``dtype`` once, so the
+    workers allocate no array. Since a tile gets the same operands whichever
+    thread runs it, every distance has the same bits for any worker count
+    and tile size. With one worker, or a chunk of one tile, no thread is
+    started.
     """
     m, d = entities.shape
+    dtype = np.dtype(dtype)
+    screen = dtype != entities.dtype
     n_queries = boxes[0].center.shape[0]
     q = min(n_queries, max(1, DIST_TILE // (m * d)))
     rows = max(1, DIST_TILE // (q * d))
+    if screen:  # twice the queries, while 2 DIST_TILE distances hold them
+        q = min(n_queries, 2 * q, max(q, 2 * DIST_TILE // m))
     row_tiles = -(-m // rows)
-    chunk = q * -(-TILES_PER_WORKER * DIST_WORKERS // row_tiles)
+    chunk = q * max(-(-TILES_PER_WORKER * DIST_WORKERS // row_tiles), DIST_TILE // (m * q))
     n_workers = min(DIST_WORKERS, -(-min(chunk, n_queries) // q) * row_tiles)
-    gaps = np.empty((n_workers, 2, q * min(rows, m) * d))
-    sums = np.empty((n_workers, 2, q * min(rows, m)))
+    gaps = np.empty((n_workers, 2, q * min(rows, m) * d), dtype)
+    sums = np.empty((n_workers, 3, q * min(rows, m)), dtype)
+    casts = np.empty((n_workers, min(rows, m) * d), dtype) if screen else [None] * n_workers
+    alpha = dtype.type(alpha)
+    _ones(d, dtype)  # made here, so that no worker makes it
     # the pool starts its threads on the first submit and ends them on exit
     with ThreadPoolExecutor(max(1, n_workers - 1), "srbox-distance") as pool:
         for start in range(0, n_queries, chunk):
             stop = min(start + chunk, n_queries)
             dist = np.empty((stop - start, m))
+            with np.errstate(**(_SCREEN_ERRORS if screen else {})):
+                bounds = [
+                    Bounds.of(b.center[start:stop, None], b.offset[start:stop, None], dtype)
+                    for b in boxes
+                ]
             tiles = []
-            for s0 in range(start, stop, q):
-                s1 = min(s0 + q, stop)
-                stacked = [Box(b.center[s0:s1, None], b.offset[s0:s1, None]) for b in boxes]
+            for s0 in range(0, stop - start, q):
+                s1 = min(s0 + q, stop - start)
+                stacked = [Bounds(*(a[s0:s1] for a in b)) for b in bounds]
                 tiles += [
-                    (entities[r0:r0 + rows], stacked, dist[s0 - start:s1 - start, r0:r0 + rows])
+                    (entities[r0:r0 + rows], stacked, dist[s0:s1, r0:r0 + rows])
                     for r0 in range(0, m, rows)
                 ]
             todo = iter(tiles)  # shared: under the GIL each next() hands out one tile
             _in_parallel(pool, _tile_pass, [
-                (todo, gaps[w], sums[w], alpha, norm) for w in range(min(n_workers, len(tiles)))
+                (todo, gaps[w], sums[w], casts[w], alpha, norm)
+                for w in range(min(n_workers, len(tiles)))
             ])
             yield start, dist
+
+
+def screen_error(entities: np.ndarray, boxes: list[Box], alpha: float) -> np.ndarray:
+    """ε (B,): for query i of ``boxes`` (one Box of stacked (B, d) arrays per
+    disjunct) and every entity, a finite distance of the float32 screen
+    (``min_distance_tiles`` in float32) lies within ε_i of the float64 one.
+
+    Let u = 2^-24 and let M be the largest magnitude of an entity
+    coordinate, of the query's centers and of its corners c -/+ o (made in
+    float64); let mu = max(M, 2^-102). A float32 operation (a cast, +, -,
+    *, sqrt, each step of a sum) gives r(1 + t) + z with |t| <= u and |z|
+    <= 2^-126 <= u mu, whether or not r is subnormal or flushed to zero;
+    max, min and abs are exact; float64 errs by 2^-29 times less.
+
+    1. Rounding is monotone, so it commutes with max and min: the float32
+       clamp p~ of the rounded entity into the rounded corners is the
+       rounded float64 clamp p, within 2 u mu of it.
+    2. So each coordinate of the outer gap e - p and of the inner gap c - p
+       is within 8.2 u mu of its float64 value, and at most 2.01 mu in
+       magnitude in either precision.
+    3. For both norms, | ||v~|| - ||v|| | <= ||v~ - v||, which is at most
+       ||v~ - v||_1 <= 8.2 d u mu. Summing d terms in any order (``_norm``
+       sums float32 terms through BLAS) errs by at most 1.01 d u times their
+       sum plus d z; with the squares and the square root, the computed L2
+       norm is within 1.02 (d + 2) u ||v~||_2 + sqrt(2.2 d 2^-126) of
+       ||v~||_2. So each computed norm is within
+       2.2 d (d + 6) u mu + 2^-62 sqrt(d) of the float64 one.
+    4. d_out + alpha * d_in, with alpha rounded to float32 and two more
+       roundings, adds at most (1 + alpha) (6.2 d + 4) u mu.
+
+    In all, |D32 - D64| <= (1 + alpha) (2.2 d (d + 11) u mu + 2^-62 sqrt(d)).
+    The ε returned, (1 + alpha) (3 d (d + 10) u mu + 2^-61 sqrt(d)), is more
+    by a margin that also covers rounding D64 -/+ ε in float64. Where a
+    float32 value overflows, the screened distance becomes inf or NaN and
+    stays so, the clamp aside, which rounding monotonely covers: only a
+    non-finite screened distance can be off by more than ε, and so it
+    tells its caller to recount. ε itself is inf where it overflows.
+    """
+    d = entities.shape[1]
+    big = max(entities.max(), -entities.min())
+    with np.errstate(**_SCREEN_ERRORS):
+        for b in boxes:
+            for a in (b.center, b.center - b.offset, b.center + b.offset):
+                big = np.maximum(big, np.abs(a).max(axis=-1))
+        mu = np.maximum(big, 2.0 ** -102)
+        return (1 + abs(alpha)) * (3 * d * (d + 10) * 2.0 ** -24 * mu + 2.0 ** -61 * math.sqrt(d))
+
+
+def pair_distances(
+    entities: np.ndarray, boxes: list[Box], rows: np.ndarray, ids: np.ndarray,
+    alpha: float, norm: str,
+) -> np.ndarray:
+    """The float64 distance from entity ``ids[k]`` to query ``rows[k]`` of
+    ``boxes`` (one Box of stacked (B, d) arrays per disjunct), the minimum
+    over its disjuncts, for every k: ``distance_batch`` on gathered rows,
+    each a row of a batch against its own box. Elementwise operations and a
+    sum over each row's d terms give every pair the bits the tiled pass
+    gives it. The pairs go in slices of ``DIST_TILE`` gathered elements."""
+    out = np.empty(len(ids))
+    step = max(1, DIST_TILE // entities.shape[1])
+    for p0 in range(0, len(ids), step):
+        r, part = rows[p0:p0 + step], out[p0:p0 + step]
+        gathered = entities[ids[p0:p0 + step]]
+        for k, b in enumerate(boxes):
+            dist = distance_batch(gathered, Box(b.center[r], b.offset[r]), alpha, norm)
+            if k:
+                np.minimum(part, dist, out=part)
+            else:
+                part[...] = dist
+    return out
 
 
 def distance_with_cache(

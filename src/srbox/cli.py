@@ -8,9 +8,10 @@ only timestamps any command emits live in <out>/run_meta.json, written
 when the command starts and rewritten when it returns with its finish
 time, duration, exit status and the srbox and numpy versions (gen-queries
 adds the queries requested and written per type, eval its distance worker
-count, and mine, init-embeddings and eval the wall time of each phase under
-``timings_s``), so repeated runs with the same seed produce byte-identical
-primary outputs.
+count and, for the box scorer, the pairs its float32 screen scored and
+recounted under ``screen``, and mine, init-embeddings, gen-queries and eval
+the wall time of each phase under ``timings_s``), so repeated runs with the
+same seed produce byte-identical primary outputs.
 
 Exit codes: 0 success, 1 usage error, 2 validation/config error, 3 runtime
 failure (I/O and the like).
@@ -384,7 +385,7 @@ def cmd_gradcheck(cfg: RunConfig, out: str, meta: dict) -> int:
     return 0 if err <= 1e-4 else 2
 
 
-def _fresh_blocks(cfg: RunConfig, kg: evalgen.KnowledgeGraph):
+def _fresh_blocks(cfg: RunConfig, kg: evalgen.KnowledgeGraph) -> list[evalgen.QueryBlock]:
     """A block of [eval] count queries seeded from the [eval] split for each
     [eval] types entry in turn, all drawn from the run seed's one
     query-generation stream."""
@@ -397,17 +398,21 @@ def _fresh_blocks(cfg: RunConfig, kg: evalgen.KnowledgeGraph):
     for t in types:
         if t not in evalgen.EVAL_QUERY_TYPES:
             raise ValidationError(f"unknown query type {t!r}")
-    for qtype in types:
-        yield evalgen.generate_block(kg, qtype, count, split, rng)
+    return [evalgen.generate_block(kg, qtype, count, split, rng) for qtype in types]
 
 
 def cmd_gen_queries(cfg: RunConfig, out: str, meta: dict) -> int:
-    kg = _load_kg_dir(cfg)
+    timings = meta["timings_s"] = {}
+    with _timed(timings, "load_kg"):
+        kg = _load_kg_dir(cfg)
     count = cfg.get_int("eval", "count")
+    with _timed(timings, "generate"):
+        blocks = _fresh_blocks(cfg, kg)
     written = meta["queries"] = {}
-    for block in _fresh_blocks(cfg, kg):
+    for block in blocks:
         path = os.path.join(out, f"queries_{block.qtype}.jsonl")
-        evalgen.write_queries([block], kg, path)
+        with _timed(timings, "write"):
+            evalgen.write_queries([block], kg, path)
         written[block.qtype] = {"requested": count, "written": len(block)}
         print(f"{block.qtype}: {len(block)} queries -> {path}")
     return 0
@@ -420,6 +425,9 @@ def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
     tc = cfg.train_config()
     raw = cfg.get_bool("eval", "raw")
     meta["distance_workers"] = boxalg.DIST_WORKERS if scorer == "box" else 1
+    screen = None
+    if scorer == "box":
+        screen = meta["screen"] = {"pairs": 0, "recomputed": 0}
     timings = meta["timings_s"] = {}
     with _timed(timings, "load_kg"):
         kg = _load_kg_dir(cfg)
@@ -434,12 +442,10 @@ def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
             blocks = sorted(evalgen.read_query_blocks(queries_path, kg), key=lambda b: b.qtype)
         else:
             source = f"{cfg.get('eval', 'split')} split"
-            blocks = []
-            for block in _fresh_blocks(cfg, kg):
-                if not len(block):
-                    raise ValidationError(f"{source}: no {block.qtype} queries to evaluate")
-                blocks.append(block)
+            blocks = _fresh_blocks(cfg, kg)
     for block in blocks:
+        if not len(block):
+            raise ValidationError(f"{source}: no {block.qtype} queries to evaluate")
         if not len(block.hard.ids):
             raise ValidationError(
                 f"{source}: none of the {len(block)} {block.qtype} queries has a hard answer to rank"
@@ -450,7 +456,9 @@ def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
     with open(os.path.join(out, "metrics.jsonl"), "w", encoding="utf-8") as fh:
         for block in blocks:
             with _timed(timings, "score_and_rank"):
-                ranks = evalgen.block_ranks(block, store, scorer, tc.alpha, tc.norm, raw, timings)
+                ranks = evalgen.block_ranks(
+                    block, store, scorer, tc.alpha, tc.norm, raw, timings, screen
+                )
                 report = evalgen.rank_report(block.qtype, scorer, ranks.tolist(), len(block))
             fh.write(json.dumps(report) + "\n")
             print(
@@ -558,6 +566,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _message(exc: Exception) -> str:
+    """An exception's message, or its type's name if it has none (as a
+    ``MemoryError()`` has not)."""
+    return str(exc) or type(exc).__name__
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -571,10 +585,10 @@ def main(argv: list[str] | None = None) -> int:
         _write_meta(out, meta)
         status = COMMANDS[args.command](cfg, out, meta)
     except ValidationError as exc:  # includes ParseError
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         status = 2
     except Exception as exc:  # I/O and other runtime faults
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         status = 3
     if out is None:
         return status

@@ -678,6 +678,16 @@ def ptranse_distances(anchor: int, path: list[tuple[int, bool]], params) -> np.n
 FORWARD_TILE = 1 << 12
 
 
+def _forward_parts(block: QueryBlock, params):
+    """(b0, boxes) for consecutive parts of the block of up to
+    ``FORWARD_TILE // d`` rows, b0 the first: the answer disjuncts of one
+    stacked ``boxalg.execute_ids`` call, each a Box of stacked arrays."""
+    size = max(1, FORWARD_TILE // params.entity_centers.shape[1])
+    for b0 in range(0, len(block), size):
+        rows = slice(b0, b0 + size)
+        yield b0, boxalg.execute_ids(block.plan, block.anchors[rows], block.relations[rows], params)
+
+
 def block_distances(block: QueryBlock, params, scorer: str = "box",
                     alpha: float = DEFAULT_ALPHA, norm: str = DEFAULT_NORM):
     """Distances from every entity to the queries of a block under the
@@ -685,10 +695,9 @@ def block_distances(block: QueryBlock, params, scorer: str = "box",
 
     Yields (start, D) for consecutive chunks of rows, D (c, n_entities) for
     rows start .. start + c - 1, so memory holds one chunk's distances, not
-    the block's. The box scorer runs up to ``FORWARD_TILE // d`` rows as one
-    stacked ``boxalg.execute_ids`` call and takes their distances from
-    ``boxalg.min_distance_tiles``; the path-sum scorer scores one row at a
-    time along the chain its plan lays out.
+    the block's. The box scorer takes the distances of each forward part
+    from ``boxalg.min_distance_tiles``; the path-sum scorer scores one row
+    at a time along the chain its plan lays out.
     """
     if scorer == "ptranse":
         hops = _chain_hops(block.plan)
@@ -697,15 +706,37 @@ def block_distances(block: QueryBlock, params, scorer: str = "box",
         return
     if scorer != "box":
         raise ValidationError(f"unknown scorer {scorer!r}")
-    size = max(1, FORWARD_TILE // params.entity_centers.shape[1])
-    for b0 in range(0, len(block), size):
-        rows = slice(b0, b0 + size)
-        boxes = boxalg.execute_ids(block.plan, block.anchors[rows], block.relations[rows], params)
+    for b0, boxes in _forward_parts(block, params):
         for start, dist in boxalg.min_distance_tiles(params.entity_centers, boxes, alpha, norm):
             yield b0 + start, dist
 
 
-def rank_block(dist: np.ndarray, hard: Csr, known: Csr | None) -> np.ndarray:
+def _screened_chunks(block: QueryBlock, params, alpha: float, norm: str, counts: dict):
+    """(start, D, screen) for consecutive chunks of rows under the box
+    scorer, as ``block_distances`` yields them, but with D from the float32
+    screen and ``screen`` the pair ``rank_block`` takes with it: each row's
+    ``boxalg.screen_error`` and a function of (rows, ids) that gives those
+    pairs' float64 distances. Adds the pairs screened, and the distinct
+    pairs recounted, to ``counts["pairs"]`` and ``counts["recomputed"]``
+    once a chunk is ranked."""
+    entities = params.entity_centers
+    for b0, boxes in _forward_parts(block, params):
+        eps = boxalg.screen_error(entities, boxes, alpha)
+        for start, dist in boxalg.min_distance_tiles(entities, boxes, alpha, norm, np.float32):
+            part = slice(start, start + len(dist))
+            chunk = [boxalg.Box(b.center[part], b.offset[part]) for b in boxes]
+            seen = np.zeros(dist.shape, dtype=bool)  # the pairs recounted, each once
+
+            def exact(rows, ids, chunk=chunk, seen=seen):
+                seen[rows, ids] = True
+                return boxalg.pair_distances(entities, chunk, rows, ids, alpha, norm)
+
+            yield b0 + start, dist, (eps[part], exact)
+            counts["pairs"] += dist.size
+            counts["recomputed"] += int(np.count_nonzero(seen))
+
+
+def rank_block(dist: np.ndarray, hard: Csr, known: Csr | None, screen=None) -> np.ndarray:
     """Rank of each hard answer of c queries, in the order of ``hard.ids``,
     from their distances D (c, m) to every entity: 1 + competitors strictly
     closer + half the competitors at the same distance.
@@ -720,62 +751,148 @@ def rank_block(dist: np.ndarray, hard: Csr, known: Csr | None) -> np.ndarray:
     entities, for rows longer than the budget), so no compare array holds
     more than ``boxalg.DIST_TILE`` elements however many answers there are.
     Distances must not be NaN.
+
+    ``screen``, if given, is a pair (eps, exact): each finite entry of row
+    i of D lies within eps[i] of the exact distance, and exact(rows, ids)
+    gives the exact distances of (row, entity) pairs. An answer's own
+    distance d is then taken exact. A competitor screened below d - eps is
+    surely closer and one above d + eps surely not; the ones between, the
+    answer's band, are counted in the same compares or searches. Only an
+    answer whose band holds a competitor gets the band's exact distances,
+    which decide its closer and tied counts: a compared query's answers
+    one gathered pair each, a sorted query's answers from one more sort of
+    its row with every band entry made exact. A row with a non-finite
+    entry or eps takes eps = inf, so its every competitor is recounted.
+    Each rank is then that of the exact distances. Without a screen the
+    band is the tied competitors.
     """
     m = dist.shape[1]
-    pool = dist
-    if known is not None:
-        pool = dist.copy()
-        pool[known.row_of_ids(), known.ids] = np.nan  # NaN is neither closer nor tied
     rows, answers = hard.row_of_ids(), hard.ids
-    da = dist[rows, answers]
+    pool = dist
+    if screen is None:
+        da = lo = hi = dist[rows, answers]
+    else:
+        eps, exact = screen
+        wide = ~np.isfinite(eps) | ~np.isfinite(dist.sum(axis=1))
+        da = exact(rows, answers)
+        finite = ~wide[rows]
+        lo = np.subtract(da, eps[rows], out=np.full(len(da), -np.inf), where=finite)
+        hi = np.add(da, eps[rows], out=np.full(len(da), np.inf), where=finite)
+        if wide.any():
+            pool = dist.copy()
+            pool[wide] = np.inf  # inside every band of its row
+    if known is not None:
+        pool = pool.copy() if pool is dist else pool
+        pool[known.row_of_ids(), known.ids] = np.nan  # NaN is neither closer nor in a band
     better = np.zeros(len(answers), dtype=np.intp)
-    tied = -(pool[rows, answers] == da).astype(np.intp)  # an answer in the pool ties itself
+    me = pool[rows, answers]
+    band = -((me >= lo) & (me <= hi)).astype(np.intp)  # an answer in the pool is in its band
     by_sort = []
     if len(answers) > m.bit_length():  # else no query passes the cut-over
         by_sort = np.flatnonzero(np.diff(hard.offsets) > m.bit_length()).tolist()
+    limits = [da] if screen is None else [lo, hi]
     for r in by_sort:
-        lo, hi = hard.offsets[r:r + 2].tolist()
-        closer, same = _counts_by_sort(pool[r], da[lo:hi])
-        better[lo:hi] = closer
-        tied[lo:hi] += same
+        a, b = hard.offsets[r:r + 2].tolist()
+        closer, near = _counts_by_sort(pool[r], *(x[a:b] for x in limits))
+        better[a:b] = closer
+        band[a:b] += near
     # the other queries' answers, as one slice when no query took a sort
     compared = np.flatnonzero(~np.isin(rows, by_sort)) if by_sort else None
     width = min(m, boxalg.DIST_TILE)
     step = max(1, boxalg.DIST_TILE // width)
     for a0 in range(0, len(answers if compared is None else compared), step):
         part = slice(a0, a0 + step) if compared is None else compared[a0:a0 + step]
-        r, d = rows[part], da[part, None]
+        r, low, high = rows[part], lo[part, None], hi[part, None]
         for c0 in range(0, m, width):
             competitors = pool[r, c0:c0 + width]
-            better[part] += np.count_nonzero(competitors < d, axis=1)
-            tied[part] += np.count_nonzero(competitors == d, axis=1)
+            closer = np.count_nonzero(competitors < low, axis=1)
+            better[part] += closer
+            band[part] += np.count_nonzero(competitors <= high, axis=1) - closer
+    if screen is None:
+        return 1.0 + better + 0.5 * band
+    tied = np.zeros_like(band)
+    recount = band > 0
+    for r in by_sort:
+        a, b = hard.offsets[r:r + 2].tolist()
+        if recount[a:b].any():
+            better[a:b], tied[a:b] = _recount_sorted(
+                pool[r], r, *(x[a:b] for x in (answers, da, lo, hi)), exact
+            )
+        recount[a:b] = False
+    todo = np.flatnonzero(recount)
+    for a0 in range(0, len(todo), step):
+        part = todo[a0:a0 + step]
+        for c0 in range(0, m, width):
+            competitors = pool[rows[part], c0:c0 + width]
+            i, j = np.nonzero((competitors >= lo[part, None]) & (competitors <= hi[part, None]))
+            i, j = part[i], j + c0
+            other = j != answers[i]  # the answer itself is no competitor
+            i, j = i[other], j[other]
+            x = exact(rows[i], j)
+            np.add.at(better, i[x < da[i]], 1)
+            np.add.at(tied, i[x == da[i]], 1)
     return 1.0 + better + 0.5 * tied
 
 
-def _counts_by_sort(pool_row: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """How many entries of one pool row are strictly less than, and equal
-    to, each of the distances ``d``: one sort, in which NaN (a known answer
+def _recount_sorted(pool_row, r, answers, da, lo, hi, exact):
+    """Exact closer and tied counts of the answers of query ``r`` (ids
+    ``answers``, exact distances ``da``, bands ``lo`` .. ``hi``) from its
+    screened pool row: every entry inside some band is made exact with
+    ``exact``, after which every other entry compares with each answer's
+    distance as its exact one does, and the row is counted from one sort."""
+    row = pool_row.copy()
+    order = np.argsort(da)
+    lows, highs = lo[order], hi[order]  # both ascending: every band has the row's width
+    k = np.searchsorted(highs, row)  # the lowest band that reaches up to each entry
+    inside = k < len(highs)
+    inside[inside] = lows[k[inside]] <= row[inside]
+    ids = np.flatnonzero(inside)
+    row[ids] = exact(np.full(len(ids), r), ids)
+    closer, same = _counts_by_sort(row, da)
+    return closer, same - (row[answers] == da)
+
+
+def _counts_by_sort(pool_row: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """How many entries of one pool row are strictly less than each entry
+    of ``lo``, and how many lie from it up to ``hi`` (the entries equal to
+    it, if ``hi`` is not given): one sort, in which NaN (a known answer
     left out of the pool) sorts last and so matches neither, and two
     ``searchsorted`` calls."""
     line = np.sort(pool_row)
-    closer = np.searchsorted(line, d, "left")
-    return closer, np.searchsorted(line, d, "right") - closer
+    closer = np.searchsorted(line, lo, "left")
+    return closer, np.searchsorted(line, lo if hi is None else hi, "right") - closer
 
 
 def block_ranks(block: QueryBlock, params, scorer: str = "box", alpha: float = DEFAULT_ALPHA,
                 norm: str = DEFAULT_NORM, raw: bool = False,
-                timings: dict | None = None) -> np.ndarray:
-    """``rank_block`` of each chunk of ``block_distances``: the filtered (or
-    raw) rank of every hard answer of the block, in the order of
-    ``block.hard.ids`` (rows in order, each row's answers by id). Adds the
-    seconds spent in ``rank_block`` to ``timings["ranks"]`` if given."""
+                timings: dict | None = None,
+                screen_counts: dict | None = None) -> np.ndarray:
+    """``rank_block`` of each chunk of the block's distances: the filtered
+    (or raw) rank of every hard answer of the block, in the order of
+    ``block.hard.ids`` (rows in order, each row's answers by id).
+
+    The box scorer ranks from the float32 screen and recounts in float64
+    only the pairs the screen cannot decide (``_screened_chunks``), so every
+    rank is the one ``block_distances`` gives. Adds the seconds spent in
+    ``rank_block`` to ``timings["ranks"]`` and, for the box scorer, the
+    pairs screened and recounted to ``screen_counts["pairs"]`` and
+    ``screen_counts["recomputed"]``, if given."""
+    if scorer == "box":
+        counts = {"pairs": 0, "recomputed": 0} if screen_counts is None else screen_counts
+        chunks = _screened_chunks(block, params, alpha, norm, counts)
+    else:
+        chunks = (
+            (start, dist, None)
+            for start, dist in block_distances(block, params, scorer, alpha, norm)
+        )
     ranks = []
     spent = 0.0
-    for start, dist in block_distances(block, params, scorer, alpha, norm):
+    for start, dist, check in chunks:
         stop = start + len(dist)
         t0 = time.perf_counter()
         known = None if raw else block.full.rows(start, stop)
-        ranks.append(rank_block(dist, block.hard.rows(start, stop), known))
+        ranks.append(rank_block(dist, block.hard.rows(start, stop), known, check))
         spent += time.perf_counter() - t0
     if timings is not None:
         timings["ranks"] = timings.get("ranks", 0.0) + spent

@@ -101,6 +101,19 @@ class TestArgumentErrors:
         assert exc.value.code == 1
 
 
+class TestRuntimeFaults:
+    def test_an_error_without_a_message_is_named_by_its_type(self, tmp_path, kg_dir, monkeypatch,
+                                                           capsys):
+        def out_of_memory(cfg, out, meta):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli.COMMANDS, "gen-queries", out_of_memory)
+        out = tmp_path / "o"
+        assert cli.main(["gen-queries", "--kg", kg_dir, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert json.loads((out / "run_meta.json").read_text())["exit_status"] == 3
+
+
 class TestConfigResolution:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["mine", "--config", str(tmp_path / "nope.ini")]) == 2
@@ -580,6 +593,19 @@ class TestGenQueries:
         ])
         assert code == 2
 
+    def test_run_meta_times_the_phases(self, tmp_path, kg_dir):
+        out = tmp_path / "o"
+        assert cli.main([
+            "gen-queries", "--kg", kg_dir, "--types", "1p,2i,2u", "--count", "4",
+            "--out", str(out),
+        ]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert list(meta["timings_s"]) == ["load_kg", "generate", "write"]
+        assert all(t >= 0.0 for t in meta["timings_s"].values())
+        assert sum(meta["timings_s"].values()) <= meta["duration_s"]
+        for qtype in ("1p", "2i", "2u"):
+            assert b"timings" not in (out / f"queries_{qtype}.jsonl").read_bytes()
+
     # sha256 of each file that gen-queries writes with --seed 5 --count 20 on
     # build_grid_kg(20, 10): a walker or writer change that moves one byte fails
     PINNED = {
@@ -913,6 +939,31 @@ class TestEvalCommand:
             outputs.append((out / "metrics.jsonl").read_bytes())
         assert outputs[0] == outputs[1]
         assert b"timings" not in outputs[0] and b"workers" not in outputs[0]
+
+    def test_run_meta_counts_the_screened_and_recounted_pairs(self, tmp_path, kg_dir, ckpt,
+                                                              monkeypatch):
+        monkeypatch.setattr(boxalg, "DIST_TILE", 40)
+        outputs, counts = [], []
+        for workers in (1, 2):
+            monkeypatch.setattr(boxalg, "DIST_WORKERS", workers)
+            out = tmp_path / f"w{workers}"
+            assert cli.main(self._eval_argv(kg_dir, ckpt, out)) == 0
+            meta = json.loads((out / "run_meta.json").read_text())
+            screen = meta["screen"]
+            # 4 queries of each of 3 types, against the grid's 30 entities
+            assert screen["pairs"] == 3 * 4 * 30
+            assert 0 <= screen["recomputed"] <= screen["pairs"]
+            outputs.append((out / "metrics.jsonl").read_bytes())
+            counts.append(screen)
+        assert outputs[0] == outputs[1]
+        assert counts[0] == counts[1]
+        assert b"screen" not in outputs[0] and b"pairs" not in outputs[0]
+        out = tmp_path / "ptranse"
+        assert cli.main([
+            "eval", "--kg", kg_dir, "--checkpoint", ckpt, "--types", "1p", "--count", "4",
+            "--scorer", "ptranse", "--out", str(out),
+        ]) == 0
+        assert "screen" not in json.loads((out / "run_meta.json").read_text())
 
     def test_a_worker_error_exits_2_with_its_message(self, tmp_path, kg_dir, ckpt, monkeypatch, capsys):
         real = boxalg.distance_batch

@@ -644,9 +644,237 @@ class TestDistanceWorkers:
         assert threading.active_count() == before
 
 
+class TestTilePassAllocations:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_the_tile_pass_allocates_no_array(self, dtype):
+        # every gap, result and entity array of a tile is a view of a worker
+        # buffer, and each chunk's box corners are made before its tiles, so
+        # a worker allocates only the views; at d = 1024 one query's corner
+        # alone would take 4 KB. numpy's ufunc buffers, 8192 elements for
+        # each call with a broadcast operand, are set small for the count.
+        store = init_random(1024, 64, 3, seed=1)
+        boxes = [Box(store.entity_centers[:6] + k, np.full((6, 1024), 0.1)) for k in range(2)]
+        peaks = []
+
+        def measured(pool, work, shares):
+            for share in shares:
+                tracemalloc.start()
+                try:
+                    work(*share)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
+        def chunks():
+            return boxalg.min_distance_tiles(store.entity_centers, boxes, 0.02, "l2", dtype)
+
+        list(chunks())  # numpy sets up its loops on their first calls
+        size = np.setbufsize(16)
+        try:
+            with mock.patch.object(boxalg, "_in_parallel", measured):
+                got = np.concatenate([d for _, d in chunks()])
+        finally:
+            np.setbufsize(size)
+        assert len(peaks) > 1 and max(peaks) < 4096
+        ref = [
+            np.min([_ref_distance_batch(store.entity_centers, Box(b.center[i], b.offset[i]), 0.02,
+                                        "l2") for b in boxes], axis=0)
+            for i in range(6)
+        ]
+        if dtype == np.float64:
+            assert _same_bits(got, np.array(ref))
+        else:
+            assert np.allclose(got, ref, rtol=1e-5)
+
+
 class TestScoringMemoryAtTheWorkerCap:
     def test_peak_is_bounded_and_flat_at_the_most_workers(self):
         # the scenario of TestScoringMemory, with every worker the pass may
         # have, whatever this machine's CPU count
         with mock.patch.object(boxalg, "DIST_WORKERS", boxalg.MAX_DIST_WORKERS):
             TestScoringMemory().test_peak_is_bounded_and_flat_in_the_query_count()
+
+
+# ---------------------------------------------------------------------------
+# ranks from the float32 screen
+
+
+def _min_distance(x, boxes, alpha, norm):
+    return min(_ref_distance_batch(x, b, alpha, norm) for b in boxes)
+
+
+def _planted(boxes, alpha, norm, start, end, target):
+    """A point on the segment start .. end whose reference distance to the
+    disjuncts ``boxes`` lies just past ``target`` on the side of ``end``,
+    found by bisection: the ends' distances lie on either side of it."""
+    above = _min_distance(end, boxes, alpha, norm) > target
+    a, b = 0.0, 1.0
+    for _ in range(80):
+        mid = (a + b) / 2
+        if (_min_distance(start + mid * (end - start), boxes, alpha, norm) > target) == above:
+            b = mid
+        else:
+            a = mid
+    return start + b * (end - start)
+
+
+SCREEN_SHAPES = ("1p", "2i", "2u", "up")
+SPECIALS = st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-40, -1e-45])
+
+
+@st.composite
+def screen_cases(draw):
+    """A store, queries of the 1p, 2i, 2u and up shapes, and the scoring
+    settings, with the float32 screen's hard cases drawn in: duplicated
+    entity rows (exact ties), signed zeros and subnormals among the
+    coordinates, subnormal relation offsets, competitors planted just
+    inside and just outside the screen's bound of a hard answer, and at
+    times one query with more hard answers than the entity count's bit
+    length, which takes the sorted route."""
+    dim = draw(st.integers(1, 6))
+    n_ent = draw(st.integers(4, 60))
+    store = init_random(
+        dim, n_ent, 3, draw(st.integers(0, 2**16)), offset_mode=draw(st.sampled_from(OFFSET_MODES))
+    )
+    ent = st.integers(0, n_ent - 1)
+    for src, dst in draw(st.lists(st.tuples(ent, ent), max_size=8)):
+        store.entity_centers[dst] = store.entity_centers[src]
+    coordinates = st.tuples(ent, st.integers(0, dim - 1), SPECIALS)
+    for i, j, value in draw(st.lists(coordinates, max_size=8)):
+        store.entity_centers[i, j] = value
+    offsets = store.relation_offsets
+    for i, j, value in draw(st.lists(st.tuples(st.integers(0, len(offsets) - 1),
+                                               st.integers(0, dim - 1),
+                                               st.sampled_from([0.0, 5e-324, 1e-310, 1e-40])),
+                                     max_size=6)):
+        offsets[i, j] = value
+    alpha = draw(st.sampled_from((0.0, 0.02, 0.5)))
+    norm = draw(st.sampled_from(("l1", "l2")))
+    queries = []
+    for name in draw(st.lists(st.sampled_from(SCREEN_SHAPES), min_size=1, max_size=6)):
+        shape = TYPE_SHAPES[name]
+        n_edges = len(shape[1])
+        dag = _dag_of_shape(
+            shape,
+            draw(st.lists(ent, min_size=len(shape[0]), max_size=len(shape[0]))),
+            draw(st.lists(st.integers(0, 2), min_size=n_edges, max_size=n_edges)),
+            draw(st.lists(st.booleans(), min_size=n_edges, max_size=n_edges)),
+        )
+        full = draw(st.frozensets(ent, min_size=1))
+        train = draw(st.frozensets(st.sampled_from(sorted(full)), max_size=len(full) - 1))
+        queries.append(GeneratedQuery(name, dag, train, full))
+    if draw(st.booleans()):  # one query ranks its answers from a sort
+        q = queries[0]
+        many = frozenset(draw(st.lists(ent, min_size=n_ent.bit_length() + 1, unique=True)))
+        queries[0] = GeneratedQuery(q.qtype, q.dag, frozenset(), many)
+    anchors = {e for q in queries for _, e in q.dag.anchors}
+    free = [e for e in range(n_ent) if e not in anchors]
+    for _ in range(draw(st.integers(0, 3)) if free else 0):
+        q = draw(st.sampled_from(queries))
+        answer = draw(st.sampled_from(sorted(q.hard_answers)))
+        boxes = _ref_execute_query(q.dag, store)
+        stacked = [Box(b.center[None], b.offset[None]) for b in boxes]
+        eps = boxalg.screen_error(store.entity_centers, stacked, alpha)[0]
+        e = store.entity_centers[answer].copy()
+        da = _min_distance(e, boxes, alpha, norm)
+        side = draw(st.sampled_from((-1.0, 1.0)))
+        target = da + side * eps * draw(st.sampled_from((0.5, 1 - 2**-8, 1 + 2**-8, 2.0)))
+        if side > 0:
+            far = e + np.ones(dim) * (1.0 + abs(target))
+            while _min_distance(far, boxes, alpha, norm) <= target:
+                far = e + 2 * (far - e)
+            end = far
+        elif target > 0:
+            end = boxes[0].center  # at distance 0
+        else:
+            continue
+        store.entity_centers[draw(st.sampled_from(free))] = _planted(
+            boxes, alpha, norm, e, end, target
+        )
+    return store, queries, alpha, norm, draw(st.booleans())
+
+
+def _reference_ranks(queries, store, alpha, norm, raw):
+    return [
+        _ref_ranks_from_distances(
+            _ref_query_distances(q, store, alpha, norm), q.hard_answers, q.answers_full, raw
+        )
+        for q in queries
+    ]
+
+
+def _block_ranks(queries, store, alpha, norm, raw, counts=None):
+    ranks = {}
+    for block in evalgen.query_blocks(queries):
+        got = evalgen.block_ranks(block, store, "box", alpha, norm, raw, screen_counts=counts)
+        flat = iter(got.tolist())
+        for i, hard in zip(block.positions.tolist(), block.hard.lists()):
+            ranks[i] = dict(zip(hard, flat))
+    return [ranks[i] for i in range(len(queries))]
+
+
+class TestScreenedRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(screen_cases())
+    def test_ranks_are_the_float64_ranks(self, case):
+        store, queries, alpha, norm, raw = case
+        counts = {"pairs": 0, "recomputed": 0}
+        assert _block_ranks(queries, store, alpha, norm, raw, counts) == \
+            _reference_ranks(queries, store, alpha, norm, raw)
+        assert sum(len(q.hard_answers) for q in queries) <= counts["recomputed"] <= counts["pairs"]
+        assert counts["pairs"] == len(queries) * store.n_entities
+
+    @settings(max_examples=60, deadline=None)
+    @given(screen_cases(), st.integers(0, 2**16))
+    def test_magnitudes_beyond_float32_are_recounted(self, case, seed):
+        # coordinates near 1e38 cast to float32, but their gaps and sums
+        # overflow it; under L2 every square does, so every row's screen is
+        # non-finite and every competitor is recounted
+        store, queries, alpha, norm, raw = case
+        rng = np.random.default_rng(seed)
+        for table in (store.entity_centers, store.relation_centers):
+            table[...] = rng.choice((-1.0, 1.0), table.shape) * rng.uniform(1e38, 3e38, table.shape)
+        store.relation_offsets[...] = 1e36
+        counts = {"pairs": 0, "recomputed": 0}
+        assert _block_ranks(queries, store, alpha, norm, raw, counts) == \
+            _reference_ranks(queries, store, alpha, norm, raw)
+        if norm == "l2":  # each answer's pair, and each pair of its query's pool
+            n = store.n_entities
+            assert counts["recomputed"] == sum(
+                n if raw else n - len(q.answers_full) + len(q.hard_answers) for q in queries
+            )
+
+    def test_a_competitor_is_recounted_only_inside_the_bound(self):
+        store = init_random(8, 40, 3, seed=4)
+        shape = TYPE_SHAPES["1p"]
+        query = GeneratedQuery("1p", _dag_of_shape(shape, [0], [1], [False]),
+                               frozenset(), frozenset({5}))
+        [box] = _ref_execute_query(query.dag, store)
+        stacked = [Box(box.center[None], box.offset[None])]
+        e = store.entity_centers[5].copy()
+        da = _min_distance(e, [box], 0.02, "l1")
+        far = e + 10.0
+        for times, recounted in ((0.5, 1), (2.0, 0)):
+            eps = boxalg.screen_error(store.entity_centers, stacked, 0.02)[0]
+            store.entity_centers[7] = _planted([box], 0.02, "l1", e, far, da + times * eps)
+            counts = {"pairs": 0, "recomputed": 0}
+            assert _block_ranks([query], store, 0.02, "l1", False, counts) == \
+                _reference_ranks([query], store, 0.02, "l1", False)
+            assert counts == {"pairs": 40, "recomputed": 1 + recounted}
+
+    @settings(max_examples=150, deadline=None)
+    @given(split_cases(), st.data())
+    def test_a_gathered_recount_has_the_bits_of_the_tiled_pass(self, case, data):
+        store, queries, alpha, norm, tile, block = case
+        n_ent = store.n_entities
+        with mock.patch.object(boxalg, "DIST_TILE", tile), \
+                mock.patch.object(evalgen, "FORWARD_TILE", block * store.dim):
+            for qblock in evalgen.query_blocks(queries):
+                boxes = boxalg.execute_ids(qblock.plan, qblock.anchors, qblock.relations, store)
+                dists = np.concatenate([d for _, d in evalgen.block_distances(
+                    qblock, store, "box", alpha, norm)])
+                pairs = data.draw(st.lists(st.tuples(st.integers(0, len(qblock) - 1),
+                                                     st.integers(0, n_ent - 1)), min_size=1))
+                rows, ids = (np.array(column) for column in zip(*pairs))
+                got = boxalg.pair_distances(store.entity_centers, boxes, rows, ids, alpha, norm)
+                assert _same_bits(got, dists[rows, ids])
