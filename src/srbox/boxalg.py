@@ -25,12 +25,11 @@ entity (d,) or for every row of a batch (m, d) against one box:
 turns them into gradients for all rows at once, reading each coordinate's
 hinge side from the sign of e - p. Evaluation ranks stacked query boxes
 against every entity through ``min_distance_tiles``, which runs
-``distance_batch`` on cache-sized tiles split across worker threads, one
-CPU each (at most two); every tile writes its own slice of the result, so
-its distances have the same bits for any worker count. The same pass runs
-in float32 as eval's screen: ``screen_error`` bounds each query's float32
-error, and ``pair_distances`` recounts single pairs in float64 with the
-tiled pass's bits.
+``distance_batch`` on cache-sized tiles in the calling thread; every tile
+writes its own slice of the result, so its distances have the same bits
+for any tile size. The same pass runs in float32 as eval's screen:
+``screen_error`` bounds each query's float32 error, and ``pair_distances``
+recounts single pairs in float64 with the tiled pass's bits.
 
 Every operation here has a matching hand-written backward; forward variants
 with ``_with_cache`` record exactly what the backward needs, plus the branch
@@ -52,8 +51,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -430,52 +427,18 @@ def distance_batch(
 # tiles take twice the queries), stay in a core's L2 cache
 DIST_TILE = 1 << 15
 
-# most threads of the tiled distance pass, the calling thread included: two
-# is the count measured. Every worker holds its own tile buffers, so more
-# would raise the pass's memory, and the CPU affinity does not see a
-# container's CPU quota.
-MAX_DIST_WORKERS = 2
-
-
-def _distance_workers() -> int:
-    """The CPUs this process may run on, at most ``MAX_DIST_WORKERS``."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, MAX_DIST_WORKERS)
-
-
-DIST_WORKERS = _distance_workers()
-
-# tiles per worker that a chunk of queries holds at least, so handing a chunk
-# to the pool costs little against its tiles; a larger chunk would hold more
-# distance rows alive
-TILES_PER_WORKER = 4
-
 # numpy's error handling in the float32 screen: a magnitude beyond float32's
 # range turns into inf or NaN there, which the screen's callers recount
 _SCREEN_ERRORS = {"over": "ignore", "invalid": "ignore"}
 
 
-def _in_parallel(pool: ThreadPoolExecutor, work, shares: list) -> None:
-    """``work(*share)`` for every share: the first in the calling thread,
-    the others on ``pool``. Returns once every share has finished; an error
-    is raised as it was raised, the earliest share's first."""
-    futures = [pool.submit(work, *share) for share in shares[1:]]
-    try:
-        work(*shares[0])
-    finally:
-        errors = [f.exception() for f in futures]
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 def _tile_pass(tiles, gaps: np.ndarray, sums: np.ndarray, cast, alpha, norm: str) -> None:
-    """Write the distances of each tile taken from the iterator ``tiles``,
-    the minimum over its disjuncts, into its target. Every tile reuses the
-    one pair of gap buffers ``gaps``, the three result buffers ``sums`` (the
-    first keeps the minimum, the third takes each later disjunct) and, in
-    the float32 screen, the buffer ``cast`` that takes the tile's entity
-    rows in float32, so the pass allocates no array."""
+    """Write the distances of each tile of ``tiles``, the minimum over its
+    disjuncts, into its target. Every tile reuses the one pair of gap
+    buffers ``gaps``, the three result buffers ``sums`` (the first keeps the
+    minimum, the third takes each later disjunct) and, in the float32
+    screen, the buffer ``cast`` that takes the tile's entity rows in
+    float32, so the pass allocates no array."""
     with np.errstate(**(_SCREEN_ERRORS if cast is not None else {})):
         for tile, stacked, target in tiles:
             shape = (*target.shape, tile.shape[1])
@@ -503,30 +466,22 @@ def min_distance_tiles(
 
     Yields (start, D) for consecutive chunks of queries, D (c, m) float64
     for queries start .. start + c - 1, so only one chunk's distances are
-    alive at a time. A chunk is computed in tiles of q queries by as many
-    entity rows as keep a tile's gaps within ``DIST_TILE`` elements.
-    ``dtype`` is the precision of the computation. In float64 every
-    distance is the one ``distance_batch`` gives for one query's box. In
-    float32, the screen, it lies within ``screen_error`` of that if it is
-    finite. A float32 tile takes the same entity rows for twice the
-    queries, as long as 2 ``DIST_TILE`` distances hold that many rows, so
-    its buffers take as many bytes and each numpy call does twice the work
-    (calls as short as one query's leave two workers no faster than one);
-    its entity rows are cast once into a worker buffer for all of its
-    queries, so no float32 copy of the table is made.
+    alive at a time. A chunk holds about ``DIST_TILE`` distances, or one
+    tile's queries if that is more, so that what its caller does once per
+    chunk costs little. It is computed in the calling thread, in tiles of q
+    queries by as many entity rows as keep a tile's gaps within
+    ``DIST_TILE`` elements, each written into its own (queries, entity
+    rows) slice of D by one ``_tile_pass`` that reuses one set of gap,
+    result and cast buffers for the whole call.
 
-    A chunk holds at least ``TILES_PER_WORKER`` tiles per worker and, if
-    that makes fewer, about ``DIST_TILE`` distances, so that what its
-    caller does once per chunk costs little; up to ``DIST_WORKERS`` workers
-    compute its tiles: the calling thread and the
-    threads of a pool that ends with the call, each with its own gap and
-    result buffers, each taking the chunk's next tile whenever it is free
-    and writing the tile's disjoint (queries, entity rows) slice of D. The
-    calling thread makes each chunk's box bounds in ``dtype`` once, so the
-    workers allocate no array. Since a tile gets the same operands whichever
-    thread runs it, every distance has the same bits for any worker count
-    and tile size. With one worker, or a chunk of one tile, no thread is
-    started.
+    ``dtype`` is the precision of the computation. In float64 every
+    distance is the one ``distance_batch`` gives for one query's box, with
+    the same bits for any tile size. In float32, the screen, it lies within
+    ``screen_error`` of that if it is finite. A float32 tile takes the same
+    entity rows for twice the queries, as long as 2 ``DIST_TILE`` distances
+    hold that many rows, so its buffers take as many bytes and each numpy
+    call does twice the work; its entity rows are cast once into the cast
+    buffer for all of its queries, so no float32 copy of the table is made.
     """
     m, d = entities.shape
     dtype = np.dtype(dtype)
@@ -536,38 +491,32 @@ def min_distance_tiles(
     rows = max(1, DIST_TILE // (q * d))
     if screen:  # twice the queries, while 2 DIST_TILE distances hold them
         q = min(n_queries, 2 * q, max(q, 2 * DIST_TILE // m))
-    row_tiles = -(-m // rows)
-    chunk = q * max(-(-TILES_PER_WORKER * DIST_WORKERS // row_tiles), DIST_TILE // (m * q))
-    n_workers = min(DIST_WORKERS, -(-min(chunk, n_queries) // q) * row_tiles)
-    gaps = np.empty((n_workers, 2, q * min(rows, m) * d), dtype)
-    sums = np.empty((n_workers, 3, q * min(rows, m)), dtype)
-    casts = np.empty((n_workers, min(rows, m) * d), dtype) if screen else [None] * n_workers
+    chunk = q * max(1, DIST_TILE // (m * q))
+    gaps = np.empty((2, q * min(rows, m) * d), dtype)
+    sums = np.empty((3, q * min(rows, m)), dtype)
+    cast = np.empty(min(rows, m) * d, dtype) if screen else None
     alpha = dtype.type(alpha)
-    _ones(d, dtype)  # made here, so that no worker makes it
-    # the pool starts its threads on the first submit and ends them on exit
-    with ThreadPoolExecutor(max(1, n_workers - 1), "srbox-distance") as pool:
-        for start in range(0, n_queries, chunk):
-            stop = min(start + chunk, n_queries)
-            dist = np.empty((stop - start, m))
-            with np.errstate(**(_SCREEN_ERRORS if screen else {})):
-                bounds = [
-                    Bounds.of(b.center[start:stop, None], b.offset[start:stop, None], dtype)
-                    for b in boxes
-                ]
-            tiles = []
-            for s0 in range(0, stop - start, q):
-                s1 = min(s0 + q, stop - start)
-                stacked = [Bounds(*(a[s0:s1] for a in b)) for b in bounds]
-                tiles += [
-                    (entities[r0:r0 + rows], stacked, dist[s0:s1, r0:r0 + rows])
-                    for r0 in range(0, m, rows)
-                ]
-            todo = iter(tiles)  # shared: under the GIL each next() hands out one tile
-            _in_parallel(pool, _tile_pass, [
-                (todo, gaps[w], sums[w], casts[w], alpha, norm)
-                for w in range(min(n_workers, len(tiles)))
-            ])
-            yield start, dist
+    # made ahead of the tiles, like each chunk's bounds below, so that a tile
+    # pass allocates no array (tests/test_scoring.py TestTilePassAllocations)
+    _ones(d, dtype)
+    for start in range(0, n_queries, chunk):
+        stop = min(start + chunk, n_queries)
+        dist = np.empty((stop - start, m))
+        with np.errstate(**(_SCREEN_ERRORS if screen else {})):
+            bounds = [
+                Bounds.of(b.center[start:stop, None], b.offset[start:stop, None], dtype)
+                for b in boxes
+            ]
+        tiles = []
+        for s0 in range(0, stop - start, q):
+            s1 = min(s0 + q, stop - start)
+            stacked = [Bounds(*(a[s0:s1] for a in b)) for b in bounds]
+            tiles += [
+                (entities[r0:r0 + rows], stacked, dist[s0:s1, r0:r0 + rows])
+                for r0 in range(0, m, rows)
+            ]
+        _tile_pass(tiles, gaps, sums, cast, alpha, norm)
+        yield start, dist
 
 
 def screen_error(entities: np.ndarray, boxes: list[Box], alpha: float) -> np.ndarray:

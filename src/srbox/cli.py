@@ -7,11 +7,11 @@ The resolved configuration is echoed to <out>/effective_config.ini. The
 only timestamps any command emits live in <out>/run_meta.json, written
 when the command starts and rewritten when it returns with its finish
 time, duration, exit status and the srbox and numpy versions (gen-queries
-adds the queries requested and written per type, eval its distance worker
-count and, for the box scorer, the pairs its float32 screen scored and
-recounted under ``screen``, and mine, init-embeddings, gen-queries and eval
-the wall time of each phase under ``timings_s``), so repeated runs with the
-same seed produce byte-identical primary outputs.
+adds the queries requested and written per type, eval for the box scorer
+the pairs its float32 screen scored and recounted under ``screen``, and
+mine, init-embeddings, gen-queries and eval the wall time of each phase
+under ``timings_s``), so repeated runs with the same seed produce
+byte-identical primary outputs.
 
 Exit codes: 0 success, 1 usage error, 2 validation/config error, 3 runtime
 failure (I/O and the like).
@@ -33,7 +33,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from srbox import __version__, boxalg, evalgen, params as params_mod, train as train_mod
+from srbox import __version__, evalgen, params as params_mod, train as train_mod
 from srbox.corpus import load_corpus, chunk_sequences
 from srbox.errors import ValidationError
 from srbox.rng import STREAM_QUERY_GEN, substream
@@ -424,7 +424,6 @@ def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
         raise ValidationError(f"unknown scorer {scorer!r}")
     tc = cfg.train_config()
     raw = cfg.get_bool("eval", "raw")
-    meta["distance_workers"] = boxalg.DIST_WORKERS if scorer == "box" else 1
     screen = None
     if scorer == "box":
         screen = meta["screen"] = {"pairs": 0, "recomputed": 0}

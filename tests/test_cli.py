@@ -12,8 +12,6 @@ import json
 import struct
 import subprocess
 import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -920,44 +918,35 @@ class TestEvalCommand:
             "--count", "4", "--seed", "7", "--out", str(out),
         ]
 
-    def test_run_meta_records_workers_and_phase_times(self, tmp_path, kg_dir, ckpt, monkeypatch):
+    def test_run_meta_records_phase_times(self, tmp_path, kg_dir, ckpt, monkeypatch):
         # tiles of one query by 5 of the 30 entity rows, so every chunk splits
         monkeypatch.setattr(boxalg, "DIST_TILE", 40)
-        outputs = []
-        for workers in (1, 3):
-            monkeypatch.setattr(boxalg, "DIST_WORKERS", workers)
-            out = tmp_path / f"w{workers}"
-            assert cli.main(self._eval_argv(kg_dir, ckpt, out)) == 0
-            meta = json.loads((out / "run_meta.json").read_text())
-            assert meta["distance_workers"] == workers
-            timings = meta["timings_s"]
-            phases = {"load_kg", "load_checkpoint", "queries", "score_and_rank"}
-            assert set(timings) == phases | {"ranks"}
-            assert all(t >= 0.0 for t in timings.values())
-            assert sum(timings[p] for p in phases) <= meta["duration_s"]
-            assert timings["ranks"] <= timings["score_and_rank"]  # ranking is part of it
-            outputs.append((out / "metrics.jsonl").read_bytes())
-        assert outputs[0] == outputs[1]
-        assert b"timings" not in outputs[0] and b"workers" not in outputs[0]
+        out = tmp_path / "o"
+        assert cli.main(self._eval_argv(kg_dir, ckpt, out)) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert not [key for key in meta if "workers" in key]
+        timings = meta["timings_s"]
+        phases = {"load_kg", "load_checkpoint", "queries", "score_and_rank"}
+        assert set(timings) == phases | {"ranks"}
+        assert all(t >= 0.0 for t in timings.values())
+        assert sum(timings[p] for p in phases) <= meta["duration_s"]
+        assert timings["ranks"] <= timings["score_and_rank"]  # ranking is part of it
+        metrics = (out / "metrics.jsonl").read_bytes()
+        assert b"timings" not in metrics and b"workers" not in metrics
 
     def test_run_meta_counts_the_screened_and_recounted_pairs(self, tmp_path, kg_dir, ckpt,
                                                               monkeypatch):
         monkeypatch.setattr(boxalg, "DIST_TILE", 40)
-        outputs, counts = [], []
-        for workers in (1, 2):
-            monkeypatch.setattr(boxalg, "DIST_WORKERS", workers)
-            out = tmp_path / f"w{workers}"
-            assert cli.main(self._eval_argv(kg_dir, ckpt, out)) == 0
-            meta = json.loads((out / "run_meta.json").read_text())
-            screen = meta["screen"]
-            # 4 queries of each of 3 types, against the grid's 30 entities
-            assert screen["pairs"] == 3 * 4 * 30
-            assert 0 <= screen["recomputed"] <= screen["pairs"]
-            outputs.append((out / "metrics.jsonl").read_bytes())
-            counts.append(screen)
-        assert outputs[0] == outputs[1]
-        assert counts[0] == counts[1]
-        assert b"screen" not in outputs[0] and b"pairs" not in outputs[0]
+        out = tmp_path / "o"
+        assert cli.main(self._eval_argv(kg_dir, ckpt, out)) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert not [key for key in meta if "workers" in key]
+        screen = meta["screen"]
+        # 4 queries of each of 3 types, against the grid's 30 entities
+        assert screen["pairs"] == 3 * 4 * 30
+        assert 0 <= screen["recomputed"] <= screen["pairs"]
+        metrics = (out / "metrics.jsonl").read_bytes()
+        assert b"screen" not in metrics and b"pairs" not in metrics
         out = tmp_path / "ptranse"
         assert cli.main([
             "eval", "--kg", kg_dir, "--checkpoint", ckpt, "--types", "1p", "--count", "4",
@@ -965,19 +954,15 @@ class TestEvalCommand:
         ]) == 0
         assert "screen" not in json.loads((out / "run_meta.json").read_text())
 
-    def test_a_worker_error_exits_2_with_its_message(self, tmp_path, kg_dir, ckpt, monkeypatch, capsys):
+    def test_a_distance_pass_error_exits_2_with_its_message(self, tmp_path, kg_dir, ckpt,
+                                                            monkeypatch, capsys):
         real = boxalg.distance_batch
 
-        def short_in_workers(entities, box, *args):
-            if threading.current_thread() is threading.main_thread():
-                time.sleep(0.001)  # leave tiles for the worker to take
-            else:
-                entities = entities[:, :-1]
-            return real(entities, box, *args)
+        def short(entities, box, *args):
+            return real(entities[:, :-1], box, *args)
 
         monkeypatch.setattr(boxalg, "DIST_TILE", 40)
-        monkeypatch.setattr(boxalg, "DIST_WORKERS", 2)
-        monkeypatch.setattr(boxalg, "distance_batch", short_in_workers)
+        monkeypatch.setattr(boxalg, "distance_batch", short)
         assert cli.main(self._eval_argv(kg_dir, ckpt, tmp_path / "o")) == 2
         assert "error: entity shape (5, 7) does not match box dim 8" in capsys.readouterr().err
 

@@ -101,14 +101,13 @@ def _text_inputs(tmp_path):
     return corpus, vectors
 
 
-def test_a_traced_round_runs_every_counter(tmp_path, monkeypatch):
+def test_a_traced_round_runs_every_counter(tmp_path):
     """Both kinds of round, kg and text, run under the benchmark's tracer
     (``--trace 1``): every stage exits 0, and every traced name a stage calls
     counts its calls and its counters. A rename the tracer reads, such as one
     of ``Grads``' tables, fails here."""
-    from srbox import boxalg, cli, evalgen
+    from srbox import cli, evalgen
 
-    monkeypatch.setattr(boxalg, "DIST_WORKERS", 1)  # the tracer is not thread-safe
     kg = tmp_path / "kg"
     kg.mkdir()
     evalgen.save_kg(evalgen.build_grid_kg(width=5, height=4, seed=0), str(kg))

@@ -8,11 +8,8 @@ kernels they called. Distances must match bit for bit and ranks exactly.
 
 import json
 import random
-import sys
 import threading
-import time
 import tracemalloc
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -481,7 +478,7 @@ class TestScoringMemory:
 
 
 # ---------------------------------------------------------------------------
-# the tiled distance pass split across worker threads
+# the tiled distance pass at every tile size
 
 
 @st.composite
@@ -516,166 +513,162 @@ def split_cases(draw):
     return store, queries, draw(st.sampled_from((0.0, 0.02, 0.5))), norm, tile, block
 
 
-@contextmanager
-def fast_switching():
-    """Threads switch every microsecond, so workers interleave even between
-    the small numpy calls of a test-sized tile."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
-class TestDistanceWorkers:
-    def _distances(self, queries, store, alpha, norm, workers):
-        with mock.patch.object(boxalg, "DIST_WORKERS", workers):
-            seen = []
-            dists = {}
-            for block in evalgen.query_blocks(queries):
-                for start, chunk in evalgen.block_distances(block, store, "box", alpha, norm):
-                    idxs = block.positions[start:start + len(chunk)].tolist()
-                    assert len(idxs) == len(chunk)
-                    seen += idxs
-                    dists.update(zip(idxs, chunk))
-        assert sorted(seen) == list(range(len(queries)))
-        return dists
-
+class TestDistanceTiles:
     @settings(max_examples=120, deadline=None)
     @given(split_cases())
-    def test_every_worker_count_gives_the_bits_of_one(self, case):
+    def test_every_tile_size_gives_the_reference_bits(self, case):
         store, queries, alpha, norm, tile, block = case
         ref = [_ref_query_distances(q, store, alpha, norm) for q in queries]
+        seen = []
         with mock.patch.object(boxalg, "DIST_TILE", tile), \
-                mock.patch.object(evalgen, "FORWARD_TILE", block * store.dim), \
-                fast_switching():
-            one = self._distances(queries, store, alpha, norm, 1)
-            for workers in (2, 3, 4):
-                many = self._distances(queries, store, alpha, norm, workers)
-                for i in range(len(queries)):
-                    assert _same_bits(many[i], one[i])
-        for i, dist in enumerate(ref):
-            assert _same_bits(one[i], dist)
+                mock.patch.object(evalgen, "FORWARD_TILE", block * store.dim):
+            for qblock in evalgen.query_blocks(queries):
+                for start, chunk in evalgen.block_distances(qblock, store, "box", alpha, norm):
+                    idxs = qblock.positions[start:start + len(chunk)].tolist()
+                    assert len(idxs) == len(chunk)
+                    for i, dist in zip(idxs, chunk):
+                        assert _same_bits(dist, ref[i])
+                    seen += idxs
+        assert sorted(seen) == list(range(len(queries)))
 
-    def _store_and_queries(self):
-        """A store and one block of six 2u queries, and the queries."""
-        store = init_random(4, 100, 3, seed=5)
-        shape = TYPE_SHAPES["2u"]
-        queries = [
-            GeneratedQuery("2u", _dag_of_shape(shape, [i, i + 1], [0, 1], [False, True]),
-                           frozenset(), frozenset({i}))
-            for i in range(6)
+    def _entities_and_boxes(self, n_entities, n_queries, dim=4):
+        """A store's entity rows and two disjuncts of ``n_queries`` stacked
+        boxes each."""
+        store = init_random(dim, n_entities, 3, seed=5)
+        rng = np.random.default_rng(5)
+        boxes = [
+            Box(rng.normal(size=(n_queries, dim)), rng.uniform(0.0, 0.5, size=(n_queries, dim)))
+            for _ in range(2)
         ]
-        [block] = evalgen.query_blocks(queries)
-        return store, block, queries
+        return store.entity_centers, boxes
 
-    def _failing_in(self, fails):
-        """``distance_batch`` run on a tile one column short, so ``_gaps``
-        raises, in every thread for which ``fails(thread)`` holds; records
-        the threads it ran in and finished in."""
-        calls, done = [], []
+    def _reference(self, entities, boxes):
+        return np.array([
+            np.min([_ref_distance_batch(entities, Box(b.center[i], b.offset[i])) for b in boxes],
+                   axis=0)
+            for i in range(boxes[0].center.shape[0])
+        ])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_an_error_ends_the_pass_at_its_tile(self, dtype):
+        # tiles of one query by 10 of the 100 rows, in either dtype; the
+        # third call gets a tile one column short, so ``_gaps``
+        # raises there and no later tile runs
+        entities, boxes = self._entities_and_boxes(100, 6)
+        calls = []
         real = boxalg.distance_batch
 
-        def patched(entities, box, *args):
-            thread = threading.current_thread()
-            calls.append(thread)
-            if fails(thread):
-                return real(entities[:, :-1], box, *args)
-            time.sleep(0.001)
-            out = real(entities, box, *args)
-            done.append(thread)
-            return out
+        def patched(tile, bounds, *args):
+            calls.append(tile.shape)
+            if len(calls) == 3:
+                return real(tile[:, :-1], bounds, *args)
+            return real(tile, bounds, *args)
 
-        return patched, calls, done
-
-    def test_a_worker_error_reaches_the_caller_unchanged(self):
-        store, block, _ = self._store_and_queries()
-        main = threading.main_thread()
-        patched, calls, done = self._failing_in(lambda t: t is not main)
-        with mock.patch.object(boxalg, "DIST_WORKERS", 2), \
-                mock.patch.object(boxalg, "DIST_TILE", 40), \
+        with mock.patch.object(boxalg, "DIST_TILE", 40), \
                 mock.patch.object(boxalg, "distance_batch", patched):
             with pytest.raises(ValidationError) as exc:
-                list(evalgen.block_distances(block, store))
+                list(boxalg.min_distance_tiles(entities, boxes, 0.02, "l1", dtype))
         assert str(exc.value) == "entity shape (10, 3) does not match box dim 4"
-        assert any(t is not main for t in calls)
-        assert main in done  # the caller's own share ran to its end
+        assert calls == [(10, 4)] * 3
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_the_caller_error_waits_for_every_worker(self, workers):
-        store, block, _ = self._store_and_queries()
-        main = threading.main_thread()
-        patched, calls, done = self._failing_in(lambda t: t is main)
-        with mock.patch.object(boxalg, "DIST_WORKERS", workers), \
-                mock.patch.object(boxalg, "DIST_TILE", 40), \
+    @pytest.mark.parametrize("tile", [boxalg.DIST_TILE, 40], ids=["one-tile", "many-tiles"])
+    def test_every_tile_runs_in_the_calling_thread(self, tile):
+        entities, boxes = self._entities_and_boxes(100, 6)
+        caller = threading.get_ident()
+        threads = []
+        real = boxalg.distance_batch
+
+        def patched(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        before = threading.active_count()
+        with mock.patch.object(boxalg, "DIST_TILE", tile), \
                 mock.patch.object(boxalg, "distance_batch", patched):
-            with pytest.raises(ValidationError, match="does not match box dim 4"):
-                list(evalgen.block_distances(block, store))
-            finished = len(done)
-        # every worker call that started had finished before the error surfaced
-        assert finished == len(done) == len([t for t in calls if t is not main])
-        assert finished > 0
-
-    def test_a_single_tile_starts_no_thread(self):
-        store, _, queries = self._store_and_queries()
-        [block] = evalgen.query_blocks(queries[:1])
-        before = threading.active_count()
-        with mock.patch.object(boxalg, "DIST_WORKERS", 7), \
-                mock.patch.object(boxalg.ThreadPoolExecutor, "submit",
-                                  side_effect=AssertionError("pool used")):
-            [(_, dist)] = evalgen.block_distances(block, store)
+            got = np.concatenate([d for _, d in boxalg.min_distance_tiles(entities, boxes, 0.02,
+                                                                          "l1")])
         assert threading.active_count() == before
-        assert _same_bits(dist[0], _ref_query_distances(queries[0], store, 0.02, "l1"))
+        assert threads and set(threads) == {caller}
+        # two disjuncts per tile: one tile of all six queries, or 6 x 10 tiles
+        assert len(threads) == (2 if tile == boxalg.DIST_TILE else 120)
+        assert _same_bits(got, self._reference(entities, boxes))
 
-    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, boxalg.MAX_DIST_WORKERS)])
-    def test_the_worker_count_follows_the_cpus_up_to_its_cap(self, cpus, workers):
-        with mock.patch.object(boxalg.os, "sched_getaffinity", return_value=set(range(cpus)),
-                               create=True):
-            assert boxalg._distance_workers() == workers
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_set_of_buffers_serves_the_whole_call(self, dtype):
+        # six chunks of one query, each its own tile pass (the float32 screen
+        # takes no second query, as 2 DIST_TILE distances hold fewer than
+        # the 100 rows), all on the same gap, result and cast buffers
+        entities, boxes = self._entities_and_boxes(100, 6)
+        passes = []
+        real = boxalg._tile_pass
 
-    def test_the_pool_threads_end_with_the_pass(self):
-        store, block, _ = self._store_and_queries()
-        before = threading.active_count()
-        with mock.patch.object(boxalg, "DIST_WORKERS", 2), \
-                mock.patch.object(boxalg, "DIST_TILE", 40):
-            chunks = list(evalgen.block_distances(block, store))
-        assert len(chunks) > 1
-        assert threading.active_count() == before
+        def recorded(tiles, gaps, sums, cast, *args):
+            passes.append((gaps, sums, cast))
+            real(tiles, gaps, sums, cast, *args)
+
+        with mock.patch.object(boxalg, "DIST_TILE", 40), \
+                mock.patch.object(boxalg, "_tile_pass", recorded):
+            got = np.concatenate([d for _, d in boxalg.min_distance_tiles(entities, boxes, 0.02,
+                                                                          "l1", dtype)])
+        assert len(passes) == 6
+        gaps, sums, cast = passes[0]
+        assert all(p[0] is gaps and p[1] is sums and p[2] is cast for p in passes)
+        assert gaps.dtype == sums.dtype == dtype
+        if dtype == np.float64:
+            assert cast is None
+            assert _same_bits(got, self._reference(entities, boxes))
+        else:
+            assert cast.dtype == np.float32
+            assert np.allclose(got, self._reference(entities, boxes), rtol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_entities, chunk", [(5000, 6), (200, 160), (50_000, 1)])
+    def test_the_chunks_of_each_workload_size(self, n_entities, chunk, dtype):
+        # the benchmark's entity counts (kg-1p-5000, and the 200-entity grid
+        # of kg-mixed-200 and text-ctx) and TestScoringMemory's 50 000, at the
+        # benchmark's box dimension 32: the chunk rule q * (DIST_TILE // (m *
+        # q)) gives the same chunks in the float32 screen as in float64
+        n_queries = 2 * chunk + 1
+        entities, boxes = self._entities_and_boxes(n_entities, n_queries, dim=32)
+        sizes = [len(d) for _, d in boxalg.min_distance_tiles(entities, boxes, 0.02, "l1", dtype)]
+        assert sizes == [chunk, chunk, 1]
 
 
 class TestTilePassAllocations:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_the_tile_pass_allocates_no_array(self, dtype):
-        # every gap, result and entity array of a tile is a view of a worker
-        # buffer, and each chunk's box corners are made before its tiles, so
-        # a worker allocates only the views; at d = 1024 one query's corner
-        # alone would take 4 KB. numpy's ufunc buffers, 8192 elements for
-        # each call with a broadcast operand, are set small for the count.
+        # every gap, result and entity array of a tile is a view of one of
+        # the pass's buffers, and each chunk's box corners are made before its
+        # tiles, so a tile pass allocates only the views; at d = 1024 one
+        # query's corner alone would take 4 KB. numpy's ufunc buffers, 8192
+        # elements for each call with a broadcast operand, are set small for
+        # the count. A tile of 128 elements makes chunks of two queries, so
+        # the six queries take three tile passes, each measured on its own.
         store = init_random(1024, 64, 3, seed=1)
         boxes = [Box(store.entity_centers[:6] + k, np.full((6, 1024), 0.1)) for k in range(2)]
         peaks = []
+        real = boxalg._tile_pass
 
-        def measured(pool, work, shares):
-            for share in shares:
-                tracemalloc.start()
-                try:
-                    work(*share)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+        def measured(*args):
+            tracemalloc.start()
+            try:
+                real(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
 
         def chunks():
             return boxalg.min_distance_tiles(store.entity_centers, boxes, 0.02, "l2", dtype)
 
-        list(chunks())  # numpy sets up its loops on their first calls
-        size = np.setbufsize(16)
-        try:
-            with mock.patch.object(boxalg, "_in_parallel", measured):
-                got = np.concatenate([d for _, d in chunks()])
-        finally:
-            np.setbufsize(size)
-        assert len(peaks) > 1 and max(peaks) < 4096
+        with mock.patch.object(boxalg, "DIST_TILE", 128):
+            list(chunks())  # numpy sets up its loops on their first calls
+            size = np.setbufsize(16)
+            try:
+                with mock.patch.object(boxalg, "_tile_pass", measured):
+                    got = np.concatenate([d for _, d in chunks()])
+            finally:
+                np.setbufsize(size)
+        assert len(peaks) == 3 and max(peaks) < 4096
         ref = [
             np.min([_ref_distance_batch(store.entity_centers, Box(b.center[i], b.offset[i]), 0.02,
                                         "l2") for b in boxes], axis=0)
@@ -685,14 +678,6 @@ class TestTilePassAllocations:
             assert _same_bits(got, np.array(ref))
         else:
             assert np.allclose(got, ref, rtol=1e-5)
-
-
-class TestScoringMemoryAtTheWorkerCap:
-    def test_peak_is_bounded_and_flat_at_the_most_workers(self):
-        # the scenario of TestScoringMemory, with every worker the pass may
-        # have, whatever this machine's CPU count
-        with mock.patch.object(boxalg, "DIST_WORKERS", boxalg.MAX_DIST_WORKERS):
-            TestScoringMemory().test_peak_is_bounded_and_flat_in_the_query_count()
 
 
 # ---------------------------------------------------------------------------
