@@ -133,7 +133,10 @@ def load_config(path: str | None) -> RunConfig:
     resolved = {s: dict(kv) for s, kv in CONFIG_DEFAULTS.items()}
     if path:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (UnicodeDecodeError, configparser.Error) as exc:
+            raise ValidationError(f"config file {path}: {exc}") from exc
         if not read:
             raise ValidationError(f"config file not found: {path}")
         for section in parser.sections():
@@ -357,6 +360,11 @@ def cmd_train(cfg: RunConfig, out: str, meta: dict) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, out: str, meta: dict) -> int:
+    for key in CONFIG_DEFAULTS["gradcheck"]:
+        value = cfg.get_int("gradcheck", key)
+        if value < 1:
+            raise ValidationError(f"[gradcheck] {key} must be >= 1, got {value}")
+    tc = cfg.train_config()
     ckpt = cfg.get("paths", "checkpoint")
     gc_dim = cfg.get_int("gradcheck", "dim")
     limit = f"gradient checking is restricted to dim <= {GRADCHECK_MAX_DIM}"
@@ -375,7 +383,6 @@ def cmd_gradcheck(cfg: RunConfig, out: str, meta: dict) -> int:
             offset_mode=cfg.get("train", "offset_mode"),
         )
     trials = cfg.get_int("gradcheck", "trials")
-    tc = cfg.train_config()
     check_cfg = train_mod.grad_check_config(tc.alpha, tc.norm)
     err = train_mod.grad_check(store, trials, cfg.seed, check_cfg)
     print(f"max relative error {err:.3e} over {trials} trials")

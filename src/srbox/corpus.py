@@ -159,14 +159,15 @@ def load_corpus(path: str | Path) -> Corpus:
     pending: list[tuple[int, int]] = []
     seen_doc_ids: set[str] = set()
 
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with path.open("rb") as fh:
+        # universal newlines, as a file read in text mode has them
+        for lineno, line in enumerate(fh.read().splitlines(), start=1):
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{path}: line {lineno}: malformed record: {exc}") from exc
             if not isinstance(record, dict):
                 raise ParseError(f"{path}: line {lineno}: record is not an object")

@@ -151,8 +151,16 @@ def _triplets(rows: np.ndarray) -> list[tuple[int, int, int]]:
 def _read_fields(path: str) -> list[str]:
     """The fields of a head<TAB>relation<TAB>tail file, three per non-blank
     line, as one flat list."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # universal newlines, as a file read in text mode has them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    lines = text.split("\n")
     # the counts run in C; the Python loop runs only to name a bad line
     tabs = list(map(str.count, lines, repeat("\t")))
     if tabs.count(2) + lines.count("") != len(lines):
@@ -743,125 +751,98 @@ def rank_block(dist: np.ndarray, hard: Csr, known: Csr | None, screen=None) -> n
 
     Filtered ranking takes each query's ``known`` answers out of its
     competitor pool; raw ranking (``known`` None) keeps every entity. The
-    ranked entity is never its own competitor. The counts are integers. A
-    query with more hard answers than m's bit length (about log2 m) counts
-    them from one sort of its pool (``_counts_by_sort``), in m log m
-    instead of answers x m compares; the other queries compare each
-    answer's distance with their row, in slices of answers (and of
-    entities, for rows longer than the budget), so no compare array holds
-    more than ``boxalg.DIST_TILE`` elements however many answers there are.
-    Distances must not be NaN.
+    ranked entity is never its own competitor. The counts are integers,
+    summed exactly in float64. Distances must not be NaN.
 
-    ``screen``, if given, is a pair (eps, exact): each finite entry of row
-    i of D lies within eps[i] of the exact distance, and exact(rows, ids)
-    gives the exact distances of (row, entity) pairs. An answer's own
-    distance d is then taken exact. A competitor screened below d - eps is
+    D is always a screen: ``screen`` is a pair (eps, exact), each finite
+    entry of row i of D lies within eps[i] of the exact distance, and
+    exact(rows, ids) gives the exact distances of (row, entity) pairs;
+    without one, D is exact, eps is 0 and exact reads D. An answer's own
+    distance d is taken exact. A competitor screened below d - eps is
     surely closer and one above d + eps surely not; the ones between, the
-    answer's band, are counted in the same compares or searches. Only an
-    answer whose band holds a competitor gets the band's exact distances,
-    which decide its closer and tied counts: a compared query's answers
-    one gathered pair each, a sorted query's answers from one more sort of
-    its row with every band entry made exact. A row with a non-finite
-    entry or eps takes eps = inf, so its every competitor is recounted.
-    Each rank is then that of the exact distances. Without a screen the
-    band is the tied competitors.
+    answer's band, are recounted from their exact distances. A row with a
+    non-finite entry or eps takes eps = inf, so its every competitor is
+    recounted. Each rank is then that of the exact distances.
+
+    A query with more hard answers than m's bit length (about log2 m)
+    counts them from one sort of its pool (``_counts_by_sort``), in m log m
+    instead of answers x m compares. The other queries compare each
+    answer's distance with their row in one sweep of slices of answers
+    (and of entities, for rows longer than the budget), so no compare array
+    holds more than ``boxalg.DIST_TILE`` elements however many answers
+    there are; each slice counts its surely closer competitors and
+    recounts its bands' entries.
     """
     m = dist.shape[1]
     rows, answers = hard.row_of_ids(), hard.ids
-    pool = dist
     if screen is None:
-        da = lo = hi = dist[rows, answers]
+        eps, exact = np.zeros(len(dist)), lambda r, ids: dist[r, ids]
     else:
         eps, exact = screen
-        wide = ~np.isfinite(eps) | ~np.isfinite(dist.sum(axis=1))
-        da = exact(rows, answers)
-        finite = ~wide[rows]
-        lo = np.subtract(da, eps[rows], out=np.full(len(da), -np.inf), where=finite)
-        hi = np.add(da, eps[rows], out=np.full(len(da), np.inf), where=finite)
-        if wide.any():
-            pool = dist.copy()
-            pool[wide] = np.inf  # inside every band of its row
+    wide = ~np.isfinite(eps) | ~np.isfinite(dist.sum(axis=1))
+    da = exact(rows, answers)
+    finite = ~wide[rows]
+    lo = np.subtract(da, eps[rows], out=np.full(len(da), -np.inf), where=finite)
+    hi = np.add(da, eps[rows], out=np.full(len(da), np.inf), where=finite)
+    pool = dist.copy() if known is not None or wide.any() else dist
+    if wide.any():
+        pool[wide] = np.inf  # inside every band of its row
     if known is not None:
-        pool = pool.copy() if pool is dist else pool
         pool[known.row_of_ids(), known.ids] = np.nan  # NaN is neither closer nor in a band
-    better = np.zeros(len(answers), dtype=np.intp)
-    me = pool[rows, answers]
-    band = -((me >= lo) & (me <= hi)).astype(np.intp)  # an answer in the pool is in its band
-    by_sort = []
-    if len(answers) > m.bit_length():  # else no query passes the cut-over
-        by_sort = np.flatnonzero(np.diff(hard.offsets) > m.bit_length()).tolist()
-    limits = [da] if screen is None else [lo, hi]
+    ranks = np.ones(len(answers))  # 1 + competitors closer + half those tied, exact in float64
+    sizes = np.diff(hard.offsets)
+    by_sort = np.flatnonzero(sizes > m.bit_length()).tolist()
     for r in by_sort:
         a, b = hard.offsets[r:r + 2].tolist()
-        closer, near = _counts_by_sort(pool[r], *(x[a:b] for x in limits))
-        better[a:b] = closer
-        band[a:b] += near
-    # the other queries' answers, as one slice when no query took a sort
-    compared = np.flatnonzero(~np.isin(rows, by_sort)) if by_sort else None
+        closer, tied = _counts_by_sort(pool[r], r, *(x[a:b] for x in (answers, da, lo, hi)), exact)
+        ranks[a:b] += closer + 0.5 * tied
+    compared = np.flatnonzero(sizes[rows] <= m.bit_length())
     width = min(m, boxalg.DIST_TILE)
     step = max(1, boxalg.DIST_TILE // width)
-    for a0 in range(0, len(answers if compared is None else compared), step):
-        part = slice(a0, a0 + step) if compared is None else compared[a0:a0 + step]
-        r, low, high = rows[part], lo[part, None], hi[part, None]
-        for c0 in range(0, m, width):
-            competitors = pool[r, c0:c0 + width]
-            closer = np.count_nonzero(competitors < low, axis=1)
-            better[part] += closer
-            band[part] += np.count_nonzero(competitors <= high, axis=1) - closer
-    if screen is None:
-        return 1.0 + better + 0.5 * band
-    tied = np.zeros_like(band)
-    recount = band > 0
-    for r in by_sort:
-        a, b = hard.offsets[r:r + 2].tolist()
-        if recount[a:b].any():
-            better[a:b], tied[a:b] = _recount_sorted(
-                pool[r], r, *(x[a:b] for x in (answers, da, lo, hi)), exact
-            )
-        recount[a:b] = False
-    todo = np.flatnonzero(recount)
-    for a0 in range(0, len(todo), step):
-        part = todo[a0:a0 + step]
+    for a0 in range(0, len(compared), step):
+        part = compared[a0:a0 + step]
+        low, high = lo[part, None], hi[part, None]
         for c0 in range(0, m, width):
             competitors = pool[rows[part], c0:c0 + width]
-            i, j = np.nonzero((competitors >= lo[part, None]) & (competitors <= hi[part, None]))
+            closer = competitors < low
+            ranks[part] += np.count_nonzero(closer, axis=1)
+            # the band: at most high but not closer (as low <= high), and never NaN
+            band = np.flatnonzero((competitors <= high) ^ closer)  # flat: 2-d nonzero is slow
+            i, j = np.divmod(band, competitors.shape[1])
             i, j = part[i], j + c0
             other = j != answers[i]  # the answer itself is no competitor
             i, j = i[other], j[other]
             x = exact(rows[i], j)
-            np.add.at(better, i[x < da[i]], 1)
-            np.add.at(tied, i[x == da[i]], 1)
-    return 1.0 + better + 0.5 * tied
+            np.add.at(ranks, i[x < da[i]], 1.0)
+            np.add.at(ranks, i[x == da[i]], 0.5)
+    return ranks
 
 
-def _recount_sorted(pool_row, r, answers, da, lo, hi, exact):
+def _counts_by_sort(pool_row, r, answers, da, lo, hi, exact):
     """Exact closer and tied counts of the answers of query ``r`` (ids
     ``answers``, exact distances ``da``, bands ``lo`` .. ``hi``) from its
-    screened pool row: every entry inside some band is made exact with
-    ``exact``, after which every other entry compares with each answer's
-    distance as its exact one does, and the row is counted from one sort."""
-    row = pool_row.copy()
-    order = np.argsort(da)
-    lows, highs = lo[order], hi[order]  # both ascending: every band has the row's width
-    k = np.searchsorted(highs, row)  # the lowest band that reaches up to each entry
-    inside = k < len(highs)
-    inside[inside] = lows[k[inside]] <= row[inside]
-    ids = np.flatnonzero(inside)
-    row[ids] = exact(np.full(len(ids), r), ids)
-    closer, same = _counts_by_sort(row, da)
-    return closer, same - (row[answers] == da)
-
-
-def _counts_by_sort(pool_row: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """How many entries of one pool row are strictly less than each entry
-    of ``lo``, and how many lie from it up to ``hi`` (the entries equal to
-    it, if ``hi`` is not given): one sort, in which NaN (a known answer
-    left out of the pool) sorts last and so matches neither, and two
-    ``searchsorted`` calls."""
-    line = np.sort(pool_row)
-    closer = np.searchsorted(line, lo, "left")
-    return closer, np.searchsorted(line, lo if hi is None else hi, "right") - closer
+    pool row, in which NaN (a known answer left out of the pool) sorts last
+    and so matches none. Where the bands have width, every entry inside
+    some band is first made exact with ``exact``, after which every other
+    entry compares with each answer's distance as its exact one does; the
+    row is then counted from one sort and two ``searchsorted`` calls."""
+    row = pool_row
+    if (hi > lo).any():
+        row = pool_row.copy()
+        order = np.argsort(da)
+        lows, highs = lo[order], hi[order]  # both ascending: every band has the row's width
+        k = np.searchsorted(highs, row)  # the lowest band that reaches up to each entry
+        inside = k < len(highs)
+        inside[inside] = lows[k[inside]] <= row[inside]
+        ids = np.flatnonzero(inside)
+        row[ids] = exact(np.full(len(ids), r), ids)
+    itself = row[answers] == da  # the answer itself is no competitor
+    line = np.sort(row)
+    closer = np.searchsorted(line, da, "left")
+    tied = np.searchsorted(line, da, "right")
+    tied -= closer
+    tied -= itself
+    return closer, tied
 
 
 def block_ranks(block: QueryBlock, params, scorer: str = "box", alpha: float = DEFAULT_ALPHA,
@@ -872,9 +853,10 @@ def block_ranks(block: QueryBlock, params, scorer: str = "box", alpha: float = D
     (or raw) rank of every hard answer of the block, in the order of
     ``block.hard.ids`` (rows in order, each row's answers by id).
 
-    The box scorer ranks from the float32 screen and recounts in float64
-    only the pairs the screen cannot decide (``_screened_chunks``), so every
-    rank is the one ``block_distances`` gives. Adds the seconds spent in
+    The box scorer's chunks are the float32 screen (``_screened_chunks``),
+    whose undecided pairs ``rank_block`` recounts in float64; the path-sum
+    scorer's are exact and go to ``rank_block`` without a screen. Either
+    way every rank is the one ``block_distances`` gives. Adds the seconds spent in
     ``rank_block`` to ``timings["ranks"]`` and, for the box scorer, the
     pairs screened and recounted to ``screen_counts["pairs"]`` and
     ``screen_counts["recomputed"]``, if given."""
@@ -1091,13 +1073,15 @@ def _read_rows(path: str, kg: KnowledgeGraph) -> list[_Pending]:
     checked: dict = {}
     pending: dict[str, _Pending] = {}
     position = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        # universal newlines, as a file read in text mode has them
+        for lineno, line in enumerate(fh.read().splitlines(), start=1):
             try:
-                _read_record(json.loads(line), position, kg, checked, pending)
-            except (json.JSONDecodeError, ValidationError) as exc:
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue
+                _read_record(json.loads(text), position, kg, checked, pending)
+            except (UnicodeDecodeError, RecursionError, json.JSONDecodeError, ValidationError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             position += 1
     return list(pending.values())

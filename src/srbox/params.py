@@ -421,7 +421,7 @@ def _read_vectors(path: str) -> ContextualVectors:
                 continue
             try:
                 header = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
                 raise ParseError(f"bad vector-file header: {exc}") from exc
             _check_header(header, VECTOR_FIELDS, "vector-file header")
             doc_id, rows, d = header["id"], header["rows"], header["dim"]
@@ -537,7 +537,7 @@ def _read_checkpoint(path: str, expected_dim: int | None) -> ParamStore:
             raise ParseError("checkpoint truncated inside header")
         try:
             header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
             raise ParseError(f"bad checkpoint header: {exc}") from exc
         _check_header(header, CHECKPOINT_FIELDS, "checkpoint header")
         dim = header["dim"]

@@ -76,6 +76,9 @@ class TrainConfig:
     trace_every: int = 100
 
     def validate(self) -> None:
+        for name in ("gamma", "alpha", "lambda1", "lambda2", "lr", "beta1", "beta2", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma <= 0:
             raise ValidationError(f"gamma must be > 0, got {self.gamma}")
         if self.alpha < 0:

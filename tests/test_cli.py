@@ -116,6 +116,15 @@ class TestConfigResolution:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["mine", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    @pytest.mark.parametrize("text", [b"[train]\nlr = 0.1\xff\n", b"lr = 0.1\n"],
+                             ids=["byte-0xff", "no-section-header"])
+    def test_an_unreadable_config_file_exits_2_naming_it(self, tmp_path, capsys, text):
+        ini = tmp_path / "c.ini"
+        ini.write_bytes(text)
+        assert cli.main(["gradcheck", "--trials", "1", "--config", str(ini),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"error: config file {ini}: " in capsys.readouterr().err
+
     def test_unknown_section(self, tmp_path):
         ini = tmp_path / "c.ini"
         ini.write_text("[wat]\nx = 1\n")
@@ -430,6 +439,89 @@ class TestMalformedCheckpointHeader:
         assert f"error: {path}: {problem}" in capsys.readouterr().err
 
 
+# a JSON array nested deeper than the decoder's recursion limit
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+def _checkpoint(tmp_path, kg_dir) -> str:
+    kg = evalgen.load_kg(f"{kg_dir}/train.tsv", f"{kg_dir}/valid.tsv", f"{kg_dir}/test.tsv")
+    path = str(tmp_path / "p.ckpt")
+    params_mod.save(params_mod.init_random(4, kg.n_entities, kg.n_relations, 0,
+                                           entity_ids=kg.entity_ids,
+                                           relation_ids=kg.relation_ids), path)
+    return path
+
+
+def _bad_line_2(path, bad: bytes, newline: bytes) -> None:
+    """Put the line ``bad`` second in the file at ``path``, with every line
+    ended by ``newline``."""
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(newline.join([first, bad, rest.replace(b"\n", newline)]))
+
+
+def _hostile_queries(tmp_path, kg_dir, corpus_path, bad, newline=b"\n"):
+    kg = evalgen.load_kg(f"{kg_dir}/train.tsv", f"{kg_dir}/valid.tsv", f"{kg_dir}/test.tsv")
+    path = tmp_path / "q.jsonl"
+    queries = evalgen.generate_queries(kg, "1p", 3, "test", np.random.default_rng(0))
+    evalgen.write_queries(evalgen.query_blocks(queries), kg, str(path))
+    _bad_line_2(path, bad, newline)
+    ckpt = _checkpoint(tmp_path, kg_dir)
+    return ["eval", "--kg", kg_dir, "--checkpoint", ckpt, "--queries", path], f"{path}:2: "
+
+
+def _hostile_corpus(tmp_path, kg_dir, corpus_path, bad, newline=b"\n"):
+    path = tmp_path / "corpus.jsonl"
+    _bad_line_2(path, bad, newline)
+    return ["mine", "--corpus", path], f"{path}: line 2: malformed record: "
+
+
+def _hostile_kg(tmp_path, kg_dir, corpus_path, bad, newline=b"\n"):
+    path = tmp_path / "kg" / "valid.tsv"
+    _bad_line_2(path, bad, newline)
+    return ["gen-queries", "--kg", kg_dir, "--count", "1"], f"{path}:2: "
+
+
+def _hostile_checkpoint(tmp_path, kg_dir, corpus_path, bad):
+    path = _checkpoint(tmp_path, kg_dir)
+    data = open(path, "rb").read()
+    start = len(params_mod.CHECKPOINT_MAGIC)
+    version, n = struct.unpack("<IQ", data[start:start + 12])
+    blob = b'{"dim": ' + bad + b"}"
+    with open(path, "wb") as fh:
+        fh.write(data[:start] + struct.pack("<IQ", version, len(blob)) + blob + data[start + 12 + n:])
+    return ["eval", "--kg", kg_dir, "--checkpoint", path, "--types", "1p", "--count", "2"], \
+        f"{path}: bad checkpoint header: "
+
+
+def _hostile_vectors(tmp_path, kg_dir, corpus_path, bad):
+    path = tmp_path / "v.bin"
+    path.write_bytes(bad + b"\n")
+    return ["init-embeddings", "--corpus", corpus_path, "--vectors", path, "--dim", "4"], \
+        f"{path}: bad vector-file header: "
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("bad", [b"\xff", DEEP], ids=["byte-0xff", "deep-array"])
+    @pytest.mark.parametrize("write", [
+        _hostile_queries, _hostile_corpus, _hostile_kg, _hostile_checkpoint, _hostile_vectors,
+    ], ids=["queries", "corpus", "kg", "checkpoint", "vectors"])
+    def test_exits_2_naming_the_file(self, tmp_path, kg_dir, corpus_path, capsys, write, bad):
+        argv, where = write(tmp_path, kg_dir, corpus_path, bad)
+        code = cli.main([str(a) for a in [*argv, "--out", tmp_path / "o"]])
+        assert code == 2
+        assert f"error: {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    @pytest.mark.parametrize("write", [_hostile_queries, _hostile_corpus, _hostile_kg],
+                             ids=["queries", "corpus", "kg"])
+    def test_every_line_reader_ends_a_line_at_cr_and_crlf(self, tmp_path, kg_dir, corpus_path,
+                                                           capsys, write, newline):
+        argv, where = write(tmp_path, kg_dir, corpus_path, b"\xff", newline)
+        code = cli.main([str(a) for a in [*argv, "--out", tmp_path / "o"]])
+        assert code == 2
+        assert f"error: {where}" in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def test_text_mode_writes_trace_and_checkpoint(self, tmp_path, corpus_path):
         out = tmp_path / "o"
@@ -545,6 +637,26 @@ class TestGradcheckCommand:
     def test_large_dim_rejected(self, tmp_path):
         code = cli.main(["gradcheck", "--gc-dim", "9", "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["trials", "dim", "entities", "relations"])
+    def test_a_size_below_one_exits_2_naming_it(self, tmp_path, capsys, key):
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[gradcheck]\n{key} = 0\n")
+        out = tmp_path / "o"
+        assert cli.main(["gradcheck", "--config", str(ini), "--out", str(out)]) == 2
+        assert f"error: [gradcheck] {key} must be >= 1, got 0" in capsys.readouterr().err
+        assert not (out / "gradcheck.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", "inf"), ("gamma", "nan"), ("alpha", "nan"), ("lr", "nan"),
+        ("beta1", "inf"), ("eps", "nan"),
+    ])
+    def test_a_non_finite_train_float_exits_2_naming_it(self, tmp_path, capsys, key, value):
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[train]\n{key} = {value}\n")
+        assert cli.main(["gradcheck", "--trials", "1", "--config", str(ini),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {key} must be finite, got {value}" in capsys.readouterr().err
 
 
 class TestGenQueries:

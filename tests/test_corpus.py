@@ -109,6 +109,13 @@ class TestLoadCorpus:
         path.write_text("\n" + record + "\n\n")
         assert len(load_corpus(path).documents) == 1
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_cr_and_crlf_end_a_record(self, tmp_path, newline):
+        path = tmp_path / "c.jsonl"
+        records = [json.dumps(doc(name, ["x"], mentions=[("E", 0, 0)])) for name in "ab"]
+        path.write_bytes(newline.join(records + [""]).encode("utf-8"))
+        assert [d.doc_id for d in load_corpus(path).documents] == ["a", "b"]
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         good = json.dumps(doc("a", ["x"]))

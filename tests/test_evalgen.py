@@ -169,10 +169,11 @@ class TestLoadKgFormat:
         assert a.entity_ids == b.entity_ids and a.relation_ids == b.relation_ids
         assert (a.train, a.valid, a.test) == (b.train, b.valid, b.test)
 
-    def test_crlf_matches_lf(self, tmp_path):
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_matches_lf(self, tmp_path, newline):
         lf = self._load(tmp_path / "lf", self._text(self.ROWS[:3]), self._text(self.ROWS[3:]))
         crlf = self._load(
-            tmp_path / "crlf", self._text(self.ROWS[:3], "\r\n"), self._text(self.ROWS[3:], "\r\n")
+            tmp_path / "crlf", self._text(self.ROWS[:3], newline), self._text(self.ROWS[3:], newline)
         )
         self._same(lf, crlf)
         assert crlf.entity_ids == ["B", "a", "b", "c", "é"]
@@ -662,6 +663,12 @@ class TestQueryDump:
         write_queries(query_blocks(queries), kg, path)
         back = load_queries(path, kg)
         assert back == queries
+        for newline in (b"\r\n", b"\r"):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(data.replace(b"\n", newline))
+            assert load_queries(path, kg) == queries
 
     def test_unknown_entity_rejected(self, tmp_path):
         kg = build_grid_kg(width=6, height=5, seed=3)

@@ -234,13 +234,14 @@ class TestBatchedScoringMatchesReference:
 @st.composite
 def rank_chunks(draw):
     """A chunk of c queries' integer-valued distances to m entities, so
-    ties are common; each query's hard answers (maybe none) and known
+    ties are common, some of them infinite, so that their rows take the
+    wide path; each query's hard answers (maybe none) and known
     answers (at times every entity but one); raw or filtered ranking; and a
     slice budget small enough that one query's answers, and a row of
     entities, span several slices."""
     c = draw(st.integers(1, 5))
     m = draw(st.integers(1, 30))
-    rows = st.lists(st.integers(0, 5), min_size=m, max_size=m)
+    rows = st.lists(st.integers(0, 5) | st.just(np.inf), min_size=m, max_size=m)
     dist = np.array(draw(st.lists(rows, min_size=c, max_size=c)), dtype=np.float64)
     ent = st.integers(0, m - 1)
     hard, known = [], []
@@ -345,9 +346,9 @@ class TestBlockRanker:
             sorted_rows, compared = [], [0]
             by_sort, count_nonzero = evalgen._counts_by_sort, np.count_nonzero
 
-            def spied_sort(row, d):
-                sorted_rows.append(len(d))
-                return by_sort(row, d)
+            def spied_sort(row, r, answers, *rest):
+                sorted_rows.append(len(answers))
+                return by_sort(row, r, answers, *rest)
 
             def spied_compare(a, axis=None):
                 compared[0] += a.size
@@ -358,7 +359,7 @@ class TestBlockRanker:
                 got = evalgen.rank_block(dist, _csr(hard), None if raw else _csr(known))
             # 14 hard answers is 15 000's bit length, the last count that compares
             assert sorted_rows == [1000]
-            assert compared[0] == 2 * (3 + 14) * n
+            assert compared[0] == (3 + 14) * n
             ref = [
                 r for row, h, k in zip(dist, hard, known)
                 for r in _ref_ranks_from_distances(row, h, k, raw).values()
@@ -370,7 +371,8 @@ class TestBlockRanker:
     def test_sorted_route_matches_the_reference_bit_for_bit(self, data):
         m = data.draw(st.integers(1, 40))
         c = data.draw(st.integers(1, 4))
-        values = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 1e300])  # ties, signed zeros
+        # ties, signed zeros, and infinities that send their row down the wide path
+        values = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 1e300, np.inf])
         dist = np.array(data.draw(st.lists(
             st.lists(values, min_size=m, max_size=m), min_size=c, max_size=c
         )), dtype=np.float64)
@@ -800,12 +802,15 @@ def _block_ranks(queries, store, alpha, norm, raw, counts=None):
 
 class TestScreenedRanks:
     @settings(max_examples=300, deadline=None)
-    @given(screen_cases())
-    def test_ranks_are_the_float64_ranks(self, case):
+    @given(screen_cases(), st.integers(1, 120))
+    def test_ranks_are_the_float64_ranks(self, case, tile):
+        # a tile below the entity count splits each row, and one below twice
+        # it splits a query's answers, so the bands span several slices
         store, queries, alpha, norm, raw = case
         counts = {"pairs": 0, "recomputed": 0}
-        assert _block_ranks(queries, store, alpha, norm, raw, counts) == \
-            _reference_ranks(queries, store, alpha, norm, raw)
+        with mock.patch.object(boxalg, "DIST_TILE", tile):
+            got = _block_ranks(queries, store, alpha, norm, raw, counts)
+        assert got == _reference_ranks(queries, store, alpha, norm, raw)
         assert sum(len(q.hard_answers) for q in queries) <= counts["recomputed"] <= counts["pairs"]
         assert counts["pairs"] == len(queries) * store.n_entities
 

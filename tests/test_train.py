@@ -60,6 +60,13 @@ class TestTrainConfig:
         with pytest.raises(ValidationError):
             cfg.validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gamma", "alpha", "lambda1", "lambda2", "lr", "beta1",
+                                       "beta2", "eps"])
+    def test_a_non_finite_float_is_named(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite, got"):
+            TrainConfig(**{field: value}).validate()
+
 
 class TestTrainExample:
     def test_answer_among_negatives(self):
