@@ -9,8 +9,8 @@ when the command starts and rewritten when it returns with its finish
 time, duration, exit status and the srbox and numpy versions (gen-queries
 adds the queries requested and written per type, eval for the box scorer
 the pairs its float32 screen scored and recounted under ``screen``, and
-mine, init-embeddings, gen-queries and eval the wall time of each phase
-under ``timings_s``), so repeated runs with the same seed produce
+every command but gradcheck the wall time of each phase under
+``timings_s``), so repeated runs with the same seed produce
 byte-identical primary outputs.
 
 Exit codes: 0 success, 1 usage error, 2 validation/config error, 3 runtime
@@ -228,10 +228,23 @@ def _load_checkpoint(
     return store
 
 
+def _check_table(key: str, value: int, nbytes: int) -> None:
+    """Refuse a config value that sizes a table larger than the machine's
+    physical memory, before the table is allocated."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ValidationError(
+            f"{key} = {value} sizes a {nbytes}-byte table, more than the "
+            f"machine's {memory} bytes of memory"
+        )
+
+
 def _fresh_store(cfg: RunConfig, entity_ids: list[str], relation_ids: list[str]):
     """A random ``ParamStore`` of [run] dim over the given ids, from the run seed."""
+    dim = cfg.get_int("run", "dim")
+    _check_table("[run] dim", dim, len(entity_ids) * dim * 8)  # the entity table
     return params_mod.init_random(
-        cfg.get_int("run", "dim"), len(entity_ids), len(relation_ids), cfg.seed,
+        dim, len(entity_ids), len(relation_ids), cfg.seed,
         offset_mode=cfg.get("train", "offset_mode"),
         entity_ids=entity_ids, relation_ids=relation_ids,
     )
@@ -324,35 +337,44 @@ def cmd_init_embeddings(cfg: RunConfig, out: str, meta: dict) -> int:
 def cmd_train(cfg: RunConfig, out: str, meta: dict) -> int:
     mode = cfg.get("run", "mode")
     tc = cfg.train_config()
+    timings = meta["timings_s"] = {}
     if mode == "text":
-        corpus = load_corpus(_require(cfg, "paths", "corpus", "for text-mode training"))
-        store = _load_or_init_params(cfg, corpus.entity_ids, corpus.relation_ids, "corpus")
+        with _timed(timings, "load_corpus"):
+            corpus = load_corpus(_require(cfg, "paths", "corpus", "for text-mode training"))
+        with _timed(timings, "load_checkpoint"):
+            store = _load_or_init_params(cfg, corpus.entity_ids, corpus.relation_ids, "corpus")
         source = train_mod.TextSource(corpus, cfg.get_int("run", "seq_len"))
     elif mode == "kg":
-        kg = _load_kg_dir(cfg)
-        store = _load_or_init_params(cfg, kg.entity_ids, kg.relation_ids, "KG")
+        with _timed(timings, "load_kg"):
+            kg = _load_kg_dir(cfg)
+        with _timed(timings, "load_checkpoint"):
+            store = _load_or_init_params(cfg, kg.entity_ids, kg.relation_ids, "KG")
         rng = substream(cfg.seed, STREAM_QUERY_GEN)
         pool_count = cfg.get_int("train", "complex_pool")
         complex_queries = []
-        for qtype in ("2p", "3p", "2i", "3i"):
-            for q in evalgen.generate_queries(kg, qtype, pool_count, "train", rng):
-                complex_queries.append((q.dag, tuple(sorted(q.answers_train))))
+        with _timed(timings, "complex_pool"):
+            for qtype in ("2p", "3p", "2i", "3i"):
+                for q in evalgen.generate_queries(kg, qtype, pool_count, "train", rng):
+                    complex_queries.append((q.dag, tuple(sorted(q.answers_train))))
         source = train_mod.KgSource(
             kg.train, complex_queries, kg.n_entities,
             answer_sets=kg.train_index.fwd,
         )
     else:
         raise ValidationError(f"unknown mode {mode!r}")
+    # one example's answer and negative rows
+    _check_table("[train] k_negatives", tc.k_negatives, (tc.k_negatives + 1) * store.dim * 8)
 
     trace_path = os.path.join(out, "train_trace.jsonl")
-    with open(trace_path, "w", encoding="utf-8") as fh:
+    with open(trace_path, "w", encoding="utf-8") as fh, _timed(timings, "train"):
 
         def emit(record: dict) -> None:
             fh.write(json.dumps(record) + "\n")
 
         store, trace = train_mod.train(source, store, tc, callback=emit)
     ckpt = cfg.get("paths", "checkpoint_out") or os.path.join(out, "params.ckpt")
-    params_mod.save(store, ckpt)
+    with _timed(timings, "save"):
+        params_mod.save(store, ckpt)
     last = trace[-1]["loss"] if trace else None
     last = float("nan") if last is None else last
     print(f"trained {tc.steps} steps (mode {mode}); final loss {last:.6f} -> {ckpt}")

@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -148,52 +148,144 @@ def _triplets(rows: np.ndarray) -> list[tuple[int, int, int]]:
     return list(zip(*rows.T.tolist()))
 
 
-def _read_fields(path: str) -> list[str]:
-    """The fields of a head<TAB>relation<TAB>tail file, three per non-blank
-    line, as one flat list."""
+def _read_fields(path: str) -> tuple[bytes, np.ndarray]:
+    """The bytes of a head<TAB>relation<TAB>tail file, with universal
+    newlines and a final newline, and the ``(n, 3, 2)`` start and end offsets
+    of the fields of its n non-blank lines."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:  # universal newlines, as a file read in text mode has them
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    lines = text.split("\n")
-    # the counts run in C; the Python loop runs only to name a bad line
-    tabs = list(map(str.count, lines, repeat("\t")))
-    if tabs.count(2) + lines.count("") != len(lines):
-        for lineno, (line, n) in enumerate(zip(lines, tabs), start=1):
-            if line and n != 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {n + 1}"
-                )
-    kept = [line for line in lines if line]
-    return "\t".join(kept).split("\t") if kept else []
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero(buf <= 10)  # tabs, newlines and the rarer bytes below them
+    kinds = buf[seps]
+    kept = (kinds == 9) | (kinds == 10)
+    seps, newline = seps[kept], kinds[kept] == 10
+    starts = np.concatenate(([0], seps[:-1] + 1))  # of the text before each separator
+    blank = newline & (starts == seps) & np.concatenate(([True], newline[:-1]))
+    starts, ends, newline = starts[~blank], seps[~blank], newline[~blank]
+    if len(ends) % 3 or not (newline.reshape(-1, 3) == (False, False, True)).all():
+        # the check runs on whole arrays; this loop runs only to name the bad line
+        for lineno, line in enumerate(data.split(b"\n"), start=1):
+            tabs = line.count(b"\t")
+            if line and tabs != 2:
+                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {tabs + 1}")
+    return data, np.stack([starts, ends], axis=-1).reshape(-1, 3, 2)
+
+
+# A name's key word covers its next 7 bytes, zeroed past its end, in the high
+# bytes and min(bytes left, 8) in the low byte, 8 meaning that more bytes
+# follow; word sequences compare as the names' bytes from there do. The
+# tables hold each word's big-endian bytes, read as a native uint64.
+_KEEP = np.array([(1 << 64) - (1 << 64 - 8 * min(n, 7)) for n in range(9)], dtype=">u8").view(np.uint64)
+_LEFT = np.arange(9, dtype=">u8").view(np.uint64)
+_DATA_PER_WORD = 32  # bytes of data per key word a pass may build
+
+
+def _name_keys(words: np.ndarray, starts: np.ndarray, left: np.ndarray, width: int) -> np.ndarray:
+    """The ``(n, width)`` key words of the n names at ``starts`` with
+    ``left`` bytes each, from the big-endian words at every byte of data."""
+    at = np.arange(0, 7 * width, 7)
+    index = starts[:, None] + at
+    np.minimum(index, len(words) - 1, out=index)  # a word read past its name's end is zeroed
+    keys = words[index].view(np.uint64)
+    del index  # a pass holds few arrays the size of its keys at once
+    left = left[:, None] - at
+    np.clip(left, 0, 8, out=left)
+    keys &= _KEEP[left]
+    keys |= _LEFT[left]
+    return keys
+
+
+def _intern(data: bytes, spans: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct names among the fields ``data[start:end]`` of ``spans``
+    ``(m, 2)`` in code-point order, and each field's id in that list.
+    ``data`` holds 8 more bytes past its last field.
+
+    The fields are sorted by the key word of their first 7 bytes. Fields
+    that tie on a word that says more bytes follow are sorted again within
+    their run by the key words of their next bytes, until no run ties. A
+    later pass reads as many words per tied field as fit in one word per
+    ``_DATA_PER_WORD`` bytes of ``data``, and no more than the longest tied
+    name needs: memory stays linear in the bytes, and a long name that few
+    fields share takes few passes. Only the distinct names are decoded.
+    """
+    starts, lengths = spans[:, 0], spans[:, 1] - spans[:, 0]
+    words = np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+    order = np.arange(len(spans))
+    new = np.zeros(len(spans), dtype=bool)  # the field at this sorted place starts a name
+    new[:1] = True
+    tied = order.copy()  # sorted places in runs that later bytes may split
+    offset = 0
+    while len(tied):
+        fields = order[tied]
+        left = lengths[fields] - offset
+        width = 1
+        if offset:
+            width = max(1, min(len(data) // _DATA_PER_WORD // len(tied), (int(left.max()) + 6) // 7))
+        keys = _name_keys(words, starts[fields] + offset, left, width)
+        more = keys[:, -1] & _LEFT[8] != 0  # bytes follow the last key word
+        if offset:  # within runs: rows of the run's first sorted place and the keys, compared as bytes
+            run = np.maximum.accumulate(np.where(new[tied], tied, 0)).astype(">u8").view(np.uint64)
+            keys = np.column_stack((run, keys)).view(f"V{8 * (width + 1)}").ravel()
+            # a run that already holds one name stays in order, which a stable sort checks in one sweep
+            sub = np.argsort(keys, kind="stable")
+        else:
+            keys = keys[:, 0].byteswap()
+            sub = np.argsort(keys)
+        order[tied] = fields[sub]
+        keys = keys[sub]
+        new[tied[1:]] |= keys[1:] != keys[:-1]
+        same = ~new[tied]
+        tied = tied[more[sub] & (same | np.append(same[1:], False))]
+        del keys  # before the next pass builds its own
+        offset += 7 * width
+    ids = np.empty(len(spans), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return [data[s:e].decode("utf-8") for s, e in spans[order[new]].tolist()], ids
+
+
+def _read_splits(paths) -> tuple[bytes, list[np.ndarray]]:
+    """The bytes of the files, one after another and then 8 zero bytes, and
+    each file's field offsets into them, as ``_read_fields`` gives them."""
+    parts = [_read_fields(path) for path in paths]
+    offsets = np.cumsum([0] + [len(data) for data, _ in parts])
+    return b"".join([data for data, _ in parts] + [bytes(8)]), [
+        fields + offset for (_, fields), offset in zip(parts, offsets)
+    ]
 
 
 def load_kg(train_path: str, valid_path: str, test_path: str) -> KnowledgeGraph:
     """Read three head<TAB>relation<TAB>tail files into one dense-id graph.
 
-    Ids follow the sorted names. A triplet repeated within a split is kept
-    once, at its first occurrence.
+    Ids follow the code-point order of the names. A triplet repeated within
+    a split is kept once, at its first occurrence. CRLF, CR and blank lines
+    are accepted; a line that is not UTF-8 or not three tab-separated
+    fields raises ``ParseError`` naming ``path:line``.
     """
-    paths = (train_path, valid_path, test_path)
-    fields = {split: _read_fields(path) for split, path in zip(SPLITS, paths)}
-    entities = sorted(set().union(*(f[i::3] for f in fields.values() for i in (0, 2))))
-    relations = sorted(set().union(*(f[1::3] for f in fields.values())))
-    e_idx = {e: i for i, e in enumerate(entities)}
-    r_idx = {r: i for i, r in enumerate(relations)}
+    data, splits = _read_splits((train_path, valid_path, test_path))
+    spans = np.concatenate(splits)
+    entities, e_ids = _intern(data, spans[:, ::2].reshape(-1, 2))
+    relations, r_ids = _intern(data, spans[:, 1])
+    e_ids = e_ids.reshape(-1, 2)
+    all_rows = np.stack([e_ids[:, 0], r_ids, e_ids[:, 1]], axis=1)
+    sizes = (len(entities), len(relations), len(entities))
     rows = {}
-    for split, f in fields.items():
-        columns = [list(map(ids.__getitem__, f[i::3])) for i, ids in enumerate((e_idx, r_idx, e_idx))]
-        split_rows = np.array(columns, dtype=np.int64).T
-        keys = _row_keys(split_rows, (len(entities), len(relations), len(entities)))
+    bounds = np.cumsum([0] + [len(fields) for fields in splits])
+    for split, lo, hi in zip(SPLITS, bounds[:-1], bounds[1:]):
+        split_rows = all_rows[lo:hi]
+        keys = _row_keys(split_rows, sizes)
         if len(_distinct(keys)) < len(keys):
             _, first = np.unique(keys, return_index=True)
             split_rows = split_rows[np.sort(first)]
-        rows[split] = np.ascontiguousarray(split_rows)
+        rows[split] = split_rows
     kg = KnowledgeGraph(entities, relations, rows)
     kg.validate()
     return kg

@@ -19,6 +19,7 @@ import pytest
 import srbox
 from srbox import boxalg, cli, evalgen, structures
 from srbox import params as params_mod
+from srbox import train as train_mod
 from srbox.train import TrainConfig
 
 
@@ -212,7 +213,7 @@ class TestConfigResolution:
 
 
 class TestPhaseTimings:
-    """mine and init-embeddings time their phases in run_meta.json, as eval does."""
+    """mine, init-embeddings and train time their phases in run_meta.json, as eval does."""
 
     def test_keys_and_total(self, tmp_path, corpus_path):
         vectors = params_mod.ContextualVectors(
@@ -238,6 +239,25 @@ class TestPhaseTimings:
             assert list(meta["timings_s"]) == keys
             assert all(v >= 0.0 for v in meta["timings_s"].values())
             assert sum(meta["timings_s"].values()) <= meta["duration_s"]
+
+    def test_train_records_phase_times(self, tmp_path, corpus_path, kg_dir):
+        assert cli.main(["init-embeddings", "--corpus", corpus_path, "--dim", "4",
+                         "--out", str(tmp_path / "init")]) == 0
+        runs = {
+            "kg": (["--mode", "kg", "--kg", kg_dir, "--complex-pool", "2"],
+                   ["load_kg", "load_checkpoint", "complex_pool", "train", "save"]),
+            "text": (["--corpus", corpus_path, "--checkpoint", str(tmp_path / "init" / "params.ckpt")],
+                     ["load_corpus", "load_checkpoint", "train", "save"]),
+        }
+        for name, (argv, keys) in runs.items():
+            out = tmp_path / name
+            assert cli.main(["train", *argv, "--dim", "4", "--steps", "2", "--batch-size", "2",
+                             "--out", str(out)]) == 0
+            meta = json.loads((out / "run_meta.json").read_text())
+            assert list(meta["timings_s"]) == keys
+            assert all(v >= 0.0 for v in meta["timings_s"].values())
+            assert sum(meta["timings_s"].values()) <= meta["duration_s"]
+            assert b"timings" not in (out / "train_trace.jsonl").read_bytes()
 
 
 class TestMine:
@@ -574,6 +594,25 @@ class TestTrainCommand:
         ])
         assert code == 0
         assert len(built) == 2  # train and full index, shared by four shapes and the answer sets
+
+    @pytest.mark.parametrize("flag, key, module, allocator", [
+        ("--dim", "[run] dim", params_mod, "init_random"),
+        ("--k-negatives", "[train] k_negatives", train_mod, "train"),
+    ], ids=["dim", "k-negatives"])
+    def test_a_size_beyond_physical_memory_exits_2_naming_it(
+        self, tmp_path, kg_dir, capsys, monkeypatch, flag, key, module, allocator
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{allocator} called before the size check")
+
+        monkeypatch.setattr(module, allocator, unreachable)
+        code = cli.main([
+            "train", "--mode", "kg", "--kg", kg_dir, flag, "100000000000", "--steps", "1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {key} = 100000000000 sizes a " in err and "bytes of memory" in err
 
     def test_checkpoint_ids_must_be_the_corpus(self, tmp_path, corpus_path, capsys):
         store = params_mod.init_random(

@@ -5,11 +5,16 @@ the set semantics alone (linear scans over the edge list, no indexes), and
 the ranking code against a counting oracle.
 """
 
+import os
 import random
-from itertools import product
+import tempfile
+import tracemalloc
+from itertools import product, repeat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srbox import evalgen
 from srbox.errors import ParseError, ValidationError
@@ -93,6 +98,46 @@ def write_tsv(path, rows):
         for h, r, t in rows:
             fh.write(f"{h}\t{r}\t{t}\n")
     return str(path)
+
+
+def reference_read_fields(path):
+    """The fields of a head<TAB>relation<TAB>tail file, three per non-blank
+    line, as one flat list of names: the reader ``load_kg`` used before it
+    parsed whole arrays, kept as its reference."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    lines = text.split("\n")
+    tabs = list(map(str.count, lines, repeat("\t")))
+    for lineno, (line, n) in enumerate(zip(lines, tabs), start=1):
+        if line and n != 2:
+            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {n + 1}")
+    kept = [line for line in lines if line]
+    return "\t".join(kept).split("\t") if kept else []
+
+
+def reference_load_kg(train_path, valid_path, test_path):
+    """``load_kg`` through sorted sets and dicts of names."""
+    paths = (train_path, valid_path, test_path)
+    fields = {split: reference_read_fields(path) for split, path in zip(evalgen.SPLITS, paths)}
+    entities = sorted(set().union(*(f[i::3] for f in fields.values() for i in (0, 2))))
+    relations = sorted(set().union(*(f[1::3] for f in fields.values())))
+    e_idx = {e: i for i, e in enumerate(entities)}
+    r_idx = {r: i for i, r in enumerate(relations)}
+    rows = {}
+    for split, f in fields.items():
+        triplets = list(zip(*(map(ids.__getitem__, f[i::3]) for i, ids in enumerate((e_idx, r_idx, e_idx)))))
+        kept = list(dict.fromkeys(triplets))
+        rows[split] = np.array(kept, dtype=np.int64).reshape(-1, 3)
+    kg = KnowledgeGraph(entities, relations, rows)
+    kg.validate()
+    return kg
 
 
 @pytest.fixture
@@ -217,6 +262,143 @@ class TestLoadKgFormat:
         assert kg.relation_ids == ["r1", "r2"]
         assert kg.train == [(2, 1, 1), (0, 0, 3)]
         assert kg.valid == [(4, 1, 2)] and kg.test == [(1, 0, 0)]
+
+
+# Name pieces whose joins give prefixes of other names, names sharing their
+# first 8 bytes, names longer than 8 bytes, multibyte UTF-8 and NUL.
+NAME_PIECES = ["", "a", "B", "ab", "abcdefgh", "abcdefgh\x00", "é", "名", "😀", "\x00", "zz"]
+INVALID_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe5\x90"]
+
+
+@st.composite
+def split_files(draw, max_lines):
+    """The bytes of one split file over a small pool of names."""
+    pool = draw(st.lists(st.lists(st.sampled_from(NAME_PIECES), max_size=4).map("".join),
+                         min_size=1, max_size=6))
+    name = st.sampled_from(pool)
+    good = st.tuples(name, name, name).map("\t".join)
+    bad = st.lists(name, min_size=1, max_size=5).filter(lambda f: len(f) != 3).map("\t".join)
+    newline = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = draw(st.lists(st.tuples(st.one_of(good, good, good, st.just("")), newline),
+                          max_size=max_lines))
+    if draw(st.integers(0, 3)) == 3:
+        lines.insert(draw(st.integers(0, len(lines))), (draw(bad), draw(newline)))
+    data = "".join(text + end for text, end in lines).encode("utf-8")
+    if lines and draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    if draw(st.integers(0, 9)) == 9:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(INVALID_UTF8)) + data[at:]
+    return data
+
+
+def load_outcome(load, paths):
+    """What a reader gives: the graph's names and rows, or its error."""
+    try:
+        kg = load(*paths)
+    except (ParseError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    rows = {split: (kg.rows[split].dtype, kg.rows[split].shape, kg.rows[split].tolist())
+            for split in evalgen.SPLITS}
+    return kg.entity_ids, kg.relation_ids, rows
+
+
+def assert_loads_as_reference(*splits):
+    """``load_kg`` and the reference reader give the same outcome on the
+    bytes of the three split files."""
+    with tempfile.TemporaryDirectory() as folder:
+        paths = []
+        for split, data in zip(evalgen.SPLITS, splits):
+            paths.append(os.path.join(folder, f"{split}.tsv"))
+            with open(paths[-1], "wb") as fh:
+                fh.write(data)
+        assert load_outcome(load_kg, paths) == load_outcome(reference_load_kg, paths)
+
+
+class TestLoadKgMatchesReference:
+    """``load_kg`` against the reference reader kept in this file."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_files(12), split_files(3), split_files(3))
+    def test_random_splits(self, train, valid, test):
+        assert_loads_as_reference(train, valid, test)
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_files(12), split_files(3), split_files(3))
+    def test_random_splits_in_wide_passes(self, train, valid, test):
+        """As above, with a pass reading up to one key word per data byte,
+        so that small files also take passes of many words."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evalgen, "_DATA_PER_WORD", 1)
+            assert_loads_as_reference(train, valid, test)
+
+    def test_long_names_tie_over_many_words(self, tmp_path):
+        names = ["p" * 40 + tail for tail in ("", "a", "\x00", "é", "ab", "a" * 30)] + ["p" * 39]
+        rows = [(h, "r" * 20 + t[-1:], t) for h in names for t in names]
+        paths = [write_tsv(tmp_path / f"{split}.tsv", part)
+                 for split, part in zip(evalgen.SPLITS, (rows, [], []))]
+        kg = load_kg(*paths)
+        assert kg.entity_ids == sorted(names)
+        assert load_outcome(load_kg, paths) == load_outcome(reference_load_kg, paths)
+
+    def test_long_shared_prefixes_sort_in_wide_passes(self, tmp_path, monkeypatch):
+        prefix = "p" * 3000
+        names = [prefix + tail for tail in ("", "a", "\x00", "é", "ab", "a" * 5000, "\x00" * 9)]
+        names += [prefix[:-1], prefix[:-7] + "q"]
+        rows = [(h, f"r{i % 3}", t) for i, (h, t) in enumerate(product(names, names))]
+        paths = [write_tsv(tmp_path / f"{split}.tsv", part)
+                 for split, part in zip(evalgen.SPLITS, (rows, [], []))]
+        widths = record_pass_widths(monkeypatch)
+        assert load_outcome(load_kg, paths) == load_outcome(reference_load_kg, paths)
+        assert max(widths) > 1  # some pass read more than one word of each tied name
+
+    def test_memory_is_linear_in_the_file_for_a_long_name(self, tmp_path):
+        paths = long_name_splits(tmp_path)
+        size = os.path.getsize(paths[0])
+        tracemalloc.start()
+        try:
+            kg = load_kg(*paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * size, (peak, size)
+        assert kg.entity_ids[-3:] == [LONG[:-1], LONG, "n" * 8 + "x"]
+        assert load_outcome(load_kg, paths) == load_outcome(reference_load_kg, paths)
+
+    def test_a_long_name_takes_few_passes(self, tmp_path, monkeypatch):
+        """A pass after the first reads about 7/32 of the data's bytes across
+        the names still tied: three 1 MB names in a 3 MB file take five such
+        passes, where 7 bytes a pass would take over 140 000."""
+        paths = long_name_splits(tmp_path)
+        widths = record_pass_widths(monkeypatch)
+        load_kg(*paths)
+        assert len(widths) <= 10, widths
+
+
+LONG = "n" * 1_000_000
+
+
+def long_name_splits(tmp_path):
+    """A train split of 3000 short lines, three of which hold 1 MB names."""
+    rows = [(f"e{i:04d}", f"r{i % 7}", f"e{(7 * i) % 3000:04d}") for i in range(3000)]
+    rows[10] = (LONG, "r0", "e0001")
+    rows[2000] = ("e0002", "r1", LONG)
+    rows[2500] = ("n" * 8 + "x", "r2", LONG[:-1])
+    return [write_tsv(tmp_path / f"{split}.tsv", part)
+            for split, part in zip(evalgen.SPLITS, (rows, [], []))]
+
+
+def record_pass_widths(monkeypatch):
+    """The key words per name of each ``_intern`` pass from here on."""
+    widths = []
+    name_keys = evalgen._name_keys
+
+    def recorded(words, starts, left, width):
+        widths.append(width)
+        return name_keys(words, starts, left, width)
+
+    monkeypatch.setattr(evalgen, "_name_keys", recorded)
+    return widths
 
 
 class TestEdgeIndex:

@@ -16,7 +16,9 @@ Writes ``BENCH_<label>.json`` at the root of the checkout: the command, the
 seeds, the workload sizes (read from ``perfbench/workloads.SPECS``), the
 core count, the numpy and Python versions, both revisions, every run's
 result, and for each end-to-end metric of ``BENCHMARK.json`` the median and
-quartiles of each arm and the number of pairs the change won.
+quartiles of each arm, the number of pairs the change won and a verdict
+(``gain``, ``within_bound``, ``worse_beyond_bound`` or ``unresolved``; see
+``_verdict``).
 """
 
 from __future__ import annotations
@@ -85,18 +87,53 @@ def _quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def _verdict(summary: dict, parent: list[float], change: list[float], sound: bool) -> str:
+    """How the change's runs of one metric compare with the parent's.
+
+    ``gain``: the change's runs are ``sound`` (see ``summarize``), the change
+    is better in at least nine tenths of the pairs, and its median lies
+    further from the parent's than the parent's quartiles lie apart.
+    ``worse_beyond_bound``: the change's median is worse than the
+    parent's by more than the metric's bound, a fraction of the parent's
+    median. ``unresolved``: the parent's own quartile range, as a fraction
+    of its median, is wider than the bound, and not every change run beats
+    every parent run. ``within_bound`` otherwise.
+    """
+    higher = summary["better"] == "higher"
+
+    def better(a: float, b: float) -> bool:
+        return a > b if higher else a < b
+
+    p, c = summary["parent"]["median"], summary["change"]["median"]
+    spread = summary["parent"]["q3"] - summary["parent"]["q1"]
+    wins = 10 * summary["change_wins"] >= 9 * summary["pairs"]
+    if sound and wins and better(c, p) and abs(c - p) > spread:
+        return "gain"
+    if (p - c if higher else c - p) / p > summary["bound"]:
+        return "worse_beyond_bound"
+    if spread / p > summary["bound"] and not all(better(x, y) for x in change for y in parent):
+        return "unresolved"
+    return "within_bound"
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each arm's median and quartiles, and the pairs the change
-    won (strictly better in the metric's direction)."""
+    """Per metric of ``BENCHMARK.json``'s ``end_to_end`` list: each arm's
+    median and quartiles, the pairs the change won (strictly better in the
+    metric's direction) and the verdict of ``_verdict``. A change whose runs
+    are not all ``correct``, or that fail more operations in total than the
+    parent's runs, shows no gain."""
+    sound = (all(p["change"]["correct"] for p in pairs)
+             and sum(p["change"]["failed"] for p in pairs) <= sum(p["parent"]["failed"] for p in pairs))
     out = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-        out[name] = {"unit": metric["unit"], "better": metric["better"],
+        out[name] = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
                      "parent": _quartiles(parent), "change": _quartiles(change),
                      "change_wins": wins, "pairs": len(pairs)}
+        out[name]["verdict"] = _verdict(out[name], parent, change, sound)
     return out
 
 
