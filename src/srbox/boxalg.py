@@ -24,12 +24,12 @@ entity (d,) or for every row of a batch (m, d) against one box:
 ``distance_with_cache`` also keeps the two gaps, and ``distance_backward``
 turns them into gradients for all rows at once, reading each coordinate's
 hinge side from the sign of e - p. Evaluation ranks stacked query boxes
-against every entity through ``min_distance_tiles``, which runs
-``distance_batch`` on cache-sized tiles in the calling thread; every tile
-writes its own slice of the result, so its distances have the same bits
-for any tile size. The same pass runs in float32 as eval's screen:
-``screen_error`` bounds each query's float32 error, and ``pair_distances``
-recounts single pairs in float64 with the tiled pass's bits.
+against every entity through ``min_distance_tiles``, eval's float32 screen,
+which runs ``distance_batch`` on cache-sized float32 tiles in the calling
+thread, each writing its own slice of the result; ``screen_error`` bounds
+each query's float32 error. Every exact float64 distance of a stacked query
+comes from ``pair_distances``, which gathers entity rows and runs
+``distance_batch`` on each against its own query's box.
 
 Every operation here has a matching hand-written backward; forward variants
 with ``_with_cache`` record exactly what the backward needs, plus the branch
@@ -91,10 +91,10 @@ class Bounds(NamedTuple):
         return self.center.shape[-1]
 
     @classmethod
-    def of(cls, center: np.ndarray, offset: np.ndarray, dtype) -> Bounds:
-        """The bounds of the box (center, offset), corners computed in float64
-        and then, like the center, rounded to ``dtype``."""
-        return cls(*(np.asarray(a, dtype) for a in (center, center - offset, center + offset)))
+    def of(cls, center: np.ndarray, offset: np.ndarray) -> Bounds:
+        """The float32 bounds of the box (center, offset), corners computed in
+        float64 and then, like the center, rounded."""
+        return cls(*(np.asarray(a, np.float32) for a in (center, center - offset, center + offset)))
 
 
 def _weight(fan_in: int = 1):
@@ -422,9 +422,10 @@ def distance_batch(
     return _combine(*_gaps(entities, b, out[:2]), alpha, norm, out[2:]).d
 
 
-# elements of one gap buffer in the tiled distance pass: both buffers of a
-# tile, 512 KB at this size in float64 (and in the float32 screen, whose
-# tiles take twice the queries), stay in a core's L2 cache
+# elements of work in one step of the distance and ranking passes; a tile
+# of the float32 screen holds the gaps of twice the queries that this many
+# elements hold, 512 KB in its two gap buffers at this size, which stay in
+# a core's L2 cache
 DIST_TILE = 1 << 15
 
 # numpy's error handling in the float32 screen: a magnitude beyond float32's
@@ -433,79 +434,75 @@ _SCREEN_ERRORS = {"over": "ignore", "invalid": "ignore"}
 
 
 def _tile_pass(tiles, gaps: np.ndarray, sums: np.ndarray, cast, alpha, norm: str) -> None:
-    """Write the distances of each tile of ``tiles``, the minimum over its
-    disjuncts, into its target. Every tile reuses the one pair of gap
-    buffers ``gaps``, the three result buffers ``sums`` (the first keeps the
-    minimum, the third takes each later disjunct) and, in the float32
-    screen, the buffer ``cast`` that takes the tile's entity rows in
-    float32, so the pass allocates no array."""
-    with np.errstate(**(_SCREEN_ERRORS if cast is not None else {})):
+    """Write the float32 distances of each tile of ``tiles``, the minimum
+    over its disjuncts, into its target. Every tile reuses the one pair of
+    gap buffers ``gaps``, the three result buffers ``sums`` (the first keeps
+    the minimum, the third takes each later disjunct) and the buffer
+    ``cast`` that takes the tile's entity rows in float32, so the pass
+    allocates no array."""
+    with np.errstate(**_SCREEN_ERRORS):
         for tile, stacked, target in tiles:
             shape = (*target.shape, tile.shape[1])
             out = [buf[: math.prod(shape)].reshape(shape) for buf in gaps]
             out += [buf[: target.size].reshape(target.shape) for buf in sums]
-            if cast is not None:
-                rows = cast[: tile.size].reshape(tile.shape)
-                np.copyto(rows, tile, casting="same_kind")
-                tile = rows
+            rows = cast[: tile.size].reshape(tile.shape)
+            np.copyto(rows, tile, casting="same_kind")
             low = out[2]
             for k, bounds in enumerate(stacked):
                 work = [*out[:2], out[4] if k else low, out[3]]
-                part = distance_batch(tile, bounds, alpha, norm, work)
+                part = distance_batch(rows, bounds, alpha, norm, work)
+                if len(stacked) > 1:
+                    # inf + (inf - inf) is NaN, which the minimum keeps, so a
+                    # disjunct that overflowed is not hidden by a finite one
+                    np.add(part, np.subtract(part, part, out=out[3]), out=part)
                 if k:
                     np.minimum(low, part, out=low)
             target[...] = low
 
 
-def min_distance_tiles(
-    entities: np.ndarray, boxes: list[Box], alpha: float, norm: str, dtype=np.float64
-):
-    """Distances from every row of ``entities`` (m, d) to a batch of B
-    queries, each the minimum over its disjuncts: ``boxes`` holds one Box of
-    stacked (B, d) arrays per disjunct.
+def min_distance_tiles(entities: np.ndarray, boxes: list[Box], alpha: float, norm: str):
+    """Eval's float32 screen: the distances from every row of ``entities``
+    (m, d) to a batch of B queries, each the minimum over its disjuncts.
+    ``boxes`` holds one Box of stacked (B, d) arrays per disjunct. A finite
+    distance lies within ``screen_error`` of the float64 one, which
+    ``pair_distances`` gives; only where a float32 value overflows is it
+    inf or NaN.
 
     Yields (start, D) for consecutive chunks of queries, D (c, m) float64
-    for queries start .. start + c - 1, so only one chunk's distances are
-    alive at a time. A chunk holds about ``DIST_TILE`` distances, or one
-    tile's queries if that is more, so that what its caller does once per
-    chunk costs little. It is computed in the calling thread, in tiles of q
-    queries by as many entity rows as keep a tile's gaps within
-    ``DIST_TILE`` elements, each written into its own (queries, entity
-    rows) slice of D by one ``_tile_pass`` that reuses one set of gap,
-    result and cast buffers for the whole call.
-
-    ``dtype`` is the precision of the computation. In float64 every
-    distance is the one ``distance_batch`` gives for one query's box, with
-    the same bits for any tile size. In float32, the screen, it lies within
-    ``screen_error`` of that if it is finite. A float32 tile takes the same
-    entity rows for twice the queries, as long as 2 ``DIST_TILE`` distances
-    hold that many rows, so its buffers take as many bytes and each numpy
-    call does twice the work; its entity rows are cast once into the cast
-    buffer for all of its queries, so no float32 copy of the table is made.
+    holding the float32 distances of queries start .. start + c - 1, so
+    only one chunk's distances are alive at a time. A chunk holds about
+    ``DIST_TILE`` distances, or one tile's queries if that is more, so that
+    what its caller does once per chunk costs little. It is computed in the
+    calling thread, in tiles of q queries by r entity rows, each written
+    into its own (queries, entity rows) slice of D by one ``_tile_pass``
+    that reuses one set of gap, result and cast buffers for the whole call.
+    With q0 the number of queries whose gaps to every row fit in
+    ``DIST_TILE`` elements (at least one), r is the number of rows whose
+    gaps to q0 queries do, and q is 2 q0 as long as 2 ``DIST_TILE``
+    distances hold that many rows, so a gap buffer holds up to 2
+    ``DIST_TILE`` float32 elements. A tile's entity rows are cast once into
+    the cast buffer for all of its queries, so no float32 copy of the table
+    is made.
     """
     m, d = entities.shape
-    dtype = np.dtype(dtype)
-    screen = dtype != entities.dtype
     n_queries = boxes[0].center.shape[0]
     q = min(n_queries, max(1, DIST_TILE // (m * d)))
     rows = max(1, DIST_TILE // (q * d))
-    if screen:  # twice the queries, while 2 DIST_TILE distances hold them
-        q = min(n_queries, 2 * q, max(q, 2 * DIST_TILE // m))
+    q = min(n_queries, 2 * q, max(q, 2 * DIST_TILE // m))
     chunk = q * max(1, DIST_TILE // (m * q))
-    gaps = np.empty((2, q * min(rows, m) * d), dtype)
-    sums = np.empty((3, q * min(rows, m)), dtype)
-    cast = np.empty(min(rows, m) * d, dtype) if screen else None
-    alpha = dtype.type(alpha)
+    gaps = np.empty((2, q * min(rows, m) * d), np.float32)
+    sums = np.empty((3, q * min(rows, m)), np.float32)
+    cast = np.empty(min(rows, m) * d, np.float32)
+    alpha = np.float32(alpha)
     # made ahead of the tiles, like each chunk's bounds below, so that a tile
     # pass allocates no array (tests/test_scoring.py TestTilePassAllocations)
-    _ones(d, dtype)
+    _ones(d, gaps.dtype)
     for start in range(0, n_queries, chunk):
         stop = min(start + chunk, n_queries)
         dist = np.empty((stop - start, m))
-        with np.errstate(**(_SCREEN_ERRORS if screen else {})):
+        with np.errstate(**_SCREEN_ERRORS):
             bounds = [
-                Bounds.of(b.center[start:stop, None], b.offset[start:stop, None], dtype)
-                for b in boxes
+                Bounds.of(b.center[start:stop, None], b.offset[start:stop, None]) for b in boxes
             ]
         tiles = []
         for s0 in range(0, stop - start, q):
@@ -522,7 +519,7 @@ def min_distance_tiles(
 def screen_error(entities: np.ndarray, boxes: list[Box], alpha: float) -> np.ndarray:
     """ε (B,): for query i of ``boxes`` (one Box of stacked (B, d) arrays per
     disjunct) and every entity, a finite distance of the float32 screen
-    (``min_distance_tiles`` in float32) lies within ε_i of the float64 one.
+    (``min_distance_tiles``) lies within ε_i of the float64 one.
 
     Let u = 2^-24 and let M be the largest magnitude of an entity
     coordinate, of the query's centers and of its corners c -/+ o (made in
@@ -551,9 +548,10 @@ def screen_error(entities: np.ndarray, boxes: list[Box], alpha: float) -> np.nda
     The ε returned, (1 + alpha) (3 d (d + 10) u mu + 2^-61 sqrt(d)), is more
     by a margin that also covers rounding D64 -/+ ε in float64. Where a
     float32 value overflows, the screened distance becomes inf or NaN and
-    stays so, the clamp aside, which rounding monotonely covers: only a
-    non-finite screened distance can be off by more than ε, and so it
-    tells its caller to recount. ε itself is inf where it overflows.
+    stays so, the clamp aside, which rounding monotonely covers, and through
+    the minimum over several disjuncts, which ``_tile_pass`` takes after
+    making each disjunct's inf NaN: only a non-finite screened distance can
+    be off by more than ε, and so it tells its caller to recount. ε itself is inf where it overflows.
     """
     d = entities.shape[1]
     big = max(entities.max(), -entities.min())
@@ -573,8 +571,9 @@ def pair_distances(
     ``boxes`` (one Box of stacked (B, d) arrays per disjunct), the minimum
     over its disjuncts, for every k: ``distance_batch`` on gathered rows,
     each a row of a batch against its own box. Elementwise operations and a
-    sum over each row's d terms give every pair the bits the tiled pass
-    gives it. The pairs go in slices of ``DIST_TILE`` gathered elements."""
+    sum over each row's d terms give every pair the bits ``distance_batch``
+    gives the entity against that query's box alone. The pairs go in slices
+    of ``DIST_TILE`` gathered elements."""
     out = np.empty(len(ids))
     step = max(1, DIST_TILE // entities.shape[1])
     for p0 in range(0, len(ids), step):

@@ -421,6 +421,7 @@ def _fresh_blocks(cfg: RunConfig, kg: evalgen.KnowledgeGraph) -> list[evalgen.Qu
     rng = substream(cfg.seed, STREAM_QUERY_GEN)
     split = cfg.get("eval", "split")
     count = cfg.get_int("eval", "count")
+    _check_table("[eval] count", count, count * 8)  # the query positions alone
     types = [t.strip() for t in cfg.get("eval", "types").split(",") if t.strip()]
     if not types:
         raise ValidationError("no query types requested")

@@ -133,8 +133,11 @@ class KnowledgeGraph:
                 raise ValidationError(f"triplet ({h}, {r}, {t}) out of id range")
         train = _distinct(_row_keys(self.rows["train"], sizes))
         for split in ("valid", "test"):
-            keys = _distinct(_row_keys(self.rows[split], sizes))
-            shared = len(train) + len(keys) - len(_distinct(np.concatenate([train, keys])))
+            keys = np.sort(_row_keys(self.rows[split], sizes))  # searched in order, cache-friendly
+            at = np.searchsorted(train, keys)
+            found = at < len(train)
+            found[found] = train[at[found]] == keys[found]
+            shared = len(_distinct(keys[found]))
             if shared:
                 raise ValidationError(f"{split} split shares {shared} triplet(s) with train")
 
@@ -788,41 +791,28 @@ def _forward_parts(block: QueryBlock, params):
         yield b0, boxalg.execute_ids(block.plan, block.anchors[rows], block.relations[rows], params)
 
 
-def block_distances(block: QueryBlock, params, scorer: str = "box",
-                    alpha: float = DEFAULT_ALPHA, norm: str = DEFAULT_NORM):
-    """Distances from every entity to the queries of a block under the
-    chosen scorer (lower is better).
-
-    Yields (start, D) for consecutive chunks of rows, D (c, n_entities) for
-    rows start .. start + c - 1, so memory holds one chunk's distances, not
-    the block's. The box scorer takes the distances of each forward part
-    from ``boxalg.min_distance_tiles``; the path-sum scorer scores one row
-    at a time along the chain its plan lays out.
-    """
-    if scorer == "ptranse":
-        hops = _chain_hops(block.plan)
-        for i, (ents, rels) in enumerate(zip(block.anchors.tolist(), block.relations.tolist())):
-            yield i, ptranse_distances(ents[0], [(rels[s], inv) for s, inv in hops], params)[None]
-        return
-    if scorer != "box":
-        raise ValidationError(f"unknown scorer {scorer!r}")
-    for b0, boxes in _forward_parts(block, params):
-        for start, dist in boxalg.min_distance_tiles(params.entity_centers, boxes, alpha, norm):
-            yield b0 + start, dist
+def _ptranse_rows(block: QueryBlock, params):
+    """The path-sum distances from every entity to each row of a block,
+    (n_entities,) each, along the chain its plan lays out."""
+    hops = _chain_hops(block.plan)
+    for ents, rels in zip(block.anchors.tolist(), block.relations.tolist()):
+        yield ptranse_distances(ents[0], [(rels[s], inv) for s, inv in hops], params)
 
 
 def _screened_chunks(block: QueryBlock, params, alpha: float, norm: str, counts: dict):
     """(start, D, screen) for consecutive chunks of rows under the box
-    scorer, as ``block_distances`` yields them, but with D from the float32
-    screen and ``screen`` the pair ``rank_block`` takes with it: each row's
-    ``boxalg.screen_error`` and a function of (rows, ids) that gives those
-    pairs' float64 distances. Adds the pairs screened, and the distinct
-    pairs recounted, to ``counts["pairs"]`` and ``counts["recomputed"]``
-    once a chunk is ranked."""
+    scorer, so memory holds one chunk's distances, not the block's. D (c,
+    n_entities) is the float32 screen of rows start .. start + c - 1, from
+    ``boxalg.min_distance_tiles`` on each forward part, and ``screen`` the
+    pair ``rank_block`` takes with it: each row's ``boxalg.screen_error``
+    and a function of (rows, ids) that gives those pairs' float64
+    distances. Adds the pairs screened, and the distinct pairs recounted,
+    to ``counts["pairs"]`` and ``counts["recomputed"]`` once a chunk is
+    ranked."""
     entities = params.entity_centers
     for b0, boxes in _forward_parts(block, params):
         eps = boxalg.screen_error(entities, boxes, alpha)
-        for start, dist in boxalg.min_distance_tiles(entities, boxes, alpha, norm, np.float32):
+        for start, dist in boxalg.min_distance_tiles(entities, boxes, alpha, norm):
             part = slice(start, start + len(dist))
             chunk = [boxalg.Box(b.center[part], b.offset[part]) for b in boxes]
             seen = np.zeros(dist.shape, dtype=bool)  # the pairs recounted, each once
@@ -947,19 +937,19 @@ def block_ranks(block: QueryBlock, params, scorer: str = "box", alpha: float = D
 
     The box scorer's chunks are the float32 screen (``_screened_chunks``),
     whose undecided pairs ``rank_block`` recounts in float64; the path-sum
-    scorer's are exact and go to ``rank_block`` without a screen. Either
-    way every rank is the one ``block_distances`` gives. Adds the seconds spent in
-    ``rank_block`` to ``timings["ranks"]`` and, for the box scorer, the
-    pairs screened and recounted to ``screen_counts["pairs"]`` and
-    ``screen_counts["recomputed"]``, if given."""
+    scorer's are its rows, exact, and go to ``rank_block`` without a
+    screen. Either way every rank is the one ``query_distances`` gives.
+    Adds the seconds spent in ``rank_block`` to ``timings["ranks"]`` and,
+    for the box scorer, the pairs screened and recounted to
+    ``screen_counts["pairs"]`` and ``screen_counts["recomputed"]``, if
+    given."""
     if scorer == "box":
         counts = {"pairs": 0, "recomputed": 0} if screen_counts is None else screen_counts
         chunks = _screened_chunks(block, params, alpha, norm, counts)
+    elif scorer == "ptranse":
+        chunks = ((i, dist[None], None) for i, dist in enumerate(_ptranse_rows(block, params)))
     else:
-        chunks = (
-            (start, dist, None)
-            for start, dist in block_distances(block, params, scorer, alpha, norm)
-        )
+        raise ValidationError(f"unknown scorer {scorer!r}")
     ranks = []
     spent = 0.0
     for start, dist, check in chunks:
@@ -980,10 +970,18 @@ def query_distances(
     alpha: float = DEFAULT_ALPHA,
     norm: str = DEFAULT_NORM,
 ) -> np.ndarray:
-    """Per-entity distance vector under the chosen scorer (lower is better)."""
+    """Per-entity distance vector under the chosen scorer (lower is better):
+    the box scorer's float64 distances from one ``boxalg.pair_distances``
+    call over every entity, or the path-sum scorer's row."""
     [block] = query_blocks([query])
-    [(_, dist)] = block_distances(block, params, scorer, alpha, norm)
-    return dist[0]
+    if scorer == "ptranse":
+        [dist] = _ptranse_rows(block, params)
+        return dist
+    if scorer != "box":
+        raise ValidationError(f"unknown scorer {scorer!r}")
+    boxes = boxalg.execute_ids(block.plan, block.anchors, block.relations, params)
+    ids = np.arange(len(params.entity_centers))
+    return boxalg.pair_distances(params.entity_centers, boxes, np.zeros_like(ids), ids, alpha, norm)
 
 
 def ranks_from_distances(

@@ -282,8 +282,9 @@ def entity_center_from_context(
     if not mentions:
         raise ValidationError("entity has no mentions to average")
     total = np.zeros(vectors.dim, dtype=np.float64)
-    for doc_id, m in mentions:
-        total += vectors.span_mean(doc_id, m.start, m.end)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past float64's range is inf
+        for doc_id, m in mentions:
+            total += vectors.span_mean(doc_id, m.start, m.end)
     return total / len(mentions)
 
 
@@ -293,7 +294,8 @@ def import_contextual(
     """Overwrite entity centers and forward relation centers from context
     vectors; inverse relation centers become the negated forward rows.
     Offsets and network weights are untouched. Missing coverage raises with
-    every uncovered id listed.
+    every uncovered id listed, and so does a center that is not finite, as
+    when its sum passes float64's range.
 
     Each document's span means are gathered as one array and added to their
     rows with ``np.add.at``, which adds in index order: every row's sum is
@@ -348,8 +350,9 @@ def import_contextual(
         if rows:
             relation_spans.append((mat, rows, starts, ends))
 
-    entity_sums, entity_counts = _span_sums(entity_spans, corpus.n_entities, store.dim)
-    relation_sums, relation_counts = _span_sums(relation_spans, corpus.n_relations, store.dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        entity_sums, entity_counts = _span_sums(entity_spans, corpus.n_entities, store.dim)
+        relation_sums, relation_counts = _span_sums(relation_spans, corpus.n_relations, store.dim)
     missing = [corpus.entity_ids[i] for i in np.flatnonzero(entity_counts == 0)]
     missing += [corpus.relation_ids[i] for i in np.flatnonzero(relation_counts == 0)]
     if missing:
@@ -358,8 +361,13 @@ def import_contextual(
         )
 
     n, r = corpus.n_relations, store.n_relations
-    store.entity_centers[:corpus.n_entities] = entity_sums / entity_counts[:, None]
+    entity = entity_sums / entity_counts[:, None]
     forward = relation_sums / relation_counts[:, None]
+    bad = [corpus.entity_ids[i] for i in np.flatnonzero(~np.isfinite(entity).all(axis=1))]
+    bad += [corpus.relation_ids[i] for i in np.flatnonzero(~np.isfinite(forward).all(axis=1))]
+    if bad:
+        raise ValidationError("contextual centers are not finite for: " + ", ".join(sorted(bad)))
+    store.entity_centers[:corpus.n_entities] = entity
     store.relation_centers[:n] = forward
     store.relation_centers[r:r + n] = -forward
     return store

@@ -814,6 +814,20 @@ class TestEvalCommand:
         params_mod.save(store, str(path))
         return str(path)
 
+    @pytest.mark.parametrize("command", ["gen-queries", "eval"])
+    def test_a_count_beyond_physical_memory_exits_2_naming_it(
+        self, tmp_path, kg_dir, ckpt, capsys, monkeypatch, command
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a query drawn before the count check")
+
+        monkeypatch.setattr(evalgen, "_generate", unreachable)
+        argv = [command, "--kg", kg_dir, "--count", "100000000000", "--out", str(tmp_path / "o")]
+        assert cli.main(argv + (["--checkpoint", ckpt] if command == "eval" else [])) == 2
+        err = capsys.readouterr().err
+        assert "error: [eval] count = 100000000000 sizes a 800000000000-byte table" in err
+        assert "bytes of memory" in err
+
     def test_fresh_queries(self, tmp_path, kg_dir, ckpt, capsys):
         out = tmp_path / "o"
         code = cli.main([

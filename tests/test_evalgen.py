@@ -255,6 +255,20 @@ class TestLoadKgFormat:
         with pytest.raises(ValidationError, match=r"^test split shares 2 triplet\(s\) with train$"):
             self._load(tmp_path / "t", self._text(self.ROWS[:2]), "", self._text(self.ROWS[::-1]))
 
+    def test_a_repeated_shared_triplet_counts_once(self):
+        # load_kg keeps one of each triplet, but a graph made directly may
+        # repeat one in any split
+        ids = ["a", "b", "c"], ["r"]
+        rows = {"train": np.array([[0, 0, 1], [1, 0, 2], [0, 0, 1]]),
+                "valid": np.array([[1, 0, 2], [2, 0, 0], [1, 0, 2], [1, 0, 2]]),
+                "test": np.array([[0, 0, 1], [0, 0, 1], [1, 0, 2], [2, 0, 1]])}
+        with pytest.raises(ValidationError, match=r"^valid split shares 1 triplet\(s\) with train$"):
+            KnowledgeGraph(*ids, rows).validate()
+        rows["valid"] = rows["valid"][1:2]
+        with pytest.raises(ValidationError, match=r"^test split shares 2 triplet\(s\) with train$"):
+            KnowledgeGraph(*ids, rows).validate()
+        KnowledgeGraph(*ids, {**rows, "train": np.empty((0, 3), dtype=np.int64)}).validate()
+
     def test_ids_sorted(self, tmp_path):
         kg = self._load(tmp_path, self._text(self.ROWS[:2]), self._text(self.ROWS[2:3]),
                         self._text(self.ROWS[3:]))

@@ -285,16 +285,24 @@ def per_mention_import(corpus, vectors, store):
     missing += [corpus.relation_ids[i] for i, sp in spans.items() if not sp]
     if missing:
         raise ValidationError("no contextual coverage for: " + ", ".join(sorted(missing)))
-    for i in range(corpus.n_entities):
-        store.entity_centers[i] = entity_center_from_context(vectors, mentions[i])
-    r = store.n_relations
+    entity = [entity_center_from_context(vectors, mentions[i]) for i in range(corpus.n_entities)]
+    forward = []
     for i in range(corpus.n_relations):
         total = np.zeros(store.dim)
-        for doc_id, start, end in spans[i]:
-            total += vectors.span_mean(doc_id, start, end)
-        forward = total / len(spans[i])
-        store.relation_centers[i] = forward
-        store.relation_centers[i + r] = -forward
+        with np.errstate(over="ignore", invalid="ignore"):
+            for doc_id, start, end in spans[i]:
+                total += vectors.span_mean(doc_id, start, end)
+        forward.append(total / len(spans[i]))
+    bad = [corpus.entity_ids[i] for i, c in enumerate(entity) if not np.isfinite(c).all()]
+    bad += [corpus.relation_ids[i] for i, c in enumerate(forward) if not np.isfinite(c).all()]
+    if bad:
+        raise ValidationError("contextual centers are not finite for: " + ", ".join(sorted(bad)))
+    r = store.n_relations
+    for i, center in enumerate(entity):
+        store.entity_centers[i] = center
+    for i, center in enumerate(forward):
+        store.relation_centers[i] = center
+        store.relation_centers[i + r] = -center
     return store
 
 
@@ -368,6 +376,29 @@ class TestImportContextualMatchesThePerMentionLoop:
             with mock.patch.object(params_mod, "SPAN_DOCS", span_docs):
                 store = import_contextual(corpus, vectors, init_random(1, 1, 1, seed=0))
             assert store.entity_centers[0, 0] == 0.0
+
+    def test_a_center_past_float64s_range_is_rejected(self):
+        # six span means of 3e307 sum past 1.8e308, to inf, for entity e and
+        # relation r alike; f's one mention stays finite
+        docs = [Document(f"d{i}", ("w",), (Mention(0, 0, 0),), ()) for i in range(6)]
+        docs.append(Document("d6", ("w",), (Mention(1, 0, 0),), ()))
+        corpus = Corpus(docs, ["e", "f"], ["r"], {"e": 0, "f": 1}, {"r": 0})
+        vectors = ContextualVectors(
+            1, {f"d{i}": np.array([[3e307]]) for i in range(7)},
+            {f"d{i}": {"r": (0, 0)} for i in range(6)},
+        )
+        want = "contextual centers are not finite for: e, r"
+        with pytest.raises(ValidationError) as exc:
+            per_mention_import(corpus, vectors, init_random(1, 2, 1, seed=0))
+        assert str(exc.value) == want
+        for span_docs in (1, 2, 32):
+            store = init_random(1, 2, 1, seed=0)
+            before = {name: arr.copy() for name, arr in store.arrays().items()}
+            with mock.patch.object(params_mod, "SPAN_DOCS", span_docs):
+                with pytest.raises(ValidationError) as exc:
+                    import_contextual(corpus, vectors, store)
+            assert str(exc.value) == want
+            assert all(np.array_equal(arr, before[name]) for name, arr in store.arrays().items())
 
     def test_the_cases_cover_every_outcome(self):
         outcomes = set()

@@ -195,25 +195,21 @@ class TestBatchedScoringMatchesReference:
         ]
         with mock.patch.object(boxalg, "DIST_TILE", tile), \
                 mock.patch.object(evalgen, "FORWARD_TILE", block * store.dim):
-            seen, ranks = [], {}
+            ranks = {}
             for block in evalgen.query_blocks(queries):
-                positions = block.positions.tolist()
-                for start, dists in evalgen.block_distances(block, store, "box", alpha, norm):
-                    for i, dist in zip(positions[start:start + len(dists)], dists):
-                        assert _same_bits(dist, ref_dists[i])
-                        seen.append(i)
                 flat = iter(evalgen.block_ranks(block, store, "box", alpha, norm, raw).tolist())
-                for i, hard in zip(positions, block.hard.lists()):
+                for i, hard in zip(block.positions.tolist(), block.hard.lists()):
                     ranks[i] = dict(zip(hard, flat))
                 assert next(flat, None) is None
             report = evalgen.metrics_report(queries, store, "box", alpha, norm, raw)
-        assert sorted(seen) == list(range(len(queries)))
+            dists = [evalgen.query_distances(q, store, "box", alpha, norm) for q in queries]
+        assert sorted(ranks) == list(range(len(queries)))
         assert [ranks[i] for i in range(len(queries))] == ref_ranks
         flat = [r for rk in ref_ranks for r in rk.values()]
         assert report["MRR"] == evalgen.mrr(flat)
         assert [report[f"H@{k}"] for k in (1, 3, 10)] == [evalgen.hits_at_k(flat, k) for k in (1, 3, 10)]
-        for q, ref in zip(queries, ref_dists):
-            assert _same_bits(evalgen.query_distances(q, store, "box", alpha, norm), ref)
+        for q, dist, ref in zip(queries, dists, ref_dists):
+            assert _same_bits(dist, ref)
             boxes, ref_boxes = boxalg.execute_query(q.dag, store), _ref_execute_query(q.dag, store)
             assert len(boxes) == len(ref_boxes)
             for b, rb in zip(boxes, ref_boxes):
@@ -480,7 +476,7 @@ class TestScoringMemory:
 
 
 # ---------------------------------------------------------------------------
-# the tiled distance pass at every tile size
+# exact distances, and the float32 tiled distance pass
 
 
 @st.composite
@@ -515,24 +511,35 @@ def split_cases(draw):
     return store, queries, draw(st.sampled_from((0.0, 0.02, 0.5))), norm, tile, block
 
 
-class TestDistanceTiles:
+class TestExactDistances:
     @settings(max_examples=120, deadline=None)
     @given(split_cases())
-    def test_every_tile_size_gives_the_reference_bits(self, case):
+    def test_query_distances_give_the_reference_bits_at_every_slice_size(self, case):
+        # a tile below n_entities x d gathers the entity rows in several slices
+        store, queries, alpha, norm, tile, _ = case
+        with mock.patch.object(boxalg, "DIST_TILE", tile):
+            for q in queries:
+                got = evalgen.query_distances(q, store, "box", alpha, norm)
+                assert _same_bits(got, _ref_query_distances(q, store, alpha, norm))
+
+    @settings(max_examples=150, deadline=None)
+    @given(split_cases(), st.data())
+    def test_a_gathered_recount_has_the_reference_bits(self, case, data):
         store, queries, alpha, norm, tile, block = case
-        ref = [_ref_query_distances(q, store, alpha, norm) for q in queries]
-        seen = []
+        n_ent = store.n_entities
+        ref = np.array([_ref_query_distances(q, store, alpha, norm) for q in queries])
         with mock.patch.object(boxalg, "DIST_TILE", tile), \
                 mock.patch.object(evalgen, "FORWARD_TILE", block * store.dim):
             for qblock in evalgen.query_blocks(queries):
-                for start, chunk in evalgen.block_distances(qblock, store, "box", alpha, norm):
-                    idxs = qblock.positions[start:start + len(chunk)].tolist()
-                    assert len(idxs) == len(chunk)
-                    for i, dist in zip(idxs, chunk):
-                        assert _same_bits(dist, ref[i])
-                    seen += idxs
-        assert sorted(seen) == list(range(len(queries)))
+                boxes = boxalg.execute_ids(qblock.plan, qblock.anchors, qblock.relations, store)
+                pairs = data.draw(st.lists(st.tuples(st.integers(0, len(qblock) - 1),
+                                                     st.integers(0, n_ent - 1)), min_size=1))
+                rows, ids = (np.array(column) for column in zip(*pairs))
+                got = boxalg.pair_distances(store.entity_centers, boxes, rows, ids, alpha, norm)
+                assert _same_bits(got, ref[qblock.positions[rows], ids])
 
+
+class TestDistanceTiles:
     def _entities_and_boxes(self, n_entities, n_queries, dim=4):
         """A store's entity rows and two disjuncts of ``n_queries`` stacked
         boxes each."""
@@ -551,11 +558,10 @@ class TestDistanceTiles:
             for i in range(boxes[0].center.shape[0])
         ])
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_an_error_ends_the_pass_at_its_tile(self, dtype):
-        # tiles of one query by 10 of the 100 rows, in either dtype; the
-        # third call gets a tile one column short, so ``_gaps``
-        # raises there and no later tile runs
+    def test_an_error_ends_the_pass_at_its_tile(self):
+        # tiles of one query by 10 of the 100 rows; the third call gets a
+        # tile one column short, so ``_gaps`` raises there and no later
+        # tile runs
         entities, boxes = self._entities_and_boxes(100, 6)
         calls = []
         real = boxalg.distance_batch
@@ -569,7 +575,7 @@ class TestDistanceTiles:
         with mock.patch.object(boxalg, "DIST_TILE", 40), \
                 mock.patch.object(boxalg, "distance_batch", patched):
             with pytest.raises(ValidationError) as exc:
-                list(boxalg.min_distance_tiles(entities, boxes, 0.02, "l1", dtype))
+                list(boxalg.min_distance_tiles(entities, boxes, 0.02, "l1"))
         assert str(exc.value) == "entity shape (10, 3) does not match box dim 4"
         assert calls == [(10, 4)] * 3
 
@@ -593,13 +599,13 @@ class TestDistanceTiles:
         assert threads and set(threads) == {caller}
         # two disjuncts per tile: one tile of all six queries, or 6 x 10 tiles
         assert len(threads) == (2 if tile == boxalg.DIST_TILE else 120)
-        assert _same_bits(got, self._reference(entities, boxes))
+        eps = boxalg.screen_error(entities, boxes, 0.02)
+        assert np.all(np.abs(got - self._reference(entities, boxes)) <= eps[:, None])
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_one_set_of_buffers_serves_the_whole_call(self, dtype):
-        # six chunks of one query, each its own tile pass (the float32 screen
-        # takes no second query, as 2 DIST_TILE distances hold fewer than
-        # the 100 rows), all on the same gap, result and cast buffers
+    def test_one_set_of_buffers_serves_the_whole_call(self):
+        # six chunks of one query, each its own tile pass (a tile takes no
+        # second query, as 2 DIST_TILE distances hold fewer than the 100
+        # rows), all on the same float32 gap, result and cast buffers
         entities, boxes = self._entities_and_boxes(100, 6)
         passes = []
         real = boxalg._tile_pass
@@ -611,34 +617,41 @@ class TestDistanceTiles:
         with mock.patch.object(boxalg, "DIST_TILE", 40), \
                 mock.patch.object(boxalg, "_tile_pass", recorded):
             got = np.concatenate([d for _, d in boxalg.min_distance_tiles(entities, boxes, 0.02,
-                                                                          "l1", dtype)])
+                                                                          "l1")])
         assert len(passes) == 6
         gaps, sums, cast = passes[0]
         assert all(p[0] is gaps and p[1] is sums and p[2] is cast for p in passes)
-        assert gaps.dtype == sums.dtype == dtype
-        if dtype == np.float64:
-            assert cast is None
-            assert _same_bits(got, self._reference(entities, boxes))
-        else:
-            assert cast.dtype == np.float32
-            assert np.allclose(got, self._reference(entities, boxes), rtol=1e-5)
+        assert gaps.dtype == sums.dtype == cast.dtype == np.float32
+        assert np.allclose(got, self._reference(entities, boxes), rtol=1e-5)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n_entities, chunk", [(5000, 6), (200, 160), (50_000, 1)])
-    def test_the_chunks_of_each_workload_size(self, n_entities, chunk, dtype):
+    def test_the_chunks_of_each_workload_size(self, n_entities, chunk):
         # the benchmark's entity counts (kg-1p-5000, and the 200-entity grid
         # of kg-mixed-200 and text-ctx) and TestScoringMemory's 50 000, at the
-        # benchmark's box dimension 32: the chunk rule q * (DIST_TILE // (m *
-        # q)) gives the same chunks in the float32 screen as in float64
+        # benchmark's box dimension 32, under the chunk rule q * (DIST_TILE //
+        # (m * q))
         n_queries = 2 * chunk + 1
         entities, boxes = self._entities_and_boxes(n_entities, n_queries, dim=32)
-        sizes = [len(d) for _, d in boxalg.min_distance_tiles(entities, boxes, 0.02, "l1", dtype)]
+        sizes = [len(d) for _, d in boxalg.min_distance_tiles(entities, boxes, 0.02, "l1")]
         assert sizes == [chunk, chunk, 1]
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_a_disjunct_that_overflows_is_not_hidden_by_the_minimum(self, first):
+        # the overflowing disjunct's center 3.45e38 is past float32's largest
+        # value, so its screened distance is not finite, though its float64
+        # one, 0.02 * 5e36, is the smaller; the entity's screened distance
+        # must not be the other disjunct's finite 3.4e38
+        entities = np.array([[3.4e38]])
+        boxes = [Box(np.array([[3.45e38]]), np.array([[1e37]])), Box(np.zeros((1, 1)), np.ones((1, 1)))]
+        boxes = boxes[first:] + boxes[:first]
+        (_, screen), = boxalg.min_distance_tiles(entities, boxes, 0.02, "l1")
+        assert not np.isfinite(screen).any()
+        exact = boxalg.pair_distances(entities, boxes, np.array([0]), np.array([0]), 0.02, "l1")
+        assert np.allclose(exact, 1e35)
 
 
 class TestTilePassAllocations:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_the_tile_pass_allocates_no_array(self, dtype):
+    def test_the_tile_pass_allocates_no_array(self):
         # every gap, result and entity array of a tile is a view of one of
         # the pass's buffers, and each chunk's box corners are made before its
         # tiles, so a tile pass allocates only the views; at d = 1024 one
@@ -660,7 +673,7 @@ class TestTilePassAllocations:
                 tracemalloc.stop()
 
         def chunks():
-            return boxalg.min_distance_tiles(store.entity_centers, boxes, 0.02, "l2", dtype)
+            return boxalg.min_distance_tiles(store.entity_centers, boxes, 0.02, "l2")
 
         with mock.patch.object(boxalg, "DIST_TILE", 128):
             list(chunks())  # numpy sets up its loops on their first calls
@@ -676,10 +689,7 @@ class TestTilePassAllocations:
                                         "l2") for b in boxes], axis=0)
             for i in range(6)
         ]
-        if dtype == np.float64:
-            assert _same_bits(got, np.array(ref))
-        else:
-            assert np.allclose(got, ref, rtol=1e-5)
+        assert np.allclose(got, ref, rtol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -853,18 +863,44 @@ class TestScreenedRanks:
             assert counts == {"pairs": 40, "recomputed": 1 + recounted}
 
     @settings(max_examples=150, deadline=None)
-    @given(split_cases(), st.data())
-    def test_a_gathered_recount_has_the_bits_of_the_tiled_pass(self, case, data):
-        store, queries, alpha, norm, tile, block = case
-        n_ent = store.n_entities
-        with mock.patch.object(boxalg, "DIST_TILE", tile), \
-                mock.patch.object(evalgen, "FORWARD_TILE", block * store.dim):
-            for qblock in evalgen.query_blocks(queries):
-                boxes = boxalg.execute_ids(qblock.plan, qblock.anchors, qblock.relations, store)
-                dists = np.concatenate([d for _, d in evalgen.block_distances(
-                    qblock, store, "box", alpha, norm)])
-                pairs = data.draw(st.lists(st.tuples(st.integers(0, len(qblock) - 1),
-                                                     st.integers(0, n_ent - 1)), min_size=1))
-                rows, ids = (np.array(column) for column in zip(*pairs))
-                got = boxalg.pair_distances(store.entity_centers, boxes, rows, ids, alpha, norm)
-                assert _same_bits(got, dists[rows, ids])
+    @given(screen_cases(), st.sampled_from((1.0, 1e18, 1e19, 1e20, 1e37, 1e38, 1e39)),
+           st.integers(1, 120))
+    def test_a_finite_screened_distance_lies_within_its_bound(self, case, scale, tile):
+        # scaled stores push the screen's squares, sums and operands past
+        # float32's range, where its entries turn non-finite
+        store, queries, alpha, norm, _ = case
+        for table in (store.entity_centers, store.relation_centers, store.relation_offsets):
+            table *= scale
+        entities = store.entity_centers
+        with mock.patch.object(boxalg, "DIST_TILE", tile):
+            for block in evalgen.query_blocks(queries):
+                boxes = boxalg.execute_ids(block.plan, block.anchors, block.relations, store)
+                eps = boxalg.screen_error(entities, boxes, alpha)
+                screen = np.concatenate(
+                    [d for _, d in boxalg.min_distance_tiles(entities, boxes, alpha, norm)]
+                )
+                for i, pos in enumerate(block.positions.tolist()):
+                    exact = evalgen.query_distances(queries[pos], store, "box", alpha, norm)
+                    finite = np.isfinite(screen[i])
+                    assert np.all(np.abs(screen[i, finite] - exact[finite]) <= eps[i])
+                    disjuncts = [Box(b.center[i], b.offset[i]) for b in boxes]
+                    assert not (~finite & ~_float32_overflows(entities, disjuncts, alpha, norm)).any()
+
+
+def _float32_overflows(entities, boxes, alpha, norm):
+    """Whether some float32 value of each entity's screened distance to the
+    disjuncts ``boxes`` may overflow: the float64 value of an operand, a
+    gap, a norm's sum of terms or a part of d_out + alpha * d_in comes
+    within a margin for rounding of float32's largest magnitude."""
+    big = float(np.finfo(np.float32).max) * (1 - 2.0 ** -10)
+    over = np.abs(entities).max(axis=1) >= big
+    for b in boxes:
+        lo, hi = b.center - b.offset, b.center + b.offset
+        over |= max(np.abs(a).max() for a in (b.center, lo, hi)) >= big
+        p = np.minimum(hi, np.maximum(lo, entities))
+        d_out, d_in = (_ref_norm(v, norm) for v in (entities - p, b.center - p))
+        for v in (entities - p, b.center - p):
+            terms = np.abs(v) if norm == "l1" else v * v
+            over |= (np.abs(v).max(axis=1) >= big) | (terms.sum(axis=1) >= big)
+        over |= (alpha * d_in >= big) | (d_out + alpha * d_in >= big)
+    return over
