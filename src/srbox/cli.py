@@ -2,7 +2,9 @@
 gen-queries, eval.
 
 Configuration comes from an INI file (sections [run], [paths], [train],
-[eval], [gradcheck]) with every value overridable by a command-line flag.
+[eval], [gradcheck]); a command-line flag overrides every [run], [paths],
+[eval] and [gradcheck] value, and of [train] only steps, lr, batch_size,
+k_negatives, offset_mode, negative_pool and complex_pool, on train alone.
 The resolved configuration is echoed to <out>/effective_config.ini. The
 only timestamps any command emits live in <out>/run_meta.json, written
 when the command starts and rewritten when it returns with its finish
@@ -357,7 +359,7 @@ def cmd_train(cfg: RunConfig, out: str, meta: dict) -> int:
                 for q in evalgen.generate_queries(kg, qtype, pool_count, "train", rng):
                     complex_queries.append((q.dag, tuple(sorted(q.answers_train))))
         source = train_mod.KgSource(
-            kg.train, complex_queries, kg.n_entities,
+            kg.rows["train"], complex_queries, kg.n_entities,
             answer_sets=kg.train_index.fwd,
         )
     else:
@@ -371,7 +373,7 @@ def cmd_train(cfg: RunConfig, out: str, meta: dict) -> int:
         def emit(record: dict) -> None:
             fh.write(json.dumps(record) + "\n")
 
-        store, trace = train_mod.train(source, store, tc, callback=emit)
+        store, trace = train_mod.train(source, store, tc, callback=emit, timings=timings)
     ckpt = cfg.get("paths", "checkpoint_out") or os.path.join(out, "params.ckpt")
     with _timed(timings, "save"):
         params_mod.save(store, ckpt)

@@ -561,7 +561,9 @@ def _generate(kg: KnowledgeGraph, qtype: str, count: int, split: str, rng: np.ra
               retry_budget: int | None) -> _Pending:
     """The rows of ``generate_block``. Called only by the public entry
     points, so its warning names their caller's line."""
-    seeds = kg.edges(split)  # rejects an unknown split
+    if split not in SPLITS:
+        raise ValidationError(f"unknown split {split!r}")
+    seeds = kg.rows[split]
     allowed = TRAIN_QUERY_TYPES if split == "train" else EVAL_QUERY_TYPES
     if qtype not in allowed:
         raise ValidationError(
@@ -569,7 +571,7 @@ def _generate(kg: KnowledgeGraph, qtype: str, count: int, split: str, rng: np.ra
         )
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
-    if not seeds:
+    if not len(seeds):
         raise ValidationError(f"{split} split has no edges to seed from")
     shape = TYPE_SHAPES[qtype]
     rows = _Pending(qtype, shape, compile_plan(shape))
@@ -583,7 +585,7 @@ def _generate(kg: KnowledgeGraph, qtype: str, count: int, split: str, rng: np.ra
     attempts = 0
     while len(rows.positions) < count and attempts < budget:
         attempts += 1
-        ids = _walk(qtype, _pick(seeds, rng), walk_index, rng)
+        ids = _walk(qtype, _pick(seeds, rng).tolist(), walk_index, rng)
         if ids is None:
             continue
         answers_train = train_index.plan_answers(rows.plan, *ids)

@@ -540,9 +540,13 @@ def _read_checkpoint(path: str, expected_dim: int | None) -> ParamStore:
             raise ParseError(
                 f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
             )
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if header_len > left:  # checked before the read allocates the claim
+            raise ParseError(
+                f"checkpoint truncated inside header: it claims {header_len} bytes, "
+                f"{left} follow its length"
+            )
         blob = fh.read(header_len)
-        if len(blob) != header_len:
-            raise ParseError("checkpoint truncated inside header")
         try:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:

@@ -19,18 +19,17 @@ finite-difference checker validates the whole chain on small dimensions,
 skipping coordinates whose probe points straddle a hinge (different
 max/min/ReLU branches on the two sides).
 
-Two training sources are supported: text sequences (structures mined per
-sequence, negatives drawn from the same sequence or the global entity set,
-never an answer of the query within the sequence) and a knowledge graph
-(simple examples are train triplets, complex examples come from a
-pre-generated query pool, negatives drawn by rejection from the global
-entity set, never a known train answer of the query).
+Examples come from text windows (queries built from structures mined per
+window) or a knowledge graph (train triplets and a pre-generated query
+pool), both through one draw, sample and fit loop (see ``train``).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Protocol
 
 import numpy as np
@@ -408,38 +407,51 @@ class AnswerLookup(Protocol):
 class KgSource:
     """Pre-assembled KG training material.
 
-    ``triplets`` are dense-id train edges used as simple (1p) examples;
+    ``triplets`` are the dense-id (head, relation, tail) train edges, kept
+    as an ``(n, 3)`` int64 array, each a simple (1p) example;
     ``complex_queries`` are pre-generated (dag, train-answer tuple) pairs of
-    any mix of shapes; negatives are drawn by rejection from the global
-    entity range, at O(K) cost per draw. ``answer_sets`` gives each (head,
-    relation) key its known tails through ``get``, the only call made on
-    it; when not given it is the ``fwd`` lookup of an ``EdgeIndex`` of
-    ``triplets``, which cuts a key's tails from the sorted edges on first
-    use. All of a query's known answers, its tails or a complex query's
-    train answers, are excluded from its negatives, not just the sampled
-    one; otherwise co-answers of multi-answer queries get pushed away as
-    false negatives.
+    any mix of shapes. ``answer_sets`` gives each (head, relation) key its
+    known tails through ``get``, the only call made on it; when not given
+    it is the ``fwd`` lookup of an ``EdgeIndex`` of ``triplets``. Every
+    known answer of a query is kept out of its negatives, which are drawn
+    by rejection from the entity range at O(K) cost, so co-answers of
+    multi-answer queries are not pushed away as false negatives.
     """
 
-    triplets: list[tuple[int, int, int]]
+    triplets: np.ndarray
     complex_queries: list[tuple[QueryDag, tuple[int, ...]]]
     n_entities: int
     answer_sets: AnswerLookup | None = None
 
     def __post_init__(self) -> None:
+        self.triplets = np.asarray(self.triplets, dtype=np.int64).reshape(-1, 3)
         if self.answer_sets is None:
             self.answer_sets = self.build_answer_sets(self.triplets)
 
     @staticmethod
-    def build_answer_sets(triplets: list[tuple[int, int, int]]) -> AnswerLookup:
+    def build_answer_sets(triplets: list[tuple[int, int, int]] | np.ndarray) -> AnswerLookup:
         """(head, relation) -> sorted tails, the ``fwd`` lookup of an ``EdgeIndex``."""
         return evalgen.EdgeIndex(triplets).fwd
 
 
-def _text_draw(state, rng: np.random.Generator):
-    """One (simple, complex) query pair from a random eligible sequence, with
-    the sequence and the ``EdgeIndex`` of its triplets, which gives each
-    query's answers within the window."""
+def _kg_draw(source: KgSource, rng: np.random.Generator) -> tuple[range, list[tuple]]:
+    """The entity range as the negative pool, and the picks (query, answer,
+    known answers) of one draw: a random train triplet's 1p query with its
+    (head, relation) tails, then a random pooled query, if any, with a
+    random one of its train answers."""
+    h, r, t = source.triplets[int(rng.integers(len(source.triplets)))].tolist()
+    picks = [(chain_dag(h, [(r, False)]), t, source.answer_sets.get((h, r), (t,)))]
+    if source.complex_queries:
+        dag, answers = source.complex_queries[int(rng.integers(len(source.complex_queries)))]
+        picks.append((dag, int(answers[int(rng.integers(len(answers)))]), answers))
+    return range(source.n_entities), picks
+
+
+def _text_draw(state, rng: np.random.Generator) -> tuple[Sequence, list[tuple]]:
+    """A random eligible sequence and the picks (query, answer, known
+    answers) of one (simple, complex) pair sampled from its mined
+    structures, known answers taken over the window's own triplets; no
+    picks when the window has no query."""
     seqs, cache = state
     idx = int(rng.integers(len(seqs)))
     seq = seqs[idx]
@@ -449,8 +461,15 @@ def _text_draw(state, rng: np.random.Generator):
         mined = (*split_structures(mine_structures(seq.triplets)), evalgen.EdgeIndex(edges))
         cache[idx] = mined
     simples, complexes, window = mined
-    pair = sample_pair_from_structures(simples, complexes, rng)
-    return seq, pair, window
+    pair = sample_pair_from_structures(simples, complexes, rng) or ()
+    return seq, [(dag, ans, window.answers(dag)) for dag, ans in filter(None, pair)]
+
+
+def _lap(spent: dict[str, float], phase: str, mark: float) -> float:
+    """Add the seconds since ``mark`` to ``spent[phase]``; returns now."""
+    now = time.perf_counter()
+    spent[phase] += now - mark
+    return now
 
 
 def train(
@@ -458,26 +477,27 @@ def train(
     params: ParamStore,
     cfg: TrainConfig,
     callback: Callable[[dict], None] | None = None,
+    timings: dict | None = None,
 ) -> tuple[ParamStore, list[dict]]:
     """Run the optimization loop; returns the trained store and loss trace.
 
-    Each step draws ``batch_size`` example pairs, accumulates analytic
-    gradients (simple examples weighted by lambda1, complex by lambda2),
-    averages them over the batch, applies one Adam update, and clamps
-    relation offsets. The trace records {step, loss, loss_simple,
-    loss_complex, lr} every ``trace_every`` steps and at the final step,
-    with three sampling counters over the steps since the previous record:
-    ``examples`` (examples formed, each of which added its gradients),
-    ``skipped_draws`` (draws that formed no example: a window with no
-    query, or no free negative) and ``with_replacement_frac`` (the share of
-    formed examples whose negatives were drawn with replacement, null if
-    none formed). A step that forms no example takes no Adam step, and its
-    record, if one is due, has null losses. Deterministic for a fixed seed;
-    aborts on a non-finite loss.
-
-    Negatives never include a known answer of their query: in kg mode the
-    (head, relation) answer set or the complex query's train answers, in
-    text mode the query's answers over the sampled window's own triplets.
+    Each step makes ``batch_size`` draws (``_kg_draw``, ``_text_draw``). A
+    draw gives a negative pool and its picks in weight order: a simple
+    query (lambda1) and a complex one, if any (lambda2). Each pick draws K
+    negatives from the pool outside its query's known answers (kg: the
+    (head, relation) tails or the pooled query's train answers; text: its
+    answers over the window's own triplets) and forms one ``TrainExample``,
+    whose weighted gradients add to the step's. The step averages them over
+    the batch and applies one Adam update, none if it formed no example.
+    The trace records {step, loss, loss_simple, loss_complex, lr} every
+    ``trace_every`` steps and at the last (null losses when no example
+    formed), with counters over the steps since the previous record:
+    ``examples`` formed, ``skipped_draws`` (a window with no query, or a
+    pick with no free negative) and ``with_replacement_frac`` (the share of
+    examples whose negatives were drawn with replacement, null if none).
+    Deterministic for a fixed seed; aborts on a non-finite loss. With
+    ``timings``, adds the loop's seconds to ``sample`` (draws and
+    negatives), ``fit`` (losses and gradients) and ``adam``.
     """
     cfg.validate()
     params.validate()
@@ -490,78 +510,54 @@ def train(
             raise ValidationError("no sequence carries any triplet; nothing to train on")
         text_state = (seqs, {})
         global_pool = range(source.corpus.n_entities)
+
+        def draw():
+            seq, picks = _text_draw(text_state, rng_train)
+            return (seq if cfg.negative_pool == "same_sequence" else global_pool), picks
     else:
-        if not source.triplets and cfg.steps > 0:
+        if len(source.triplets) == 0 and cfg.steps > 0:
             raise ValidationError("KG source has no train triplets")
-        global_pool = range(source.n_entities)
-    n_skipped = 0  # sampling counters since the last trace record
-    n_replaced = 0
-    n_examples = 0
-
-    def fit(dag: QueryDag, answer: int, pool, known, weight: float) -> float | None:
-        """Weighted loss of one example with negatives drawn from ``pool``
-        outside ``known``, its gradients added to the step's; None when no
-        negative is free."""
-        nonlocal n_skipped, n_replaced, n_examples
-        neg = sample_negatives(pool, answer, cfg.k_negatives, rng_neg, known)
-        if neg is None:
-            n_skipped += 1
-            return None
-        n_examples += 1
-        n_replaced += neg.with_replacement
-        example = TrainExample(dag, answer, neg.ids, neg.with_replacement)
-        return _loss_and_grads(example, params, cfg, weight, grads)[0]
-
+        draw = partial(_kg_draw, source, rng_train)
+    weights = (cfg.lambda1, cfg.lambda2)
+    n_skipped = n_replaced = n_examples = 0  # sampling counters since the last trace record
+    spent = dict.fromkeys(("sample", "fit", "adam"), 0.0)
     state = AdamState()
     trace: list[dict] = []
     for step in range(cfg.steps):
+        mark = time.perf_counter()
         grads = Grads(params)
-        loss_simple = 0.0
-        loss_complex = 0.0
-        n_simple = 0
-        n_complex = 0
+        losses = [0.0, 0.0]  # weighted loss sums and example counts of the two picks
+        formed = [0, 0]
         for _ in range(cfg.batch_size):
-            val_complex = None
-            if isinstance(source, TextSource):
-                seq, pair, window = _text_draw(text_state, rng_train)
-                if pair is None:
+            pool, picks = draw()
+            n_skipped += not picks  # a window with no query
+            for slot, (dag, answer, known) in enumerate(picks):
+                neg = sample_negatives(pool, answer, cfg.k_negatives, rng_neg, known)
+                if neg is None:
                     n_skipped += 1
                     continue
-                (simple_dag, simple_ans), complex_pick = pair
-                pool = seq if cfg.negative_pool == "same_sequence" else global_pool
-                known = window.answers(simple_dag)
-                val_simple = fit(simple_dag, simple_ans, pool, known, cfg.lambda1)
-                if complex_pick is not None:
-                    dag, ans = complex_pick
-                    val_complex = fit(dag, ans, pool, window.answers(dag), cfg.lambda2)
-            else:
-                h, r, t = source.triplets[int(rng_train.integers(len(source.triplets)))]
-                known = source.answer_sets.get((h, r), (t,))
-                val_simple = fit(chain_dag(h, [(r, False)]), t, global_pool, known, cfg.lambda1)
-                if source.complex_queries:
-                    qi = int(rng_train.integers(len(source.complex_queries)))
-                    dag, answers = source.complex_queries[qi]
-                    ans = int(answers[int(rng_train.integers(len(answers)))])
-                    val_complex = fit(dag, ans, global_pool, answers, cfg.lambda2)
-            if val_simple is not None:
-                loss_simple += val_simple
-                n_simple += 1
-            if val_complex is not None:
-                loss_complex += val_complex
-                n_complex += 1
+                mark = _lap(spent, "sample", mark)
+                example = TrainExample(dag, answer, neg.ids, neg.with_replacement)
+                losses[slot] += _loss_and_grads(example, params, cfg, weights[slot], grads)[0]
+                mark = _lap(spent, "fit", mark)
+                formed[slot] += 1
+                n_replaced += neg.with_replacement
+        mark = _lap(spent, "sample", mark)
+        n_examples += sum(formed)
         lr = lr_at(cfg, step)
         loss = None
-        if n_simple + n_complex:
-            loss = (loss_simple + loss_complex) / cfg.batch_size
+        if sum(formed):
+            loss = (losses[0] + losses[1]) / cfg.batch_size
             if not math.isfinite(loss):
                 raise ValidationError(f"non-finite loss at step {step}")
             adam_step(params, grads, state, cfg, lr, scale=1.0 / cfg.batch_size)
+            _lap(spent, "adam", mark)
         if step % cfg.trace_every == 0 or step == cfg.steps - 1:
             record = {
                 "step": step,
                 "loss": loss,
-                "loss_simple": loss_simple / n_simple if n_simple else None,
-                "loss_complex": loss_complex / n_complex if n_complex else None,
+                "loss_simple": losses[0] / formed[0] if formed[0] else None,
+                "loss_complex": losses[1] / formed[1] if formed[1] else None,
                 "lr": lr,
                 "examples": n_examples,
                 "skipped_draws": n_skipped,
@@ -571,6 +567,9 @@ def train(
             trace.append(record)
             if callback is not None:
                 callback(record)
+    if timings is not None:
+        for phase, seconds in spent.items():
+            timings[phase] = timings.get(phase, 0.0) + seconds
     return params, trace
 
 

@@ -5,6 +5,7 @@ asserted directly; one test goes through a real subprocess to cover the
 module entry point.
 """
 
+import argparse
 import configparser
 import dataclasses
 import hashlib
@@ -114,6 +115,24 @@ class TestRuntimeFaults:
 
 
 class TestConfigResolution:
+    def test_the_keys_that_have_flags(self):
+        # as README's command-line usage states them
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flagged = {}
+        for command, sub in subparsers.choices.items():
+            for action in sub._actions:
+                target = cli._flag_key(action.dest)
+                if target is not None:
+                    flagged.setdefault(target, set()).add(command)
+        for section in ("run", "paths", "eval", "gradcheck"):
+            assert all((section, key) in flagged for key in cli.CONFIG_DEFAULTS[section])
+        train_keys = {key: commands for (section, key), commands in flagged.items()
+                      if section == "train"}
+        assert train_keys == dict.fromkeys(
+            ["steps", "lr", "batch_size", "k_negatives", "offset_mode", "negative_pool",
+             "complex_pool"], {"train"})
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["mine", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -241,6 +260,8 @@ class TestPhaseTimings:
             assert sum(meta["timings_s"].values()) <= meta["duration_s"]
 
     def test_train_records_phase_times(self, tmp_path, corpus_path, kg_dir):
+        # the loop's phases (sample, fit, adam) are parts of train, listed
+        # before it because the loop adds them before train's time is taken
         assert cli.main(["init-embeddings", "--corpus", corpus_path, "--dim", "4",
                          "--out", str(tmp_path / "init")]) == 0
         runs = {
@@ -249,14 +270,17 @@ class TestPhaseTimings:
             "text": (["--corpus", corpus_path, "--checkpoint", str(tmp_path / "init" / "params.ckpt")],
                      ["load_corpus", "load_checkpoint", "train", "save"]),
         }
+        loop = ["sample", "fit", "adam"]
         for name, (argv, keys) in runs.items():
             out = tmp_path / name
             assert cli.main(["train", *argv, "--dim", "4", "--steps", "2", "--batch-size", "2",
                              "--out", str(out)]) == 0
             meta = json.loads((out / "run_meta.json").read_text())
-            assert list(meta["timings_s"]) == keys
-            assert all(v >= 0.0 for v in meta["timings_s"].values())
-            assert sum(meta["timings_s"].values()) <= meta["duration_s"]
+            timings = meta["timings_s"]
+            assert list(timings) == keys[:-2] + loop + keys[-2:]
+            assert all(v >= 0.0 for v in timings.values())
+            assert sum(timings[key] for key in keys) <= meta["duration_s"]
+            assert sum(timings[key] for key in loop) <= timings["train"]
             assert b"timings" not in (out / "train_trace.jsonl").read_bytes()
 
 
@@ -457,6 +481,26 @@ class TestMalformedCheckpointHeader:
                          *map(str, args[command]), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"error: {path}: {problem}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["gradcheck", "train", "eval"])
+    def test_a_header_length_past_the_file_exits_2(self, tmp_path, kg_dir, capsys, command):
+        kg = evalgen.load_kg(f"{kg_dir}/train.tsv", f"{kg_dir}/valid.tsv", f"{kg_dir}/test.tsv")
+        path = str(tmp_path / "p.ckpt")
+        params_mod.save(params_mod.init_random(4, kg.n_entities, kg.n_relations, 0,
+                                               entity_ids=kg.entity_ids,
+                                               relation_ids=kg.relation_ids), path)
+        data = bytearray(open(path, "rb").read())
+        at = len(params_mod.CHECKPOINT_MAGIC) + 4
+        data[at:at + 8] = struct.pack("<Q", 2**40)
+        open(path, "wb").write(bytes(data))
+        args = {"gradcheck": [],
+                "train": ["--mode", "kg", "--kg", kg_dir, "--dim", "4", "--steps", "1"],
+                "eval": ["--kg", kg_dir, "--types", "1p", "--count", "2"]}[command]
+        code = cli.main([command, "--checkpoint", path, *args, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert (f"error: {path}: checkpoint truncated inside header: it claims {2**40} bytes"
+                in capsys.readouterr().err)
 
 
 # a JSON array nested deeper than the decoder's recursion limit

@@ -702,3 +702,72 @@ class TestCheckpoint:
         open(path, "wb").write(data[: len(data) - 16])
         with pytest.raises(ParseError):
             load(path)
+
+    def test_a_header_length_past_the_file_is_rejected_before_it_is_read(self, tmp_path):
+        path = self.saved(tmp_path)
+        data = bytearray(open(path, "rb").read())
+        at = len(CHECKPOINT_MAGIC) + 4
+        data[at:at + 8] = struct.pack("<Q", 2**40)
+        open(path, "wb").write(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        follow = len(data) - at - 8
+        assert str(exc.value) == (
+            f"{path}: checkpoint truncated inside header: it claims {2**40} bytes, "
+            f"{follow} follow its length"
+        )
+        assert peak < 1 << 20
+
+
+# the parts of a saved checkpoint that the corruption property edits
+_START = len(CHECKPOINT_MAGIC)
+_PARTS = ("magic", "version", "header length", "header", "arrays", "truncate")
+
+
+def _corrupt(data: bytes, header_len: int, part: str, where: int, junk: bytes, number: int) -> bytes:
+    """``data`` with one part of a checkpoint whose header took
+    ``header_len`` bytes overwritten: its magic, or header or array bytes at
+    ``where``, by ``junk``, its version or header length by ``number``; or
+    the file cut to ``where`` bytes."""
+    body = _START + 12
+    if part == "version":
+        return data[:_START] + struct.pack("<I", number % 2**32) + data[_START + 4:]
+    if part == "header length":
+        return data[:_START + 4] + struct.pack("<Q", number) + data[body:]
+    if part == "truncate":
+        return data[:where % len(data)] if data else data
+    lo, n = {"magic": (0, _START), "header": (body, header_len),
+             "arrays": (body + header_len, len(data) - body - header_len)}[part]
+    at = lo + where % n
+    return data[:at] + junk + data[at + len(junk):]
+
+
+class TestCorruptCheckpoints:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edits=st.lists(st.tuples(
+            st.sampled_from(_PARTS),
+            st.integers(0, 2**20),
+            st.binary(min_size=1, max_size=12),
+            st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2, 2**40, 2**63])),
+        ), min_size=1, max_size=3),
+    )
+    def test_load_raises_only_parse_or_validation_errors(self, tmp_path_factory, edits):
+        path = str(tmp_path_factory.getbasetemp() / "corrupt.ckpt")
+        save(init_random(3, 4, 2, seed=0, offset_mode="per_relation"), path)
+        data = open(path, "rb").read()
+        header_len = struct.unpack("<Q", data[_START + 4:_START + 12])[0]
+        for edit in sorted(edits, key=lambda e: e[0] == "truncate"):  # cuts last
+            data = _corrupt(data, header_len, *edit)
+        open(path, "wb").write(data)
+        try:
+            load(path)
+        except ParseError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        except ValidationError:
+            pass

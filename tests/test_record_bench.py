@@ -1,5 +1,5 @@
 """The verdicts of ``tools/record_bench.py``'s ``summarize``, on hand-made
-pairs: no benchmark runs here."""
+pairs, and its run order: no benchmark runs here."""
 
 import importlib.util
 from pathlib import Path
@@ -75,3 +75,12 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
 def test_worse_beyond_bound_outranks_unresolved():
     wide = [60, 140, 70, 130, 80, 120, 90, 110, 100, 100]
     assert _summary(wide, [50] * 10)["verdict"] == "worse_beyond_bound"
+
+
+def test_each_pair_runs_every_workload_in_turn_and_the_first_arm_alternates():
+    forward, backward = ("parent", "change"), ("change", "parent")
+    assert record_bench.run_order(["a", "b", "c"], 3) == [
+        (0, "a", forward), (0, "b", forward), (0, "c", forward),
+        (1, "a", backward), (1, "b", backward), (1, "c", backward),
+        (2, "a", forward), (2, "b", forward), (2, "c", forward),
+    ]

@@ -1,5 +1,6 @@
 """Tests for losses, analytic gradients, the optimizer, and the train loop."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from srbox import boxalg, evalgen, train
+from srbox import boxalg, cli, evalgen, train
 from srbox.boxalg import Box
 from srbox.corpus import load_corpus
 from srbox.evalgen import build_grid_kg, generate_queries
@@ -945,6 +946,61 @@ class TestTraceSamplingCounters:
         steps, draws = self.run_counted(monkeypatch, src, init_random(4, 3, 2, seed=0), cfg)
         assert steps[-1] == 8
         assert None in draws and True in draws
+
+
+class TestExampleStream:
+    """Which examples training forms, in order, pinned by digest. Each record
+    holds an example's query (anchors, edges, nodes, answer node), answer,
+    negatives, with-replacement flag and weight: no float math enters it, so
+    the pins rest on the seeded RNG streams and the data alone (digests
+    taken under numpy 2.4.6), and a change to what a draw picks or to the
+    order of the draws fails."""
+
+    PINNED = {
+        "text same_sequence": (320, "75a861d9cae95edfa4283f98a0508ce31071e9ea3dc32ff39d898e8c82cc3dc5"),
+        "text global": (320, "4b0b3a25cedc35ccd3e9d3709ccdfc7f5dd79897dbfeb2dc301b770d8e7ee85d"),
+        "kg mixed pool": (320, "447b3b6c735e02474ac4eabfa3cea43d068b3ceb123684eac585862ba9ed09a3"),
+    }
+
+    def stream(self, monkeypatch, argv):
+        records = []
+        loss_and_grads = train._loss_and_grads
+
+        def recorded(example, params, cfg, weight, grads, want_signature=False):
+            q = example.query
+            records.append([
+                [list(a) for a in q.anchors],
+                [[e.src, e.dst, e.relation, e.inverse] for e in q.edges],
+                [[n, kind.value] for n, kind in q.nodes],
+                q.answer_node, example.answer, list(example.negatives),
+                example.with_replacement, weight,
+            ])
+            return loss_and_grads(example, params, cfg, weight, grads, want_signature)
+
+        monkeypatch.setattr(train, "_loss_and_grads", recorded)
+        assert cli.main(["train", *map(str, argv), "--dim", "4", "--seed", "5"]) == 0
+        # json.dumps rejects a numpy integer: every id must be a Python int
+        return len(records), hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+    @pytest.mark.parametrize("negative_pool", ["same_sequence", "global"])
+    def test_text_mode(self, tmp_path, monkeypatch, negative_pool):
+        multi_answer_corpus(tmp_path)
+        got = self.stream(monkeypatch, [
+            "--mode", "text", "--corpus", tmp_path / "multi.jsonl", "--seq-len", 20,
+            "--steps", 20, "--batch-size", 8, "--k-negatives", 3,
+            "--negative-pool", negative_pool, "--out", tmp_path / "out",
+        ])
+        assert got == self.PINNED[f"text {negative_pool}"]
+
+    def test_kg_mode_with_a_complex_pool(self, tmp_path, monkeypatch):
+        kg = build_grid_kg(width=6, height=5, seed=1)
+        (tmp_path / "kg").mkdir()
+        evalgen.save_kg(kg, str(tmp_path / "kg"))
+        got = self.stream(monkeypatch, [
+            "--mode", "kg", "--kg", tmp_path / "kg", "--complex-pool", 4,
+            "--steps", 20, "--batch-size", 8, "--k-negatives", 12, "--out", tmp_path / "out",
+        ])
+        assert got == self.PINNED["kg mixed pool"]
 
 
 class TestPtranse:

@@ -7,10 +7,11 @@ and workload of ``BENCHMARK.json``. Both arms run from temporary ``git
 worktree`` trees side by side in one temporary directory, removed
 afterwards: the parent arm from ``--parent``, the change arm from a commit
 of this checkout as it stands (uncommitted and untracked files included,
-ignored ones left out), made on no branch. Pair i runs seed i on both arms,
-and the arm that goes first alternates from pair to pair, so a drift in the
-machine's speed does not favour either arm. Each run's last standard-output
-line is its result.
+ignored ones left out), made on no branch. Pair i runs seed i of every
+workload in turn, both arms each, and the arm that goes first alternates
+from pair to pair (see ``run_order``), so a drift in the machine's speed
+favours neither arm and spreads over every workload. Each run's last
+standard-output line is its result.
 
 Writes ``BENCH_<label>.json`` at the root of the checkout: the command, the
 seeds, the workload sizes (read from ``perfbench/workloads.SPECS``), the
@@ -80,6 +81,14 @@ def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def run_order(names: list[str], pairs: int) -> list[tuple[int, str, tuple[str, str]]]:
+    """(pair, workload, arms in the order they run) for every run of a
+    series, in series order: pair i runs each workload in turn, the parent
+    arm first when i is even and the change arm first when it is odd."""
+    arms = [("parent", "change"), ("change", "parent")]
+    return [(i, name, arms[i % 2]) for i in range(pairs) for name in names]
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -170,15 +179,15 @@ def main() -> int:
                 _git("worktree", "add", "--detach", str(tree), revision)
                 added.append(tree)
             record["parent"] = _revision(parent)
-            for name in names:
-                pairs = []
-                for i, seed in enumerate(seeds):
-                    arms = [("parent", parent), ("change", change)]
-                    pair = {"seed": seed, "first": arms[i % 2][0]}
-                    for arm, tree in arms[i % 2:] + arms[:i % 2]:
-                        pair[arm] = _run(tree, name, seed, args.seconds)
-                    pairs.append(pair)
-                    print(f"{name} seed {seed}: done", file=sys.stderr, flush=True)
+            trees = {"parent": parent, "change": change}
+            runs = {name: [] for name in names}
+            for i, name, arms in run_order(names, args.pairs):
+                pair = {"seed": seeds[i], "first": arms[0]}
+                for arm in arms:
+                    pair[arm] = _run(trees[arm], name, seeds[i], args.seconds)
+                runs[name].append(pair)
+                print(f"{name} seed {seeds[i]}: done", file=sys.stderr, flush=True)
+            for name, pairs in runs.items():
                 record["workloads"][name] = {
                     "summary": summarize(pairs, bench["end_to_end"]), "pairs": pairs,
                 }
