@@ -353,9 +353,13 @@ def cmd_train(cfg: RunConfig, out: str, meta: dict) -> int:
             store = _load_or_init_params(cfg, kg.entity_ids, kg.relation_ids, "KG")
         rng = substream(cfg.seed, STREAM_QUERY_GEN)
         pool_count = cfg.get_int("train", "complex_pool")
+        if pool_count < 0:
+            raise ValidationError(f"[train] complex_pool must be >= 0, got {pool_count}")
+        shapes = evalgen.TRAIN_QUERY_TYPES[1:]  # every training shape but 1p
+        _check_table("[train] complex_pool", pool_count, len(shapes) * pool_count * 8)  # positions
         complex_queries = []
         with _timed(timings, "complex_pool"):
-            for qtype in ("2p", "3p", "2i", "3i"):
+            for qtype in shapes:
                 for q in evalgen.generate_queries(kg, qtype, pool_count, "train", rng):
                     complex_queries.append((q.dag, tuple(sorted(q.answers_train))))
         source = train_mod.KgSource(
@@ -427,9 +431,11 @@ def _fresh_blocks(cfg: RunConfig, kg: evalgen.KnowledgeGraph) -> list[evalgen.Qu
     types = [t.strip() for t in cfg.get("eval", "types").split(",") if t.strip()]
     if not types:
         raise ValidationError("no query types requested")
-    for t in types:
+    for i, t in enumerate(types):
         if t not in evalgen.EVAL_QUERY_TYPES:
             raise ValidationError(f"unknown query type {t!r}")
+        if t in types[:i]:
+            raise ValidationError(f"[eval] types lists {t!r} twice")
     return [evalgen.generate_block(kg, qtype, count, split, rng) for qtype in types]
 
 

@@ -42,12 +42,12 @@ from srbox.boxalg import DEFAULT_ALPHA, DEFAULT_NORM
 from srbox.errors import ParseError, ValidationError
 from srbox.rng import substream
 from srbox.structures import (
-    Edge,
     NodeKind,
     Plan,
     QueryDag,
     chain_dag,
     compile_plan,
+    dag_of,
     dag_shape,
     intersection_dag,
     merge_dag,
@@ -478,39 +478,36 @@ def _pick(options, rng: np.random.Generator):
     return options[int(rng.integers(len(options)))]
 
 
-def _pi_dag(h: int, r: int, r2: int, h2: int, r3: int) -> QueryDag:
-    """A two-hop chain from h (r then r2) intersected with one hop r3 from h2."""
-    return QueryDag(
-        anchors=((0, h), (1, h2)),
-        edges=(
-            Edge(0, 2, r, False),
-            Edge(2, 3, r2, False),
-            Edge(1, 3, r3, False),
-        ),
-        nodes=((2, NodeKind.PROJECTION), (3, NodeKind.INTERSECTION)),
-        answer_node=3,
-    )
-
-
 def _type_shapes() -> dict[str, tuple]:
-    """The ``dag_shape`` of each query type: the slots that ``_walk`` fills."""
+    """The ``dag_shape`` of each query type: the slots that ``_walk`` fills.
+    pi's two-hop chain from anchor 0 (edge slots 0 and 1) meets one hop from
+    anchor 1 (slot 2); no builder makes that shape, so it is written out."""
     hop = (0, False)
     branch = (0, 0, False)
-    dags = {
-        "1p": chain_dag(0, [hop]),
-        "2p": chain_dag(0, [hop] * 2),
-        "3p": chain_dag(0, [hop] * 3),
-        "2i": intersection_dag([branch] * 2),
-        "3i": intersection_dag([branch] * 3),
-        "ip": merge_dag([branch] * 2, NodeKind.INTERSECTION, [hop]),
-        "pi": _pi_dag(0, 0, 0, 0, 0),
-        "2u": merge_dag([branch] * 2, NodeKind.UNION),
-        "up": merge_dag([branch] * 2, NodeKind.UNION, [hop]),
+    return {
+        "1p": dag_shape(chain_dag(0, [hop])),
+        "2p": dag_shape(chain_dag(0, [hop] * 2)),
+        "3p": dag_shape(chain_dag(0, [hop] * 3)),
+        "2i": dag_shape(intersection_dag([branch] * 2)),
+        "3i": dag_shape(intersection_dag([branch] * 3)),
+        "ip": dag_shape(merge_dag([branch] * 2, NodeKind.INTERSECTION, [hop])),
+        "pi": (
+            (0, 1),
+            ((0, 2, False), (2, 3, False), (1, 3, False)),
+            ((2, NodeKind.PROJECTION), (3, NodeKind.INTERSECTION)),
+            3,
+        ),
+        "2u": dag_shape(merge_dag([branch] * 2, NodeKind.UNION)),
+        "up": dag_shape(merge_dag([branch] * 2, NodeKind.UNION, [hop])),
     }
-    return {qtype: dag_shape(dag) for qtype, dag in dags.items()}
 
 
 TYPE_SHAPES = _type_shapes()
+
+
+def _pi_dag(h: int, r: int, r2: int, h2: int, r3: int) -> QueryDag:
+    """A two-hop chain from h (r then r2) intersected with one hop r3 from h2."""
+    return dag_of(TYPE_SHAPES["pi"], [h, h2], [r, r2, r3])
 
 
 def _walk(qtype: str, seed_edge: tuple[int, int, int], index: EdgeIndex,
@@ -557,8 +554,8 @@ def _walk(qtype: str, seed_edge: tuple[int, int, int], index: EdgeIndex,
     return [h, h2], [r, r2, r3]
 
 
-def _generate(kg: KnowledgeGraph, qtype: str, count: int, split: str, rng: np.random.Generator,
-              retry_budget: int | None) -> _Pending:
+def _generate(kg: KnowledgeGraph, qtype: str, count: int, split: str,
+              rng: np.random.Generator) -> _Pending:
     """The rows of ``generate_block``. Called only by the public entry
     points, so its warning names their caller's line."""
     if split not in SPLITS:
@@ -581,7 +578,7 @@ def _generate(kg: KnowledgeGraph, qtype: str, count: int, split: str, rng: np.ra
     full_index = kg.full_index
     walk_index = train_index if split == "train" else full_index
 
-    budget = retry_budget if retry_budget is not None else max(100, 30 * count)
+    budget = max(100, 30 * count)
     attempts = 0
     while len(rows.positions) < count and attempts < budget:
         attempts += 1
@@ -608,22 +605,23 @@ def _generate(kg: KnowledgeGraph, qtype: str, count: int, split: str, rng: np.ra
 
 
 def generate_block(kg: KnowledgeGraph, qtype: str, count: int, split: str,
-                   rng: np.random.Generator, retry_budget: int | None = None) -> QueryBlock:
+                   rng: np.random.Generator) -> QueryBlock:
     """Sample ``count`` queries of one shape seeded from the given split, as
     one block whose positions number them in the order drawn.
 
     Train-split queries use only the five training shapes and walk training
     edges. Eval-split queries walk the full graph and must have at least one
-    hard answer. Runs out of retries -> a shorter block plus a warning.
+    hard answer. A draw gets max(100, 30 * count) walks; when they run out,
+    the block is shorter and a warning says so.
     """
-    return _generate(kg, qtype, count, split, rng, retry_budget).block()
+    return _generate(kg, qtype, count, split, rng).block()
 
 
 def generate_queries(kg: KnowledgeGraph, qtype: str, count: int, split: str,
-                     rng: np.random.Generator, retry_budget: int | None = None) -> list[GeneratedQuery]:
+                     rng: np.random.Generator) -> list[GeneratedQuery]:
     """The queries ``generate_block`` draws, as ``GeneratedQuery`` objects
     made straight from its rows."""
-    return _generate(kg, qtype, count, split, rng, retry_budget).queries()
+    return _generate(kg, qtype, count, split, rng).queries()
 
 
 # ---------------------------------------------------------------------------
@@ -719,13 +717,10 @@ class _Pending:
 
     def queries(self) -> list[GeneratedQuery]:
         """The rows as ``GeneratedQuery`` objects, in row order."""
-        anchor_nodes, edges, nodes, answer = self.shape
-        queries = []
-        for ents, rels, (train, full) in zip(self.anchors, self.relations, self.answers):
-            dag_edges = tuple(Edge(s, d, r, inverse) for (s, d, inverse), r in zip(edges, rels))
-            dag = QueryDag(tuple(zip(anchor_nodes, ents)), dag_edges, nodes, answer)
-            queries.append(GeneratedQuery(self.qtype, dag, frozenset(train), frozenset(full)))
-        return queries
+        return [
+            GeneratedQuery(self.qtype, dag_of(self.shape, ents, rels), frozenset(train), frozenset(full))
+            for ents, rels, (train, full) in zip(self.anchors, self.relations, self.answers)
+        ]
 
 
 def query_blocks(queries: list[GeneratedQuery]) -> list[QueryBlock]:
@@ -1217,23 +1212,20 @@ GRID_RELATIONS: tuple[tuple[str, tuple[tuple[int, int], ...]], ...] = (
 )
 
 
-def build_grid_kg(
-    width: int = 20,
-    height: int = 10,
-    seed: int = 0,
-    fractions: tuple[float, float, float] = (0.85, 0.05, 0.10),
-) -> KnowledgeGraph:
+# the train, valid and test shares of the grid's edges
+GRID_SPLIT = (0.85, 0.05, 0.10)
+
+
+def build_grid_kg(width: int = 20, height: int = 10, seed: int = 0) -> KnowledgeGraph:
     """Deterministic translation-structured KG on a width x height grid.
 
     Every relation moves a cell by one of its displacement vectors (edges
     leaving the grid are dropped), so each relation is representable as a
     translation with a bounded spread, learnable by construction. Edges are
-    shuffled with the seed and split by the given fractions.
+    shuffled with the seed and split by ``GRID_SPLIT``.
     """
     if width < 3 or height < 3:
         raise ValidationError("grid must be at least 3x3")
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) <= 0:
-        raise ValidationError("fractions must be three positive numbers summing to 1")
     entity_ids = [f"c{x:02d}_{y:02d}" for x in range(width) for y in range(height)]
     e_idx = {e: i for i, e in enumerate(entity_ids)}
     relation_ids = sorted(name for name, _ in GRID_RELATIONS)
@@ -1253,8 +1245,8 @@ def build_grid_kg(
     rng = substream(seed, "kg-split")
     order = rng.permutation(len(edges))
     shuffled = [edges[i] for i in order]
-    n_valid = int(fractions[1] * len(edges))
-    n_test = int(fractions[2] * len(edges))
+    n_valid = int(GRID_SPLIT[1] * len(edges))
+    n_test = int(GRID_SPLIT[2] * len(edges))
     n_train = len(edges) - n_valid - n_test
     parts = (shuffled[:n_train], shuffled[n_train : n_train + n_valid], shuffled[n_train + n_valid :])
     kg = KnowledgeGraph(entity_ids, relation_ids, dict(zip(SPLITS, map(_id_rows, parts))))

@@ -177,20 +177,13 @@ def init_random(
         raise ValidationError("id list lengths do not match entity/relation counts")
     rng = substream(seed, STREAM_INIT)
     bound = 0.5 / np.sqrt(dim)
-    entity_centers = rng.uniform(-bound, bound, size=shapes["entity_centers"])
-    relation_centers = rng.uniform(-bound, bound, size=shapes["relation_centers"])
-    relation_offsets = np.full(shapes["relation_offsets"], 0.1, dtype=np.float64)
-    net = net_random(dim, rng)
-    return ParamStore(
-        dim,
-        list(entity_ids),
-        list(relation_ids),
-        entity_centers,
-        relation_centers,
-        relation_offsets,
-        offset_mode,
-        net,
-    )
+    arrays = {  # drawn in this order
+        "entity_centers": rng.uniform(-bound, bound, size=shapes["entity_centers"]),
+        "relation_centers": rng.uniform(-bound, bound, size=shapes["relation_centers"]),
+        "relation_offsets": np.full(shapes["relation_offsets"], 0.1, dtype=np.float64),
+        **net_random(dim, rng).arrays(),
+    }
+    return ParamStore.from_arrays(dim, entity_ids, relation_ids, offset_mode, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +432,7 @@ def _read_vectors(path: str) -> ContextualVectors:
                     f"vector-file header field 'relation_spans' of document {doc_id!r} "
                     "is not a map of [int, int] pairs"
                 )
-            if rows < 0 or d < 1:
+            if rows < 0 or not 1 <= d < 2**60:  # numpy cannot size a row of 2**60 float64s
                 raise ParseError(f"bad vector-file shape ({rows}, {d})")
             if dim is None:
                 dim = d

@@ -169,12 +169,7 @@ def compile_plan(shape: tuple) -> Plan:
     """Validate a ``dag_shape`` and compile it; cached, so each shape is
     validated and laid out once however many queries share it."""
     anchor_nodes, edges, nodes, answer = shape
-    skeleton = QueryDag(
-        tuple((n, 0) for n in anchor_nodes),
-        tuple(Edge(s, t, 0, inverse) for s, t, inverse in edges),
-        nodes,
-        answer,
-    )
+    skeleton = dag_of(shape, [0] * len(anchor_nodes), [0] * len(edges))
     kinds = dict(nodes)
     width = {n: 1 for n in anchor_nodes}  # disjuncts per node
     steps = []
@@ -202,6 +197,19 @@ def query_ids(dag: QueryDag) -> tuple[list[int], list[int]]:
     """The entity id of each anchor slot and the relation id of each edge
     slot of a DAG's ``Plan``: what the DAG holds beyond its shape."""
     return [e for _, e in dag.anchors], [e.relation for e in dag.edges]
+
+
+def dag_of(shape: tuple, anchors: list[int], relations: list[int]) -> QueryDag:
+    """The DAG of a ``dag_shape`` whose anchor slots hold ``anchors`` and
+    whose edge slots hold ``relations``: the inverse of ``dag_shape`` and
+    ``query_ids``."""
+    anchor_nodes, edges, nodes, answer = shape
+    return QueryDag(
+        tuple(zip(anchor_nodes, anchors, strict=True)),
+        tuple(Edge(s, t, r, inverse) for (s, t, inverse), r in zip(edges, relations, strict=True)),
+        nodes,
+        answer,
+    )
 
 
 def chain_dag(anchor: int, relations: list[tuple[int, bool]]) -> QueryDag:

@@ -30,7 +30,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Protocol
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -396,13 +396,6 @@ class TextSource:
     seq_len: int = 512
 
 
-class AnswerLookup(Protocol):
-    """(head, relation) -> every known tail, sorted; ``default`` for a key
-    with none. An ``EdgeIndex``'s ``fwd`` lookup is one, and so is a dict."""
-
-    def get(self, key: tuple[int, int], default=None) -> tuple[int, ...] | None: ...
-
-
 @dataclass
 class KgSource:
     """Pre-assembled KG training material.
@@ -410,18 +403,20 @@ class KgSource:
     ``triplets`` are the dense-id (head, relation, tail) train edges, kept
     as an ``(n, 3)`` int64 array, each a simple (1p) example;
     ``complex_queries`` are pre-generated (dag, train-answer tuple) pairs of
-    any mix of shapes. ``answer_sets`` gives each (head, relation) key its
-    known tails through ``get``, the only call made on it; when not given
-    it is the ``fwd`` lookup of an ``EdgeIndex`` of ``triplets``. Every
-    known answer of a query is kept out of its negatives, which are drawn
-    by rejection from the entity range at O(K) cost, so co-answers of
-    multi-answer queries are not pushed away as false negatives.
+    any mix of shapes. ``answer_sets.get((head, relation), default)`` gives
+    a key's known tails, sorted, or ``default`` for a key with none; that is
+    the only call made on it, so an ``EdgeIndex``'s ``fwd`` lookup serves,
+    and so does a dict. When not given it is the ``fwd`` lookup of an
+    ``EdgeIndex`` of ``triplets``. Every known answer of a query is kept
+    out of its negatives, which are drawn by rejection from the entity
+    range at O(K) cost, so co-answers of multi-answer queries are not
+    pushed away as false negatives.
     """
 
     triplets: np.ndarray
     complex_queries: list[tuple[QueryDag, tuple[int, ...]]]
     n_entities: int
-    answer_sets: AnswerLookup | None = None
+    answer_sets: evalgen._Groups | dict | None = None
 
     def __post_init__(self) -> None:
         self.triplets = np.asarray(self.triplets, dtype=np.int64).reshape(-1, 3)
@@ -429,7 +424,7 @@ class KgSource:
             self.answer_sets = self.build_answer_sets(self.triplets)
 
     @staticmethod
-    def build_answer_sets(triplets: list[tuple[int, int, int]] | np.ndarray) -> AnswerLookup:
+    def build_answer_sets(triplets: list[tuple[int, int, int]] | np.ndarray) -> evalgen._Groups:
         """(head, relation) -> sorted tails, the ``fwd`` lookup of an ``EdgeIndex``."""
         return evalgen.EdgeIndex(triplets).fwd
 
@@ -621,6 +616,8 @@ def _random_example(
 
 
 GRAD_CHECK_SHAPES = ("1p", "2p", "2i", "2i_inverse", "2u")
+# the coarse finite-difference step; the fine one is half of it
+GRAD_CHECK_STEP = 1e-3
 
 
 def grad_check_config(alpha: float = DEFAULT_ALPHA, norm: str = DEFAULT_NORM) -> TrainConfig:
@@ -634,18 +631,18 @@ def grad_check(
     n_trials: int,
     seed: int,
     cfg: TrainConfig | None = None,
-    h: float = 1e-3,
 ) -> float:
     """Compare analytic gradients against Richardson-extrapolated central
     finite differences.
 
     Cycles through the five query shapes, perturbing every touched
-    coordinate by +/- h and +/- h/2. Coordinates where any of the four probe
-    points falls on another branch than the unperturbed point (any hinge,
-    argmin, or ReLU flip in between) are skipped; the rest must agree with
-    (4 D(h/2) - D(h)) / 3, whose truncation error is O(h^4) where a central
-    difference D leaves O(h^2), which the L2 norm's curvature makes visible
-    at h = 1e-3. Returns the max relative error
+    coordinate by +/- h and +/- h/2, h = ``GRAD_CHECK_STEP``. Coordinates
+    where any of the four probe points falls on another branch than the
+    unperturbed point (any hinge, argmin, or ReLU flip in between) are
+    skipped; the rest must agree with (4 D(h/2) - D(h)) / 3, whose
+    truncation error is O(h^4) where a central difference D leaves O(h^2),
+    which the L2 norm's curvature makes visible at h = 1e-3. Returns the
+    max relative error
     |g_a - g_n| / max(1e-8, |g_a| + |g_n|).
 
     The default check config (``grad_check_config()``) uses a small margin:
@@ -680,8 +677,8 @@ def grad_check(
 
         def check(arr: np.ndarray, idx: tuple[int, ...], analytic: float) -> None:
             nonlocal worst
-            coarse = central(arr, idx, h)
-            fine = None if coarse is None else central(arr, idx, h / 2)
+            coarse = central(arr, idx, GRAD_CHECK_STEP)
+            fine = None if coarse is None else central(arr, idx, GRAD_CHECK_STEP / 2)
             if fine is None:
                 return
             numeric = (4.0 * fine - coarse) / 3.0

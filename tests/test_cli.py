@@ -658,6 +658,25 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"error: {key} = 100000000000 sizes a " in err and "bytes of memory" in err
 
+    @pytest.mark.parametrize("value, message", [
+        ("-3", "error: [train] complex_pool must be >= 0, got -3\n"),
+        ("100000000000", "error: [train] complex_pool = 100000000000 sizes a "
+                         "3200000000000-byte table, more than the machine's "),
+    ], ids=["negative", "beyond-memory"])
+    def test_a_bad_complex_pool_exits_2_naming_it(
+        self, tmp_path, kg_dir, capsys, monkeypatch, value, message
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a query drawn before the complex_pool check")
+
+        monkeypatch.setattr(evalgen, "_generate", unreachable)
+        code = cli.main([
+            "train", "--mode", "kg", "--kg", kg_dir, "--complex-pool", value, "--steps", "1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_checkpoint_ids_must_be_the_corpus(self, tmp_path, corpus_path, capsys):
         store = params_mod.init_random(
             8, 4, 3, 0, entity_ids=["A", "B", "C", "D"], relation_ids=["r1", "r3", "r2"]
@@ -871,6 +890,20 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "error: [eval] count = 100000000000 sizes a 800000000000-byte table" in err
         assert "bytes of memory" in err
+
+    @pytest.mark.parametrize("command", ["gen-queries", "eval"])
+    def test_a_type_listed_twice_exits_2_naming_it(
+        self, tmp_path, kg_dir, ckpt, capsys, monkeypatch, command
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a query drawn before the types check")
+
+        monkeypatch.setattr(evalgen, "_generate", unreachable)
+        out = tmp_path / "o"
+        argv = [command, "--kg", kg_dir, "--types", "1p,2i,1p", "--count", "5", "--out", str(out)]
+        assert cli.main(argv + (["--checkpoint", ckpt] if command == "eval" else [])) == 2
+        assert capsys.readouterr().err == "error: [eval] types lists '1p' twice\n"
+        assert not (out / "queries_1p.jsonl").exists() and not (out / "metrics.jsonl").exists()
 
     def test_fresh_queries(self, tmp_path, kg_dir, ckpt, capsys):
         out = tmp_path / "o"

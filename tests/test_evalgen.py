@@ -610,7 +610,7 @@ class TestGenerateQueries:
         kg = load_kg(train, valid, test)
         rng = substream(0, STREAM_QUERY_GEN)
         with pytest.warns(UserWarning, match="0/4"):
-            got = generate_queries(kg, "2p", 4, "test", rng, retry_budget=20)
+            got = generate_queries(kg, "2p", 4, "test", rng)
         assert got == []
 
     @pytest.mark.parametrize("generate", [generate_queries, generate_block])
@@ -619,7 +619,7 @@ class TestGenerateQueries:
         test = write_tsv(tmp_path / "test.tsv", [("C", "r", "D")])
         kg = load_kg(train, write_tsv(tmp_path / "valid.tsv", []), test)
         with pytest.warns(UserWarning, match="0/4") as caught:
-            generate(kg, "2p", 4, "test", substream(0, STREAM_QUERY_GEN), retry_budget=20)
+            generate(kg, "2p", 4, "test", substream(0, STREAM_QUERY_GEN))
         assert [w.filename for w in caught] == [__file__]
 
     def test_one_p_is_a_test_triplet(self):
@@ -928,5 +928,3 @@ class TestGridKg:
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
             build_grid_kg(width=2, height=5)
-        with pytest.raises(ValidationError):
-            build_grid_kg(fractions=(0.9, 0.2, 0.2))

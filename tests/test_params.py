@@ -488,6 +488,15 @@ class TestVectorsFile:
         )
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("dim", [2**60, 2**70])
+    def test_a_dim_numpy_cannot_size_is_a_bad_shape(self, tmp_path, dim):
+        path = str(tmp_path / "v.ctx")
+        with open(path, "wb") as fh:
+            fh.write(json.dumps({"id": "a", "rows": 0, "dim": dim}).encode() + b"\n")
+        with pytest.raises(ParseError) as exc:
+            load_vectors(path)
+        assert str(exc.value) == f"{path}: bad vector-file shape (0, {dim})"
+
     @pytest.mark.parametrize("header, problem", [
         ([1, 2], "vector-file header is not a JSON object"),
         ({"id": "a", "rows": "two", "dim": 2}, "field 'rows' is not an int"),

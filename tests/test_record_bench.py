@@ -1,7 +1,9 @@
 """The verdicts of ``tools/record_bench.py``'s ``summarize``, on hand-made
-pairs, and its run order: no benchmark runs here."""
+pairs, its run order, and its quality comparison, on hand-made files: no
+benchmark runs here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -84,3 +86,20 @@ def test_each_pair_runs_every_workload_in_turn_and_the_first_arm_alternates():
         (1, "a", backward), (1, "b", backward), (1, "c", backward),
         (2, "a", forward), (2, "b", forward), (2, "c", forward),
     ]
+
+
+def _quality(path, **measures):
+    """A hand-made ``BENCH_quality`` file of (mean, stderr) per measure."""
+    record = {"measures": {name: {"mean": m, "stderr": se} for name, (m, se) in measures.items()}}
+    path.write_text(json.dumps(record))
+    return json.loads(path.read_text())
+
+
+def test_quality_falls_when_a_mean_drops_more_than_two_baseline_standard_errors(tmp_path):
+    baseline = _quality(tmp_path / "base.json", h3=(0.95, 0.01), mrr=(0.80, 0.02))
+    held = _quality(tmp_path / "held.json", h3=(0.9301, 0.05), mrr=(0.99, 0.0))
+    assert record_bench.quality_falls(baseline, held) == []
+    fell = _quality(tmp_path / "fell.json", h3=(0.9299, 0.0), mrr=(0.75, 0.0))
+    falls = record_bench.quality_falls(baseline, fell)
+    assert [line.split(":")[0] for line in falls] == ["h3", "mrr"]
+    assert falls[0] == "h3: mean 0.9299 is below the baseline's 0.9500 - 2 x 0.0100"

@@ -10,12 +10,12 @@ from collections import defaultdict, deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srbox.corpus import Sequence, Triplet
 from srbox.errors import ValidationError
-from srbox.evalgen import brute_force_answers
+from srbox.evalgen import TYPE_SHAPES, _pi_dag, brute_force_answers
 from srbox.structures import (
     Edge,
     KnowledgeStructure,
@@ -23,7 +23,12 @@ from srbox.structures import (
     QueryDag,
     StructureKind,
     build_query,
+    chain_dag,
+    dag_of,
+    dag_shape,
+    merge_dag,
     mine_structures,
+    query_ids,
     sample_training_pair,
     topological_order,
     validate_dag,
@@ -446,3 +451,47 @@ class TestDagValidation:
             assert got[1].endswith("is declared twice")
         else:
             assert got == expect
+
+
+ENT = st.integers(0, 50)
+REL = st.integers(0, 9)
+HOP = st.tuples(REL, st.booleans())
+
+
+@st.composite
+def built_dags(draw):
+    """A DAG from one of the builders: a chain, a merge of either kind with
+    up to two hops, a pi query, or the query of a mined structure."""
+    builder = draw(st.sampled_from(["chain", "merge", "pi", "mined"]))
+    if builder == "chain":
+        return chain_dag(draw(ENT), draw(st.lists(HOP, min_size=1, max_size=4)))
+    if builder == "merge":
+        branches = draw(st.lists(st.tuples(ENT, REL, st.booleans()), min_size=2, max_size=4))
+        kind = draw(st.sampled_from([NodeKind.INTERSECTION, NodeKind.UNION]))
+        return merge_dag(branches, kind, draw(st.lists(HOP, max_size=2)))
+    if builder == "pi":
+        return _pi_dag(draw(ENT), draw(REL), draw(REL), draw(ENT), draw(REL))
+    structures = mine_structures(draw(triplet_lists()))
+    assume(structures)
+    return build_query(draw(st.sampled_from(structures)))[0]
+
+
+class TestDagOf:
+    @settings(max_examples=300, deadline=None)
+    @given(built_dags())
+    def test_inverts_dag_shape_and_query_ids(self, dag):
+        assert dag_of(dag_shape(dag), *query_ids(dag)) == dag
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(TYPE_SHAPES)), st.data())
+    def test_fills_every_query_type_shape(self, qtype, data):
+        shape = TYPE_SHAPES[qtype]
+        anchors = data.draw(st.lists(ENT, min_size=len(shape[0]), max_size=len(shape[0])))
+        relations = data.draw(st.lists(REL, min_size=len(shape[1]), max_size=len(shape[1])))
+        dag = dag_of(shape, anchors, relations)
+        assert dag_shape(dag) == shape
+        assert query_ids(dag) == (anchors, relations)
+
+    def test_ids_must_fill_every_slot(self):
+        with pytest.raises(ValueError):
+            dag_of(TYPE_SHAPES["2i"], [1], [0, 0])

@@ -20,6 +20,19 @@ result, and for each end-to-end metric of ``BENCHMARK.json`` the median and
 quartiles of each arm, the number of pairs the change won and a verdict
 (``gain``, ``within_bound``, ``worse_beyond_bound`` or ``unresolved``; see
 ``_verdict``).
+
+    python3 tools/record_bench.py --label mychange --quality 5 [--baseline FILE]
+
+With ``--quality K`` it records learning quality instead, in this process,
+for seeds 0 .. K-1: criterion 4 of ``tests/test_acceptance.py`` with its
+store and training drawn from the seed (filtered H@3 and MRR on its fixed
+200 1p and 200 2i test queries), and the mean MRR over the query types of
+one text-ctx round of ``perfbench/workloads.py`` at the seed. It writes
+``BENCH_quality_<label>.json``: each measure's value per seed, mean and
+standard error, with the core count, the numpy and Python versions and the
+revision. With ``--baseline FILE`` it exits 1 when a measure's mean falls
+more than two of the baseline's standard errors below the baseline's mean
+(see ``quality_falls``).
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import platform
 import statistics
@@ -61,12 +75,18 @@ def _snapshot(index: Path) -> str:
     return _git("commit-tree", tree, "-p", "HEAD", "-m", "record_bench change arm", env=env)
 
 
-def _sizes() -> dict:
+def _workloads():
+    """``perfbench/workloads.py``, imported read-only, with this checkout's
+    ``src`` ahead of any installed srbox."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(ROOT / "src"))
-    import workloads  # read only, for the sizes each workload runs at
+    import workloads
 
-    return {name: dataclasses.asdict(spec) for name, spec in workloads.SPECS.items()}
+    return workloads
+
+
+def _sizes() -> dict:
+    return {name: dataclasses.asdict(spec) for name, spec in _workloads().SPECS.items()}
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -146,13 +166,99 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def _kg_quality(seed: int) -> dict[str, float]:
+    """Criterion 4 of ``tests/test_acceptance.py`` with its store and its
+    training drawn from ``seed``: filtered H@3 and MRR on the criterion's
+    own 200 1p and 200 2i test queries, which stay fixed."""
+    _workloads()  # puts this checkout's src first on sys.path
+    from srbox import evalgen, params, train
+    from srbox.rng import STREAM_QUERY_GEN, substream
+
+    kg = evalgen.build_grid_kg(seed=0)
+    store = params.init_random(32, kg.n_entities, kg.n_relations, seed=seed)
+    cfg = train.TrainConfig(steps=5000, seed=seed)
+    store, _ = train.train(train.KgSource(kg.train, [], kg.n_entities), store, cfg)
+    out = {}
+    for qtype in ("1p", "2i"):
+        queries = evalgen.generate_queries(kg, qtype, 200, "test", substream(123, STREAM_QUERY_GEN))
+        report = evalgen.metrics_report(queries, store, "box", cfg.alpha, cfg.norm)
+        out[f"kg {qtype} H@3"], out[f"kg {qtype} MRR"] = report["H@3"], report["MRR"]
+    return out
+
+
+def _text_quality(seed: int, work: Path) -> dict[str, float]:
+    """The mean MRR over the query types of one text-ctx round at ``seed``."""
+    workloads = _workloads()
+    spec = workloads.SPECS["text-ctx"]
+    inputs = workloads.make_inputs(spec, work / "inputs", seed)
+    workloads.run_round(spec, inputs, work / "round", seed, None)
+    lines = (work / "round" / "eval" / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+    return {"text MRR": statistics.fmean(json.loads(line)["MRR"] for line in lines)}
+
+
+def quality_falls(baseline: dict, record: dict) -> list[str]:
+    """One line for each measure of ``baseline`` whose mean in ``record`` is
+    more than two of the baseline's standard errors below the baseline's
+    mean; both are ``BENCH_quality_<label>.json`` records."""
+    falls = []
+    for name, base in baseline["measures"].items():
+        mean = record["measures"][name]["mean"]
+        if mean < base["mean"] - 2 * base["stderr"]:
+            falls.append(f"{name}: mean {mean:.4f} is below the baseline's "
+                         f"{base['mean']:.4f} - 2 x {base['stderr']:.4f}")
+    return falls
+
+
+def record_quality(label: str, seeds: list[int], baseline: Path | None) -> int:
+    values: dict[str, list[float]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            measures = {**_kg_quality(seed), **_text_quality(seed, Path(tmp) / f"text-{seed}")}
+            for name, value in measures.items():
+                values.setdefault(name, []).append(value)
+            print(f"quality seed {seed}: done", file=sys.stderr, flush=True)
+    record = {
+        "command": ["python3", "tools/record_bench.py", "--label", label,
+                    "--quality", str(len(seeds))],
+        "seeds": seeds,
+        "nproc": len(os.sched_getaffinity(0)),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "revision": _revision(ROOT),
+        "measures": {
+            name: {"values": v, "mean": statistics.fmean(v),
+                   "stderr": statistics.stdev(v) / math.sqrt(len(v))}
+            for name, v in values.items()
+        },
+    }
+    path = ROOT / f"BENCH_quality_{label}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(path)
+    if baseline is None:
+        return 0
+    falls = quality_falls(json.loads(baseline.read_text(encoding="utf-8")), record)
+    for line in falls:
+        print(f"quality fell: {line}", file=sys.stderr)
+    return 1 if falls else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent arm")
     parser.add_argument("--pairs", type=int, default=5, help="parent/change pairs per workload")
     parser.add_argument("--seconds", type=int, default=10, help="--seconds of each run")
+    parser.add_argument("--quality", type=int, metavar="K",
+                        help="record learning quality over seeds 0 .. K-1 instead")
+    parser.add_argument("--baseline", type=Path,
+                        help="a quality record whose means this one must hold (with --quality)")
     args = parser.parse_args()
+    if args.quality is not None:
+        if args.quality < 2:
+            parser.error("--quality must be at least 2, to give standard errors")
+        return record_quality(args.label, list(range(args.quality)), args.baseline)
+    if args.baseline is not None:
+        parser.error("--baseline needs --quality")
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, to give quartiles")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
