@@ -27,8 +27,6 @@ import itertools
 import json
 import os
 import sys
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from operator import attrgetter
@@ -40,6 +38,7 @@ from srbox.corpus import load_corpus, chunk_sequences
 from srbox.errors import ValidationError
 from srbox.rng import STREAM_QUERY_GEN, substream
 from srbox.structures import StructureKind, mine_structures
+from srbox.timing import timed
 
 # every TrainConfig field but the seed, which [run] holds, is a [train] key
 _TRAIN_FIELDS = [f for f in fields(train_mod.TrainConfig) if f.name != "seed"]
@@ -117,10 +116,6 @@ class RunConfig:
     def seed(self) -> int:
         return self.get_int("run", "seed")
 
-    @property
-    def out_dir(self) -> str:
-        return self.get("run", "out")
-
     def train_config(self) -> train_mod.TrainConfig:
         values = {
             f.name: _typed("train", f.name, self.get("train", f.name), type(f.default))
@@ -171,7 +166,7 @@ def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _prepare_out(cfg: RunConfig) -> str:
-    out = cfg.out_dir
+    out = _require(cfg, "run", "out", "to hold the outputs")
     os.makedirs(out, exist_ok=True)
     echo = configparser.ConfigParser()
     for section, kv in cfg.raw.items():
@@ -265,19 +260,9 @@ def _load_or_init_params(
 # commands
 
 
-@contextmanager
-def _timed(timings: dict, key: str):
-    """Add the wall time of the ``with`` block to ``timings[key]``."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
-
-
 def cmd_mine(cfg: RunConfig, out: str, meta: dict) -> int:
     timings = meta["timings_s"] = {}
-    with _timed(timings, "load_corpus"):
+    with timed(timings, "load_corpus"):
         corpus = load_corpus(_require(cfg, "paths", "corpus", "to mine structures"))
     seq_len = cfg.get_int("run", "seq_len")
     # each record is json.dumps({"kind", "triplets", "seq"}), assembled from
@@ -286,13 +271,13 @@ def cmd_mine(cfg: RunConfig, out: str, meta: dict) -> int:
     rels = [json.dumps(name) for name in corpus.relation_ids]
     heads = {kind: f'{{"kind": {json.dumps(kind.value)}, "triplets": [' for kind in StructureKind}
     counts = dict.fromkeys(StructureKind, 0)
-    with _timed(timings, "mine"):
+    with timed(timings, "mine"):
         sequences = chunk_sequences(corpus, seq_len)
     with open(os.path.join(out, "structures.jsonl"), "w", encoding="utf-8") as fh:
         for seq in sequences:
-            with _timed(timings, "mine"):
+            with timed(timings, "mine"):
                 structures = mine_structures(seq.triplets)
-            with _timed(timings, "write"):
+            with timed(timings, "write"):
                 # keyed by identity: a structure holds the window's own triplets
                 cells = {
                     id(t): f"[{ents[t.head]}, {rels[t.relation]}, {ents[t.tail]}]"
@@ -315,19 +300,19 @@ def cmd_mine(cfg: RunConfig, out: str, meta: dict) -> int:
 
 def cmd_init_embeddings(cfg: RunConfig, out: str, meta: dict) -> int:
     timings = meta["timings_s"] = {}
-    with _timed(timings, "load_corpus"):
+    with timed(timings, "load_corpus"):
         corpus = load_corpus(_require(cfg, "paths", "corpus", "to size the embedding tables"))
     store = _fresh_store(cfg, corpus.entity_ids, corpus.relation_ids)
     vectors_path = cfg.get("paths", "vectors")
     source = "random"
     if vectors_path:
-        with _timed(timings, "load_vectors"):
+        with timed(timings, "load_vectors"):
             vectors = params_mod.load_vectors(vectors_path)
-        with _timed(timings, "import_contextual"):
+        with timed(timings, "import_contextual"):
             params_mod.import_contextual(corpus, vectors, store)
         source = "contextual"
     ckpt = cfg.get("paths", "checkpoint_out") or os.path.join(out, "params.ckpt")
-    with _timed(timings, "save"):
+    with timed(timings, "save"):
         params_mod.save(store, ckpt)
     print(
         f"initialized {store.n_entities} entities, {store.n_relations} relations "
@@ -341,15 +326,15 @@ def cmd_train(cfg: RunConfig, out: str, meta: dict) -> int:
     tc = cfg.train_config()
     timings = meta["timings_s"] = {}
     if mode == "text":
-        with _timed(timings, "load_corpus"):
+        with timed(timings, "load_corpus"):
             corpus = load_corpus(_require(cfg, "paths", "corpus", "for text-mode training"))
-        with _timed(timings, "load_checkpoint"):
+        with timed(timings, "load_checkpoint"):
             store = _load_or_init_params(cfg, corpus.entity_ids, corpus.relation_ids, "corpus")
         source = train_mod.TextSource(corpus, cfg.get_int("run", "seq_len"))
     elif mode == "kg":
-        with _timed(timings, "load_kg"):
+        with timed(timings, "load_kg"):
             kg = _load_kg_dir(cfg)
-        with _timed(timings, "load_checkpoint"):
+        with timed(timings, "load_checkpoint"):
             store = _load_or_init_params(cfg, kg.entity_ids, kg.relation_ids, "KG")
         rng = substream(cfg.seed, STREAM_QUERY_GEN)
         pool_count = cfg.get_int("train", "complex_pool")
@@ -358,7 +343,7 @@ def cmd_train(cfg: RunConfig, out: str, meta: dict) -> int:
         shapes = evalgen.TRAIN_QUERY_TYPES[1:]  # every training shape but 1p
         _check_table("[train] complex_pool", pool_count, len(shapes) * pool_count * 8)  # positions
         complex_queries = []
-        with _timed(timings, "complex_pool"):
+        with timed(timings, "complex_pool"):
             for qtype in shapes:
                 for q in evalgen.generate_queries(kg, qtype, pool_count, "train", rng):
                     complex_queries.append((q.dag, tuple(sorted(q.answers_train))))
@@ -372,14 +357,14 @@ def cmd_train(cfg: RunConfig, out: str, meta: dict) -> int:
     _check_table("[train] k_negatives", tc.k_negatives, (tc.k_negatives + 1) * store.dim * 8)
 
     trace_path = os.path.join(out, "train_trace.jsonl")
-    with open(trace_path, "w", encoding="utf-8") as fh, _timed(timings, "train"):
+    with open(trace_path, "w", encoding="utf-8") as fh, timed(timings, "train"):
 
         def emit(record: dict) -> None:
             fh.write(json.dumps(record) + "\n")
 
         store, trace = train_mod.train(source, store, tc, callback=emit, timings=timings)
     ckpt = cfg.get("paths", "checkpoint_out") or os.path.join(out, "params.ckpt")
-    with _timed(timings, "save"):
+    with timed(timings, "save"):
         params_mod.save(store, ckpt)
     last = trace[-1]["loss"] if trace else None
     last = float("nan") if last is None else last
@@ -427,13 +412,15 @@ def _fresh_blocks(cfg: RunConfig, kg: evalgen.KnowledgeGraph) -> list[evalgen.Qu
     rng = substream(cfg.seed, STREAM_QUERY_GEN)
     split = cfg.get("eval", "split")
     count = cfg.get_int("eval", "count")
+    if count < 0:
+        raise ValidationError(f"[eval] count must be >= 0, got {count}")
     _check_table("[eval] count", count, count * 8)  # the query positions alone
     types = [t.strip() for t in cfg.get("eval", "types").split(",") if t.strip()]
     if not types:
-        raise ValidationError("no query types requested")
+        raise ValidationError("[eval] types lists no query type")
     for i, t in enumerate(types):
         if t not in evalgen.EVAL_QUERY_TYPES:
-            raise ValidationError(f"unknown query type {t!r}")
+            raise ValidationError(f"[eval] types: unknown query type {t!r}")
         if t in types[:i]:
             raise ValidationError(f"[eval] types lists {t!r} twice")
     return [evalgen.generate_block(kg, qtype, count, split, rng) for qtype in types]
@@ -441,15 +428,15 @@ def _fresh_blocks(cfg: RunConfig, kg: evalgen.KnowledgeGraph) -> list[evalgen.Qu
 
 def cmd_gen_queries(cfg: RunConfig, out: str, meta: dict) -> int:
     timings = meta["timings_s"] = {}
-    with _timed(timings, "load_kg"):
+    with timed(timings, "load_kg"):
         kg = _load_kg_dir(cfg)
     count = cfg.get_int("eval", "count")
-    with _timed(timings, "generate"):
+    with timed(timings, "generate"):
         blocks = _fresh_blocks(cfg, kg)
     written = meta["queries"] = {}
     for block in blocks:
         path = os.path.join(out, f"queries_{block.qtype}.jsonl")
-        with _timed(timings, "write"):
+        with timed(timings, "write"):
             evalgen.write_queries([block], kg, path)
         written[block.qtype] = {"requested": count, "written": len(block)}
         print(f"{block.qtype}: {len(block)} queries -> {path}")
@@ -466,19 +453,21 @@ def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
     if scorer == "box":
         screen = meta["screen"] = {"pairs": 0, "recomputed": 0}
     timings = meta["timings_s"] = {}
-    with _timed(timings, "load_kg"):
+    with timed(timings, "load_kg"):
         kg = _load_kg_dir(cfg)
-    with _timed(timings, "load_checkpoint"):
+    with timed(timings, "load_checkpoint"):
         ckpt = _require(cfg, "paths", "checkpoint", "to score queries")
         store = _load_checkpoint(ckpt, kg.entity_ids, kg.relation_ids, "KG")
 
     queries_path = cfg.get("paths", "queries")
-    with _timed(timings, "queries"):
+    with timed(timings, "queries"):
         if queries_path:
             source = queries_path
             blocks = sorted(evalgen.read_query_blocks(queries_path, kg), key=lambda b: b.qtype)
         else:
             source = f"{cfg.get('eval', 'split')} split"
+            if cfg.get_int("eval", "count") == 0:
+                raise ValidationError("[eval] count = 0 leaves no query to evaluate")
             blocks = _fresh_blocks(cfg, kg)
     for block in blocks:
         if not len(block):
@@ -492,7 +481,7 @@ def cmd_eval(cfg: RunConfig, out: str, meta: dict) -> int:
     print(header)
     with open(os.path.join(out, "metrics.jsonl"), "w", encoding="utf-8") as fh:
         for block in blocks:
-            with _timed(timings, "score_and_rank"):
+            with timed(timings, "score_and_rank"):
                 ranks = evalgen.block_ranks(
                     block, store, scorer, tc.alpha, tc.norm, raw, timings, screen
                 )

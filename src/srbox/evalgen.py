@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
@@ -49,11 +48,11 @@ from srbox.structures import (
     compile_plan,
     dag_of,
     dag_shape,
-    intersection_dag,
     merge_dag,
     plan_of,
     query_ids,
 )
+from srbox.timing import timed
 
 TRAIN_QUERY_TYPES = ("1p", "2p", "3p", "2i", "3i")
 EVAL_QUERY_TYPES = TRAIN_QUERY_TYPES + ("ip", "pi", "2u", "up")
@@ -488,8 +487,8 @@ def _type_shapes() -> dict[str, tuple]:
         "1p": dag_shape(chain_dag(0, [hop])),
         "2p": dag_shape(chain_dag(0, [hop] * 2)),
         "3p": dag_shape(chain_dag(0, [hop] * 3)),
-        "2i": dag_shape(intersection_dag([branch] * 2)),
-        "3i": dag_shape(intersection_dag([branch] * 3)),
+        "2i": dag_shape(merge_dag([branch] * 2)),
+        "3i": dag_shape(merge_dag([branch] * 3)),
         "ip": dag_shape(merge_dag([branch] * 2, NodeKind.INTERSECTION, [hop])),
         "pi": (
             (0, 1),
@@ -503,11 +502,6 @@ def _type_shapes() -> dict[str, tuple]:
 
 
 TYPE_SHAPES = _type_shapes()
-
-
-def _pi_dag(h: int, r: int, r2: int, h2: int, r3: int) -> QueryDag:
-    """A two-hop chain from h (r then r2) intersected with one hop r3 from h2."""
-    return dag_of(TYPE_SHAPES["pi"], [h, h2], [r, r2, r3])
 
 
 def _walk(qtype: str, seed_edge: tuple[int, int, int], index: EdgeIndex,
@@ -948,15 +942,12 @@ def block_ranks(block: QueryBlock, params, scorer: str = "box", alpha: float = D
     else:
         raise ValidationError(f"unknown scorer {scorer!r}")
     ranks = []
-    spent = 0.0
+    timings = {} if timings is None else timings
     for start, dist, check in chunks:
         stop = start + len(dist)
-        t0 = time.perf_counter()
-        known = None if raw else block.full.rows(start, stop)
-        ranks.append(rank_block(dist, block.hard.rows(start, stop), known, check))
-        spent += time.perf_counter() - t0
-    if timings is not None:
-        timings["ranks"] = timings.get("ranks", 0.0) + spent
+        with timed(timings, "ranks"):
+            known = None if raw else block.full.rows(start, stop)
+            ranks.append(rank_block(dist, block.hard.rows(start, stop), known, check))
     return np.concatenate(ranks)
 
 

@@ -146,7 +146,9 @@ def layout(
     the row tables, whose offsets hold one shared row or a row per relation
     center, then the intersection net's fields."""
     if offset_mode not in OFFSET_MODES:
-        raise ValidationError(f"unknown offset mode {offset_mode!r}")
+        raise ValidationError(
+            f"offset_mode must be one of {', '.join(OFFSET_MODES)}, got {offset_mode!r}"
+        )
     return {
         "entity_centers": (n_entities, dim),
         "relation_centers": (2 * n_relations, dim),

@@ -17,6 +17,15 @@ STREAM_TRAIN = "train"
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
-    """Return a generator keyed by (seed, name), stable across runs."""
-    entropy = [int(seed) & 0xFFFFFFFF] + list(name.encode("utf-8"))
+    """Return a generator keyed by (seed, name), stable across runs.
+
+    The entropy is the seed's low 32-bit word and the name's bytes; a seed
+    outside [0, 2**32) appends a sign mark above any byte value and the
+    magnitude of its remaining words, so every (seed, name) pair keys its
+    own stream."""
+    seed = int(seed)
+    entropy = [seed & 0xFFFFFFFF, *name.encode("utf-8")]
+    high = seed >> 32  # 0 for exactly the seeds in [0, 2**32)
+    if high:
+        entropy += [0x100 + (high < 0), abs(high)]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -249,10 +249,6 @@ def merge_dag(
     return QueryDag(tuple(anchors), tuple(edges), tuple(nodes), answer_node=n + len(hops))
 
 
-# the default merge, under the name that 2i/3i and the intersected structures use
-intersection_dag = merge_dag
-
-
 def mine_structures(triplets: list[Triplet] | tuple[Triplet, ...]) -> list[KnowledgeStructure]:
     """Enumerate every elementary structure in a triplet set.
 
@@ -324,13 +320,13 @@ def build_query(structure: KnowledgeStructure) -> tuple[QueryDag, int]:
         t1, t2 = ts
         if t1.tail != t2.tail:
             raise ValidationError("inward structure triplets do not share a tail")
-        dag = intersection_dag([(t1.head, t1.relation, False), (t2.head, t2.relation, False)])
+        dag = merge_dag([(t1.head, t1.relation, False), (t2.head, t2.relation, False)])
         return dag, t1.tail
     if kind is StructureKind.OUTWARD:
         t1, t2 = ts
         if t1.head != t2.head:
             raise ValidationError("outward structure triplets do not share a head")
-        dag = intersection_dag([(t1.tail, t1.relation, True), (t2.tail, t2.relation, True)])
+        dag = merge_dag([(t1.tail, t1.relation, True), (t2.tail, t2.relation, True)])
         return dag, t1.head
     raise ValidationError(f"unknown structure kind {kind!r}")
 

@@ -27,7 +27,6 @@ pool), both through one draw, sample and fit loop (see ``train``).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
@@ -44,12 +43,12 @@ from srbox.structures import (
     NodeKind,
     QueryDag,
     chain_dag,
-    intersection_dag,
     merge_dag,
     mine_structures,
     sample_pair_from_structures,
     split_structures,
 )
+from srbox.timing import timed
 
 NEGATIVE_POOLS = ("same_sequence", "global")
 
@@ -86,20 +85,22 @@ class TrainConfig:
             raise ValidationError(f"k_negatives must be >= 1, got {self.k_negatives}")
         if self.lr < 0:
             raise ValidationError(f"lr must be >= 0, got {self.lr}")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ValidationError("adam betas must lie in [0, 1)")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValidationError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if self.eps <= 0:
             raise ValidationError("adam eps must be > 0")
         if self.steps < 0:
             raise ValidationError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.negative_pool not in NEGATIVE_POOLS:
-            raise ValidationError(f"unknown negative pool {self.negative_pool!r}")
-        if self.offset_mode not in OFFSET_MODES:
-            raise ValidationError(f"unknown offset mode {self.offset_mode!r}")
-        if self.norm not in ("l1", "l2"):
-            raise ValidationError(f"unknown norm {self.norm!r}")
+        for name, choices in (
+            ("negative_pool", NEGATIVE_POOLS), ("offset_mode", OFFSET_MODES), ("norm", ("l1", "l2"))
+        ):
+            if getattr(self, name) not in choices:
+                raise ValidationError(
+                    f"{name} must be one of {', '.join(choices)}, got {getattr(self, name)!r}"
+                )
         if self.trace_every < 1:
             raise ValidationError("trace_every must be >= 1")
 
@@ -460,13 +461,6 @@ def _text_draw(state, rng: np.random.Generator) -> tuple[Sequence, list[tuple]]:
     return seq, [(dag, ans, window.answers(dag)) for dag, ans in filter(None, pair)]
 
 
-def _lap(spent: dict[str, float], phase: str, mark: float) -> float:
-    """Add the seconds since ``mark`` to ``spent[phase]``; returns now."""
-    now = time.perf_counter()
-    spent[phase] += now - mark
-    return now
-
-
 def train(
     source: TextSource | KgSource,
     params: ParamStore,
@@ -476,14 +470,17 @@ def train(
 ) -> tuple[ParamStore, list[dict]]:
     """Run the optimization loop; returns the trained store and loss trace.
 
-    Each step makes ``batch_size`` draws (``_kg_draw``, ``_text_draw``). A
-    draw gives a negative pool and its picks in weight order: a simple
-    query (lambda1) and a complex one, if any (lambda2). Each pick draws K
-    negatives from the pool outside its query's known answers (kg: the
-    (head, relation) tails or the pooled query's train answers; text: its
-    answers over the window's own triplets) and forms one ``TrainExample``,
-    whose weighted gradients add to the step's. The step averages them over
-    the batch and applies one Adam update, none if it formed no example.
+    Each step runs three phases. Draw: ``batch_size`` draws (``_kg_draw``,
+    ``_text_draw``), each giving a negative pool and its picks in weight
+    order, a simple query (lambda1) and a complex one, if any (lambda2);
+    each pick draws K negatives from the pool outside its query's known
+    answers (kg: the (head, relation) tails or the pooled query's train
+    answers; text: its answers over the window's own triplets) and forms
+    one ``TrainExample``. Fit: every example's weighted gradients add, in
+    draw order, to the step's. Update: one Adam step on their average over
+    the batch, none if the step formed no example. Drawing reads no
+    parameter and fitting draws no random number, so the random streams do
+    not depend on how the fit phase computes.
     The trace records {step, loss, loss_simple, loss_complex, lr} every
     ``trace_every`` steps and at the last (null losses when no example
     formed), with counters over the steps since the previous record:
@@ -491,8 +488,8 @@ def train(
     pick with no free negative) and ``with_replacement_frac`` (the share of
     examples whose negatives were drawn with replacement, null if none).
     Deterministic for a fixed seed; aborts on a non-finite loss. With
-    ``timings``, adds the loop's seconds to ``sample`` (draws and
-    negatives), ``fit`` (losses and gradients) and ``adam``.
+    ``timings``, adds each phase's seconds to ``sample`` (draw), ``fit``
+    and ``adam`` (update), each present, from 0.0, before the first step.
     """
     cfg.validate()
     params.validate()
@@ -515,38 +512,40 @@ def train(
         draw = partial(_kg_draw, source, rng_train)
     weights = (cfg.lambda1, cfg.lambda2)
     n_skipped = n_replaced = n_examples = 0  # sampling counters since the last trace record
-    spent = dict.fromkeys(("sample", "fit", "adam"), 0.0)
+    timings = {} if timings is None else timings
+    for phase in ("sample", "fit", "adam"):
+        timings.setdefault(phase, 0.0)
     state = AdamState()
     trace: list[dict] = []
     for step in range(cfg.steps):
-        mark = time.perf_counter()
-        grads = Grads(params)
+        batch = []  # (pick slot, example) in draw order
+        with timed(timings, "sample"):
+            for _ in range(cfg.batch_size):
+                pool, picks = draw()
+                n_skipped += not picks  # a window with no query
+                for slot, (dag, answer, known) in enumerate(picks):
+                    neg = sample_negatives(pool, answer, cfg.k_negatives, rng_neg, known)
+                    if neg is None:
+                        n_skipped += 1
+                        continue
+                    batch.append((slot, TrainExample(dag, answer, neg.ids, neg.with_replacement)))
+                    n_replaced += neg.with_replacement
         losses = [0.0, 0.0]  # weighted loss sums and example counts of the two picks
         formed = [0, 0]
-        for _ in range(cfg.batch_size):
-            pool, picks = draw()
-            n_skipped += not picks  # a window with no query
-            for slot, (dag, answer, known) in enumerate(picks):
-                neg = sample_negatives(pool, answer, cfg.k_negatives, rng_neg, known)
-                if neg is None:
-                    n_skipped += 1
-                    continue
-                mark = _lap(spent, "sample", mark)
-                example = TrainExample(dag, answer, neg.ids, neg.with_replacement)
+        with timed(timings, "fit"):
+            grads = Grads(params)
+            for slot, example in batch:
                 losses[slot] += _loss_and_grads(example, params, cfg, weights[slot], grads)[0]
-                mark = _lap(spent, "fit", mark)
                 formed[slot] += 1
-                n_replaced += neg.with_replacement
-        mark = _lap(spent, "sample", mark)
-        n_examples += sum(formed)
+        n_examples += len(batch)
         lr = lr_at(cfg, step)
         loss = None
-        if sum(formed):
+        if batch:
             loss = (losses[0] + losses[1]) / cfg.batch_size
             if not math.isfinite(loss):
                 raise ValidationError(f"non-finite loss at step {step}")
-            adam_step(params, grads, state, cfg, lr, scale=1.0 / cfg.batch_size)
-            _lap(spent, "adam", mark)
+            with timed(timings, "adam"):
+                adam_step(params, grads, state, cfg, lr, scale=1.0 / cfg.batch_size)
         if step % cfg.trace_every == 0 or step == cfg.steps - 1:
             record = {
                 "step": step,
@@ -562,9 +561,6 @@ def train(
             trace.append(record)
             if callback is not None:
                 callback(record)
-    if timings is not None:
-        for phase, seconds in spent.items():
-            timings[phase] = timings.get(phase, 0.0) + seconds
     return params, trace
 
 
@@ -599,9 +595,9 @@ def _random_example(
     elif shape == "2p":
         dag = chain_dag(ent(), [(rel(), False), (rel(), False)])
     elif shape == "2i":
-        dag = intersection_dag([(ent(), rel(), False), (ent(), rel(), False)])
+        dag = merge_dag([(ent(), rel(), False), (ent(), rel(), False)])
     elif shape == "2i_inverse":
-        dag = intersection_dag([(ent(), rel(), True), (ent(), rel(), True)])
+        dag = merge_dag([(ent(), rel(), True), (ent(), rel(), True)])
     elif shape == "2u":
         # both entities before both relations: the draw order fixes every later trial
         (e0, e1), (r0, r1) = (ent(), ent()), (rel(), rel())

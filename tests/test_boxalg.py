@@ -37,7 +37,6 @@ from srbox.structures import (
     NodeKind,
     QueryDag,
     chain_dag,
-    intersection_dag,
     merge_dag,
     topological_order,
     validate_dag,
@@ -383,7 +382,7 @@ class TestExecution:
         )
 
     def test_intersection_matches_direct_kernel(self):
-        dag = intersection_dag([(0, 0, False), (1, 1, False)])
+        dag = merge_dag([(0, 0, False), (1, 1, False)])
         boxes = execute_query(dag, self.store)
         b0 = project(
             Box(self.store.entity_centers[0], np.zeros(4)),
@@ -441,7 +440,7 @@ class TestExecution:
     def test_id_range_bounds(self, execute, anchors, relations, problem):
         # execute_with_trace checks one query's id lists, execute_query an
         # id array of a batch of one
-        dag = intersection_dag([(a, r, False) for a, r in zip(anchors, relations)])
+        dag = merge_dag([(a, r, False) for a, r in zip(anchors, relations)])
         if problem is None:
             execute(dag, self.store)
             return

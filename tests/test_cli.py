@@ -21,6 +21,7 @@ import srbox
 from srbox import boxalg, cli, evalgen, structures
 from srbox import params as params_mod
 from srbox import train as train_mod
+from srbox.rng import STREAM_NEGATIVES, STREAM_QUERY_GEN, substream
 from srbox.train import TrainConfig
 
 
@@ -863,6 +864,32 @@ class TestGenQueries:
         assert code == 2
 
 
+class TestSeeds:
+    """Distinct run seeds give distinct streams, and every seed in
+    [0, 2**32) keeps the streams it has always keyed."""
+
+    SEEDS = (0, 2**32, -1, 2**32 - 1)
+
+    def test_seeds_that_agree_modulo_2_32_draw_differently(self):
+        first = {substream(seed, STREAM_QUERY_GEN).integers(2**62) for seed in self.SEEDS}
+        assert len(first) == len(self.SEEDS)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2**31, 2**32 - 1])
+    def test_a_32_bit_seed_keys_its_old_stream(self, seed):
+        old = np.random.default_rng(np.random.SeedSequence([seed, *b"negatives"]))
+        assert substream(seed, STREAM_NEGATIVES).integers(2**62, size=4).tolist() == \
+            old.integers(2**62, size=4).tolist()
+
+    def test_gen_queries_at_seed_2_32_is_not_seed_0(self, tmp_path, kg_dir):
+        files = []
+        for seed in (0, 2**32):
+            out = tmp_path / str(seed)
+            assert cli.main(["gen-queries", "--kg", kg_dir, "--types", "1p", "--count", "10",
+                             "--seed", str(seed), "--out", str(out)]) == 0
+            files.append((out / "queries_1p.jsonl").read_bytes())
+        assert files[0] != files[1]
+
+
 class TestEvalCommand:
     @pytest.fixture
     def ckpt(self, tmp_path, kg_dir):
@@ -890,6 +917,29 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "error: [eval] count = 100000000000 sizes a 800000000000-byte table" in err
         assert "bytes of memory" in err
+
+    @pytest.mark.parametrize("command", ["gen-queries", "eval"])
+    def test_a_negative_count_exits_2_naming_it(
+        self, tmp_path, kg_dir, ckpt, capsys, monkeypatch, command
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a query drawn before the count check")
+
+        monkeypatch.setattr(evalgen, "_generate", unreachable)
+        argv = [command, "--kg", kg_dir, "--types", "1p", "--count", "-3", "--out", str(tmp_path / "o")]
+        assert cli.main(argv + (["--checkpoint", ckpt] if command == "eval" else [])) == 2
+        assert capsys.readouterr().err == "error: [eval] count must be >= 0, got -3\n"
+
+    def test_eval_of_zero_fresh_queries_exits_2_naming_count(
+        self, tmp_path, kg_dir, ckpt, capsys, monkeypatch
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a query drawn before the count check")
+
+        monkeypatch.setattr(evalgen, "_generate", unreachable)
+        assert cli.main(["eval", "--kg", kg_dir, "--checkpoint", ckpt, "--count", "0",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: [eval] count = 0 leaves no query to evaluate\n"
 
     @pytest.mark.parametrize("command", ["gen-queries", "eval"])
     def test_a_type_listed_twice_exits_2_naming_it(

@@ -9,8 +9,8 @@ from functools import cached_property
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srbox.evalgen import EdgeIndex, _pi_dag, brute_force_answers, build_grid_kg
-from srbox.structures import Edge, NodeKind, QueryDag, chain_dag, intersection_dag, merge_dag
+from srbox.evalgen import TYPE_SHAPES, EdgeIndex, brute_force_answers, build_grid_kg
+from srbox.structures import Edge, NodeKind, QueryDag, chain_dag, dag_of, merge_dag
 
 # ---------------------------------------------------------------------------
 # reference: the eager index, one dict of sorted tuples per map
@@ -137,10 +137,10 @@ def _nine_shape_dags(draw, n_e, n_r):
         chain_dag(draw(ent), [draw(hop)]),
         chain_dag(draw(ent), [draw(hop) for _ in range(2)]),
         chain_dag(draw(ent), [draw(hop) for _ in range(3)]),
-        intersection_dag([draw(branch) for _ in range(2)]),
-        intersection_dag([draw(branch) for _ in range(3)]),
+        merge_dag([draw(branch) for _ in range(2)]),
+        merge_dag([draw(branch) for _ in range(3)]),
         merge_dag([draw(branch) for _ in range(2)], NodeKind.INTERSECTION, [draw(hop)]),
-        _pi_dag(*(draw(st.integers(0, n_r)) if i in (1, 2, 4) else draw(ent) for i in range(5))),
+        dag_of(TYPE_SHAPES["pi"], [draw(ent), draw(ent)], [draw(st.integers(0, n_r)) for _ in range(3)]),
         merge_dag([draw(branch) for _ in range(2)], NodeKind.UNION),
         merge_dag([draw(branch) for _ in range(2)], NodeKind.UNION, [draw(hop)]),
     ]

@@ -44,7 +44,7 @@ from srbox.evalgen import (
 )
 from srbox.params import init_random
 from srbox.rng import STREAM_QUERY_GEN, substream
-from srbox.structures import Edge, NodeKind, QueryDag, chain_dag, intersection_dag
+from srbox.structures import Edge, NodeKind, QueryDag, chain_dag, dag_of, merge_dag
 
 
 def naive_answers(dag, edges):
@@ -431,7 +431,7 @@ class TestBruteForce:
 
     def test_hand_intersection(self):
         # X=0, Y=1, Z=2, W=3: edges (X,r1,Z), (Y,r2,Z), (X,r1,W)
-        dag = intersection_dag([(0, 0, False), (1, 1, False)])
+        dag = merge_dag([(0, 0, False), (1, 1, False)])
         edges = [(0, 0, 2), (1, 1, 2), (0, 0, 3)]
         assert brute_force_answers(dag, edges) == {2}
 
@@ -466,7 +466,7 @@ def random_dag(rng, n_ent, n_rel):
         return chain_dag(ent(), [(rel(), inv()), (rel(), inv()), (rel(), inv())])
     if shape == 3:
         branches = [(ent(), rel(), inv()) for _ in range(2 + int(rng.integers(2)))]
-        return intersection_dag(branches)
+        return merge_dag(branches)
     if shape == 4:  # union of two projections
         return QueryDag(
             anchors=((0, ent()), (1, ent())),
@@ -704,7 +704,7 @@ class TestDagToPath:
         assert self.path_distances(dag).tobytes() == expected.tobytes()
 
     def test_intersection_rejected(self):
-        dag = intersection_dag([(0, 0, False), (1, 1, False)])
+        dag = merge_dag([(0, 0, False), (1, 1, False)])
         with pytest.raises(ValidationError, match="unsupported"):
             self.path_distances(dag)
 
@@ -726,7 +726,7 @@ class TestDagToPath:
             answer_node=2,
         ),
         evalgen.merge_dag([(0, 0, False), (1, 1, False)], NodeKind.UNION),
-        evalgen._pi_dag(0, 1, 2, 3, 0),
+        dag_of(evalgen.TYPE_SHAPES["pi"], [0, 3], [1, 2, 0]),
         QueryDag(  # two anchors, projections only
             anchors=((0, 4), (1, 5)),
             edges=(Edge(0, 2, 0), Edge(1, 3, 1)),

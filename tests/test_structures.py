@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from srbox.corpus import Sequence, Triplet
 from srbox.errors import ValidationError
-from srbox.evalgen import TYPE_SHAPES, _pi_dag, brute_force_answers
+from srbox.evalgen import TYPE_SHAPES, brute_force_answers
 from srbox.structures import (
     Edge,
     KnowledgeStructure,
@@ -470,7 +470,7 @@ def built_dags(draw):
         kind = draw(st.sampled_from([NodeKind.INTERSECTION, NodeKind.UNION]))
         return merge_dag(branches, kind, draw(st.lists(HOP, max_size=2)))
     if builder == "pi":
-        return _pi_dag(draw(ENT), draw(REL), draw(REL), draw(ENT), draw(REL))
+        return dag_of(TYPE_SHAPES["pi"], [draw(ENT), draw(ENT)], [draw(REL) for _ in range(3)])
     structures = mine_structures(draw(triplet_lists()))
     assume(structures)
     return build_query(draw(st.sampled_from(structures)))[0]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from srbox.evalgen import build_grid_kg, generate_queries
 from srbox.errors import ValidationError
 from srbox.params import OFFSET_MODES, init_random
 from srbox.rng import STREAM_NEGATIVES, STREAM_QUERY_GEN, substream
-from srbox.structures import NodeKind, chain_dag, intersection_dag, merge_dag
+from srbox.structures import NodeKind, chain_dag, merge_dag
 from srbox.train import (
     AdamState,
     KgSource,
@@ -300,7 +301,7 @@ class TestBackward:
 
     def test_intersection_touches_net(self):
         store = init_random(4, 10, 3, seed=1)
-        dag = intersection_dag([(0, 0, False), (1, 1, False)])
+        dag = merge_dag([(0, 0, False), (1, 1, False)])
         ex = TrainExample(dag, 5, (7,))
         grads = boxalg.Grads(store)
         train._loss_and_grads(ex, store, TrainConfig(k_negatives=1), 1.0, grads)
@@ -803,19 +804,20 @@ class TestTrainLoop:
 
 
 def record_examples(monkeypatch):
-    """Every example train() forms, with the text window it was drawn from
-    (None in kg mode)."""
+    """Every example train() forms, with the text window its pick was drawn
+    from (None in kg mode). A step draws all its picks before it fits any,
+    so each example finds its window by the identity of its pick's DAG."""
     seen = []
-    window = [None]
+    windows = {}  # id of a drawn pick's query -> the window it came from
     draw, loss_and_grads = train._text_draw, train._loss_and_grads
 
     def drawn(*args):
         out = draw(*args)
-        window[0] = out[0]
+        windows.update((id(dag), out[0]) for dag, _, _ in out[1])
         return out
 
     def recorded(example, *args, **kwargs):
-        seen.append((example, window[0]))
+        seen.append((example, windows.get(id(example.query))))
         return loss_and_grads(example, *args, **kwargs)
 
     monkeypatch.setattr(train, "_text_draw", drawn)
@@ -901,6 +903,39 @@ class TestNoKnownAnswerAmongNegatives:
             assert not set(ex.negatives) & known
             co_answers += len(known) > 1
         assert len(seen) > 100 and co_answers > 30
+
+
+class TestStepPhases:
+    """Each step draws all of its picks' negatives before it fits any
+    example, and updates last: the fit phase reads only what the draw phase
+    formed."""
+
+    @pytest.mark.parametrize("mode", ["kg", "text"])
+    def test_every_step_samples_before_it_fits(self, tmp_path, monkeypatch, mode):
+        events = []
+        for name in ("sample_negatives", "_loss_and_grads", "adam_step"):
+            def logged(*args, _name=name, _call=getattr(train, name), **kwargs):
+                events.append(_name)
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(train, name, logged)
+        if mode == "kg":
+            kg = build_grid_kg(width=6, height=5, seed=1)
+            pool = [(q.dag, tuple(sorted(q.answers_train)))
+                    for q in generate_queries(kg, "2i", 5, "train", substream(0, STREAM_QUERY_GEN))]
+            source = KgSource(kg.train, pool, kg.n_entities)
+            store = init_random(4, kg.n_entities, kg.n_relations, seed=0)
+        else:
+            corpus = multi_answer_corpus(tmp_path)
+            source = TextSource(corpus, 20)
+            store = init_random(4, corpus.n_entities, corpus.n_relations, seed=0)
+        cfg = TrainConfig(steps=6, batch_size=4, k_negatives=2, seed=3, trace_every=1)
+        train.train(source, store, cfg, callback=lambda record: events.append("end"))
+        steps = "".join({"sample_negatives": "s", "_loss_and_grads": "f",
+                         "adam_step": "a", "end": "|"}[e] for e in events).split("|")[:-1]
+        assert len(steps) == cfg.steps
+        for step in steps:
+            assert re.fullmatch("s+f+a", step), step
 
 
 class TestTraceSamplingCounters:
